@@ -476,24 +476,13 @@ def frame_from_analysis(
 
 
 def complete_dual_gram_row(row: Callable[[int], RealName], n: int) -> RealName:
-    """Energy of a dual-Gram row from its diagonal entry.
+    """Energy of a dual-Gram row from its diagonal entry alone.
 
-    For p = <f_n, S^-1 f_n>, the off-diagonal energy is
-    (1 - p^2 - (1-p)^2)/2, so the total is that plus p^2.
+    Row n of the dual Gram matrix, <f_m, S^-1 f_n>, is column n of the
+    orthogonal projection P onto the range of T*, so its energy
+    ||P e_n||^2 = <P e_n, e_n> is exactly the diagonal entry row(n).
     """
-    p = row(n)
-    one = RealName.from_fraction(1)
-    off = lift_arith(
-        "sub",
-        lift_arith("sub", one, lift_arith("mul", p, p)),
-        lift_arith(
-            "mul", lift_arith("sub", one, p), lift_arith("sub", one, p)
-        ),
-    )
-    half = RealName.from_fraction(Fraction(1, 2))
-    return lift_arith(
-        "add", lift_arith("mul", off, half), lift_arith("mul", p, p)
-    )
+    return row(n)
 
 
 def range_projection(CF: CertifiedFrame) -> OperatorName:

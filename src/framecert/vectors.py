@@ -1,11 +1,20 @@
-"""Names of points of l2: coefficient oracles paired with a norm name.
+"""Names of points of l2: coefficient oracles, a norm name, and Cauchy stages.
 
 The canonical vector name stores the basis coefficients together with a
 real name of the norm.  The norm component is what makes tail bounds --
-and hence every infinite sum in the frame calculus -- computable.  A
-:class:`WeakVectorName` deliberately lacks it: it models coefficientwise
-data whose norm carries no certificate, and nothing here will synthesize
-against one.
+and hence every infinite sum in the frame calculus -- computable.  An
+equivalent name is a Cauchy name: for each k a finite rational vector
+``stage(k)`` within 2^-k of the point.  Every vector built here (finite
+vectors, finite linear combinations, limits) carries such a stage, and
+:func:`truncate` reads it directly.  Only names that arrive without a
+stage -- caller or gallery oracles given as coefficients plus a norm,
+:func:`strengthen` -- are truncated through the norm, by certifying the
+tail sqrt(||x||^2 - sum_{i<N} x_i^2); that costs about twice the bits
+asked for at every nesting level, where a stage costs a constant.
+
+A :class:`WeakVectorName` deliberately lacks a norm: it models
+coefficientwise data whose norm carries no certificate, and nothing
+here will synthesize against one.
 """
 
 from __future__ import annotations
@@ -125,30 +134,49 @@ class FiniteVector:
 class VectorName:
     """Full l2 name: coefficient oracle plus a name of the norm.
 
+    ``stage``, when present, is a Cauchy name of the same point:
+    ``stage(k)`` is a finite rational vector with ||x - stage(k)|| <= 2^-k
+    for every k >= 0.  :func:`truncate` reads it in place of a tail bound,
+    so its builder passes it memoized.
     ``finite`` is an optional exact payload: when present the vector is
-    exactly that finite rational vector and operations may shortcut.
-    ``support_bound``, when set, promises coefficient i = 0 for every
-    i >= support_bound.
+    exactly that finite rational vector, every stage is the payload, and
+    operations may shortcut.  A finite name may be built with ``norm``
+    None; its norm is then computed on first read.  ``support_bound``,
+    when set, promises coefficient i = 0 for every i >= support_bound.
     """
 
-    __slots__ = ("_coeff", "norm", "finite", "support_bound")
+    __slots__ = ("_coeff", "_norm", "finite", "support_bound", "stage")
 
     def __init__(
         self,
         coeff: Callable[[int], RealName],
-        norm: RealName,
+        norm: Optional[RealName],
         finite: Optional[FiniteVector] = None,
         support_bound: Optional[int] = None,
+        stage: Optional[Callable[[int], FiniteVector]] = None,
     ):
+        if norm is None and finite is None:
+            raise ValueError("a norm name is required without a finite payload")
         object.__setattr__(self, "_coeff", _memoized(coeff))
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "finite", finite)
-        if finite is not None and support_bound is None:
-            support_bound = finite.support
+        if finite is not None:
+            stage = lambda k: finite
+            if support_bound is None:
+                support_bound = finite.support
+        object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "support_bound", support_bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorName is immutable")
+
+    @property
+    def norm(self) -> RealName:
+        norm = self._norm
+        if norm is None:
+            norm = sqrt_of_fraction(self.finite.norm_squared())
+            object.__setattr__(self, "_norm", norm)
+        return norm
 
     def coeff(self, i: int) -> RealName:
         if i < 0:
@@ -159,11 +187,8 @@ class VectorName:
 
     @staticmethod
     def from_finite(v: FiniteVector) -> "VectorName":
-        norm_sq = v.norm_squared()
         return VectorName(
-            lambda i: RealName.from_fraction(v.coefficient(i)),
-            sqrt_of_fraction(norm_sq),
-            finite=v,
+            lambda i: RealName.from_fraction(v.coefficient(i)), None, finite=v
         )
 
     @staticmethod
@@ -236,11 +261,6 @@ def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
 
 def tail_norm(x: VectorName, N: int) -> RealName:
     """Name of ||x - P_N x|| = sqrt(||x||^2 - sum_{i<N} x_i^2)."""
-    if x.finite is not None:
-        tail_sq = sum(
-            (q * q for i, q in x.finite.entries if i >= N), Fraction(0)
-        )
-        return sqrt_of_fraction(tail_sq)
     if x.support_bound is not None and N >= x.support_bound:
         return ZERO_NAME
     energy = sum_names(
@@ -251,12 +271,18 @@ def tail_norm(x: VectorName, N: int) -> RealName:
 
 
 def truncate(x: VectorName, eps: Fraction) -> tuple[FiniteVector, int]:
-    """Exact finite v and N with ||x - v|| <= eps; terminates for valid names."""
+    """Exact finite v and N with ||x - v|| <= eps; terminates for valid names.
+
+    A staged name answers with stage(clog2(1/eps)).  A name without a
+    stage is cut where its certified tail norm drops below eps/2, and the
+    coordinates before the cut are rounded within the other eps/2.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if x.finite is not None:
-        return x.finite, x.finite.support
+    if x.stage is not None:
+        v = x.stage(max(0, clog2(1 / eps)))
+        return v, v.support
 
     if x.support_bound is not None:
         N = x.support_bound
@@ -338,21 +364,30 @@ def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
 
     bounds = [v.support_bound for _, v in terms]
     support_bound = None if any(b is None for b in bounds) else max(bounds)
-    return VectorName(coeff, norm, support_bound=support_bound)
+    return VectorName(coeff, norm, support_bound=support_bound, stage=stage)
 
 
 def limit_vectors(
     s: Callable[[int], VectorName],
     support_bound: Optional[int] = None,
 ) -> VectorName:
-    """Full name of L from vectors with ||s(k) - L|| <= 2^-k."""
+    """Full name of L from vectors with ||s(k) - L|| <= 2^-k.
+
+    Stage k of L is a 2^-(k+1) truncation of s(k+1), which is within
+    2^-(k+1) + 2^-(k+1) = 2^-k of L.
+    """
     memo = _memoized(s)
 
     def coeff(i: int) -> RealName:
         return limit_fast(lambda k: memo(k).coeff(i))
 
+    def stage(k: int) -> FiniteVector:
+        return truncate(memo(k + 1), Fraction(1, 1 << (k + 1)))[0]
+
     norm = limit_fast(lambda k: memo(k).norm)
-    return VectorName(coeff, norm, support_bound=support_bound)
+    return VectorName(
+        coeff, norm, support_bound=support_bound, stage=_memoized(stage)
+    )
 
 
 def strengthen(w: WeakVectorName, norm: RealName) -> VectorName:

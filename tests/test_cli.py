@@ -154,6 +154,27 @@ class TestCliCommands:
         assert code == 1
         assert "FAIL" in out
 
+    def test_gram_detects_corrupted_adjoint(self):
+        # the false adjoint rows make the range projection oblique, so the
+        # energy ||P e_n||^2 no longer equals the diagonal entry
+        code, out = run_cli(
+            "verify", str(FIXTURES / "corrupted_dual.json"), "--suite", "gram"
+        )
+        assert code == 1
+        assert "[FAIL] row 2 energy equals diagonal" in out
+
+    def test_duality_on_two_row_operator(self, tmp_path):
+        # the test vector 0:1/3 1:1 2:-1/2 loses coordinate 2, outside the span
+        spec = tmp_path / "op2.json"
+        spec.write_text(json.dumps({
+            "kind": "operator",
+            "matrix": [["1", "0", "1"], ["0", "1", "1"]],
+            "bounds": ["1", "3"],
+        }))
+        code, out = run_cli("verify", str(spec), "--suite", "duality")
+        assert code == 0, out
+        assert "reconstruct 0:1/3 1:1:" in out
+
     def test_exit_codes(self):
         assert run_cli("bounds", str(FIXTURES / "malformed.json"))[0] == 2
         assert run_cli("bounds", str(FIXTURES / "non_spanning.json"))[0] == 3

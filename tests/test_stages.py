@@ -1,0 +1,129 @@
+"""Cauchy stages: truncation reads a stage, and precision stays linear.
+
+Every internally built vector name carries stage(k) within 2^-k of the
+point; truncate answers from it instead of certifying a tail through a
+square root of the norm, which would double the bits asked for at every
+nesting level.
+"""
+
+from fractions import Fraction
+from math import isqrt
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from framecert.dyadic import Dyadic, round_fraction
+from framecert.frames import analysis, inverse_apply, pseudo_inverse, synthesis
+from framecert.oracle import ExactFrame, embed, exact_frame_solve, mat_inv, mat_vec
+from framecert.realnames import RealName
+from framecert.riesz import riesz_as_frame, riesz_from_matrix
+from framecert.specfile import load_spec
+from framecert.vectors import FiniteVector, VectorName, linear_combo, truncate
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def recorded_signal(asked: list[int]) -> VectorName:
+    """Oracle-given x_i = (3/2) 4^-i (no stage); every query's n lands in ``asked``."""
+
+    def coeff(i: int) -> RealName:
+        q = Fraction(3, 2) / 4**i
+
+        def fn(n: int) -> Dyadic:
+            asked.append(n)
+            return round_fraction(q, n)
+
+        return RealName(fn, q)
+
+    sq = Fraction(12, 5)  # ||x||^2 = (9/4) * 16/15
+
+    def norm(n: int) -> Dyadic:
+        asked.append(n)
+        k = n + 1
+        return Dyadic(isqrt(sq.numerator * (1 << (2 * k)) // sq.denominator), -k)
+
+    return VectorName(coeff, RealName(norm, 2))
+
+
+@pytest.mark.parametrize("fixture", ["riesz_shear.json", "gallery_ex37_benign.json"])
+@pytest.mark.parametrize("p", [16, 24, 34])
+def test_precision_amplification_ceiling(fixture, p):
+    CF = load_spec(str(FIXTURES / fixture)).certified
+    asked: list[int] = []
+    got = pseudo_inverse(CF, recorded_signal(asked)).coeff(1).approx(p)
+    # both frames leave coordinate 1 of the signal in place: (T^-1 x)_1 = x_1
+    assert abs(got.as_fraction() - Fraction(3, 8)) <= Fraction(1, 1 << p)
+    assert max(asked) <= 2 * p + 64
+
+
+# -- truncate on staged names against the exact oracle ---------------
+
+
+def generic(q: Fraction) -> RealName:
+    """A name of q that hides its exact value, so nothing shortcuts."""
+    return RealName(lambda n: round_fraction(q, n), abs(q))
+
+
+@st.composite
+def frames(draw):
+    """A finite frame (identity plus extra rows) or a unit-triangular Riesz block.
+
+    Returns the certified frame, the block size d and the exact frame
+    operator S on the first d coordinates; both kinds keep every vector
+    supported there.
+    """
+    d = draw(st.integers(min_value=2, max_value=3))
+    entry = st.integers(min_value=-1, max_value=1)
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=2))
+        rows = [[int(i == j) for j in range(d)] for i in range(d)] + extra
+        section = ExactFrame(rows)
+        return embed(section), d, exact_frame_solve(section).S
+    M = [[1 if i == j else (draw(entry) if j > i else 0) for j in range(d)] for i in range(d)]
+    R = riesz_from_matrix(M, mat_inv(M))
+    columns = [[M[i][n] for i in range(d)] for n in range(d)]
+    return riesz_as_frame(R), d, exact_frame_solve(ExactFrame(columns)).S
+
+
+def _dense(v: FiniteVector, d: int) -> list[Fraction]:
+    assert v.support <= d
+    return v.dense(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    frames(),
+    st.lists(st.sampled_from(["inverse", "frame_op", "combo"]), min_size=1, max_size=3),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=30),
+)
+def test_truncate_of_staged_name_is_within_eps(frame, ops, qs, k):
+    CF, d, S = frame
+    x = linear_combo([(generic(qs[0]), VectorName.basis(0)), (generic(qs[1]), VectorName.basis(1))])
+    exact = [qs[0], qs[1]] + [Fraction(0)] * (d - 2)
+    for op in ops:
+        if op == "inverse":
+            x = inverse_apply(CF, x)
+            exact = mat_vec(mat_inv(S), exact)
+        elif op == "frame_op":
+            x = synthesis(CF.frame, analysis(CF, x))
+            exact = mat_vec(S, exact)
+        else:
+            x = linear_combo([(generic(qs[2]), x), (generic(qs[3]), VectorName.basis(d - 1))])
+            exact = [qs[2] * e for e in exact]
+            exact[d - 1] += qs[3]
+        assert x.stage is not None
+    v, _ = truncate(x, Fraction(1, 1 << k))
+    err_sq = sum((a - b) ** 2 for a, b in zip(_dense(v, d), exact))
+    assert err_sq <= Fraction(1, 1 << (2 * k))
+
+
+def test_finite_norm_is_lazy_and_unchanged():
+    v = FiniteVector.parse("0:1 1:1")
+    x = VectorName.from_finite(v)
+    assert x._norm is None
+    assert x.norm.mag == 2  # sqrt_of_fraction(2): a sqrt_name with mag max(1, 2)
+    assert x._norm is x.norm
+    assert VectorName.from_finite(FiniteVector.parse("0:3 1:4")).norm.exact == 5
+    assert truncate(x, Fraction(1, 1 << 40)) == (v, 2)
