@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .dyadic import decimal_string
-from .duality import BesselSequence, DualPair, canonical_dual, dual_from_bessel, verify_duality
+from .duality import BesselSequence, canonical_dual, dual_from_bessel
 from .frames import analysis, pseudo_inverse, reconstruct
 from .realnames import RealName
 from .specfile import (
@@ -28,7 +28,7 @@ from .specfile import (
     parse_rational,
     parse_vector_text,
 )
-from .vectors import FiniteVector, VectorName, linear_combo
+from .vectors import VectorName, linear_combo
 from .verify import DEFAULT_TOL, SUITES, run_suite
 
 EXIT_OK = 0
@@ -90,6 +90,9 @@ def cmd_reconstruct(spec, args, out) -> int:
     )
     bound = resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
     print(f"residual bound: {bound} (<= 2^-{p} + approximation)", file=out)
+    if bound > Fraction(2, 1 << p):
+        print(f"error: residual bound exceeds 2^-{p - 1}", file=sys.stderr)
+        return EXIT_SUITE_FAILURE
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ results are labelled accordingly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .dyadic import clog2, sqrt_upper
 from .frames import (
@@ -20,10 +20,11 @@ from .frames import (
     analysis,
     bessel_synthesis,
     inverse_apply,
+    span_dim,
     synthesis,
 )
 from .operators import OperatorName, apply
-from .realnames import RealName, _memoized, lift_arith
+from .realnames import RealName, _memoized
 from .vectors import FiniteVector, VectorName, inner, linear_combo
 
 
@@ -87,45 +88,11 @@ def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:
     """The canonical dual (S^-1 f_k), certified with bounds (1/B, 1/A).
 
     The dual's analysis operator is T* S^-1: its column n is the primal
-    analysis image of S^-1 e_n.
+    analysis image of S^-1 e_n, and ||T* S^-1 f||^2 = <S^-1 f, f> <=
+    ||f||^2 / A bounds its norm.  On a frame with a finite section both
+    oracles reach the exact solve in :func:`inverse_apply`.
     """
     A, B = CF.lower, CF.upper
-
-    if CF.finite_section is not None:
-        from .oracle import ExactFrame, exact_frame_solve, embed
-
-        sol = exact_frame_solve(CF.finite_section)
-        dual_section = ExactFrame(sol.dual)
-        K, d = len(dual_section), dual_section.d
-        elements = [
-            VectorName.from_finite(
-                FiniteVector([(i, q) for i, q in enumerate(v) if q != 0])
-            )
-            for v in dual_section.vectors
-        ]
-
-        def elem(k: int) -> VectorName:
-            return elements[k] if k < K else VectorName.zero()
-
-        def col(n: int) -> VectorName:
-            if n >= d:
-                return VectorName.zero()
-            return VectorName.from_finite(
-                FiniteVector(
-                    [
-                        (k, sol.dual[k][n])
-                        for k in range(K)
-                        if sol.dual[k][n] != 0
-                    ]
-                )
-            )
-
-        analysis_op = OperatorName(
-            col, sqrt_upper(1 / A), support_bound=K
-        )
-        return CertifiedFrame(
-            Frame(elem, 1 / B, 1 / A), analysis_op, finite_section=dual_section
-        )
 
     def elem(k: int) -> VectorName:
         return inverse_apply(CF, CF.elem(k))
@@ -133,7 +100,7 @@ def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:
     def col(n: int) -> VectorName:
         return analysis(CF, inverse_apply(CF, VectorName.basis(n)))
 
-    analysis_op = OperatorName(col, sqrt_upper(B) / A)
+    analysis_op = OperatorName(col, sqrt_upper(1 / A))
     return CertifiedFrame(Frame(elem, 1 / B, 1 / A), analysis_op)
 
 
@@ -158,12 +125,11 @@ def dual_from_left_inverse(
     tol = Fraction(tol)
     p = max(2, clog2(4 / tol))
     tests = _BUILTIN_TESTS
-    if CF.finite_section is not None:
-        # keep only coordinates inside the span of the embedded frame
-        d = CF.finite_section.d
+    d = span_dim(CF)
+    if d is not None:
+        # keep only coordinates inside the frame's span
         tests = tuple(
-            FiniteVector([(i, q) for i, q in t.entries if i < d])
-            for t in _BUILTIN_TESTS
+            FiniteVector([(i, q) for i, q in t.entries if i < d]) for t in tests
         )
     for t in tests:
         f = VectorName.from_finite(t)
@@ -275,10 +241,7 @@ def cross_gram_operator(
     def col(k: int) -> VectorName:
         return analysis(Phi, tilde.elem(k))
 
-    support = None
-    if Phi.finite_section is not None:
-        support = len(Phi.finite_section)
-    return OperatorName(col, s, support_bound=support)
+    return OperatorName(col, s, support_bound=Phi.analysis_op.support_bound)
 
 
 def frame_from_coeff_operator(

@@ -10,14 +10,17 @@ from frame data alone.
 The frame operator is inverted by relaxed Richardson iteration with
 relaxation 2/(A+B), which converges at the explicit geometric rate
 (B-A)/(B+A); the rational bounds turn directly into a modulus of
-convergence, which is exactly what a name of S^-1 f needs.
+convergence, which is exactly what a name of S^-1 f needs.  One driver
+serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
+(every precision, warm-started); a tight frame is its case r = 0 and
+takes one step.  A finite vector on a finite section is solved exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .dyadic import clog2, round_fraction, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
@@ -29,7 +32,6 @@ from .vectors import (
     inner,
     limit_vectors,
     linear_combo,
-    sqrt_of_fraction,
     strengthen,
     truncate,
 )
@@ -167,6 +169,22 @@ def frame_from_operator(
     return CertifiedFrame(frame, analysis_op)
 
 
+def span_dim(CF: CertifiedFrame) -> Optional[int]:
+    """Span dimension: the largest support bound of the frame's elements.
+
+    Known when the analysis operator's support bound says there are
+    finitely many elements and each element's support bound is set (for
+    an embedded finite frame, the dimension of its section); else None.
+    """
+    K = CF.analysis_op.support_bound
+    if K is None:
+        return None
+    bounds = [CF.elem(k).support_bound for k in range(K)]
+    if any(b is None for b in bounds):
+        return None
+    return max(bounds, default=0)
+
+
 # -- synthesis / analysis --------------------------------------------
 
 
@@ -176,26 +194,7 @@ def bessel_synthesis(
     c: VectorName,
 ) -> VectorName:
     """Name of sum_k c_k h_k for a Bessel family; tails absorbed by sqrt(D)."""
-    sq_bound = sqrt_upper(Fraction(bessel_bound))
-    if sq_bound == 0:
-        return VectorName.zero()
-
-    if c.finite is not None:
-        cols = [elem(i) for i, _ in c.finite.entries]
-        if all(h.finite is not None for h in cols):
-            acc = FiniteVector()
-            for (i, q), h in zip(c.finite.entries, cols):
-                acc = acc.add(h.finite.scaled(q))
-            return VectorName.from_finite(acc)
-
-    def stage(m: int) -> VectorName:
-        eps = Fraction(1, 1 << m) / sq_bound
-        v, _ = truncate(c, eps)
-        return linear_combo(
-            [(RealName.from_fraction(q), elem(i)) for i, q in v.entries]
-        )
-
-    return limit_vectors(stage)
+    return apply(OperatorName(elem, sqrt_upper(Fraction(bessel_bound))), c)
 
 
 def synthesis(F: Frame, c: VectorName) -> VectorName:
@@ -249,16 +248,18 @@ def iteration_budget(
     A: Fraction, B: Fraction, f_mag: Fraction, target: int
 ) -> int:
     """Smallest J >= 1 with r^J * ||f||/A <= 2^-(target+2), r = (B-A)/(B+A)."""
-    if A == B:
-        return 1
-    r = (B - A) / (B + A)
+    return _step_count((B - A) / (B + A), max(f_mag, Fraction(1)) / A, target)
+
+
+def _step_count(r: Fraction, err: Fraction, target: int) -> int:
+    """Smallest J >= 1 with r^J * err <= 2^-(target+2); 1 when r = 0."""
     goal = Fraction(1, 1 << (target + 2))
-    val = max(f_mag, Fraction(1)) / A
-    J = 0
-    while val > goal:
-        val *= r
+    J = 1
+    err *= r
+    while err > goal:
+        err *= r
         J += 1
-    return max(J, 1)
+    return J
 
 
 def _round_entries(entries: dict[int, Fraction], budget: Fraction) -> dict[int, Fraction]:
@@ -280,48 +281,44 @@ def frame_algorithm(
 ) -> FrameAlgorithmResult:
     """Approximate S^-1 f within 2^-target by relaxed Richardson iteration.
 
-    g_{j+1} = g_j + (2/(A+B)) (f - S g_j), g_0 = 0.  Each step applies S
-    with absolute error at most A * 2^-(target+3) and rounds with the
-    same budget; the accumulated error then stays below 2^-(target+1) on
-    top of the geometric iteration error.
+    g_{j+1} = g_j + (2/(A+B)) (f - S g_j) from g_0 = 0, for the
+    :func:`iteration_budget` number of steps: one when A = B, where the
+    contraction r is 0.
     """
     if target < 0:
         raise ValueError("target precision must be nonnegative")
     A, B = CF.lower, CF.upper
-    omega = Fraction(2) / (A + B)
-    r = (B - A) / (B + A)
-
-    if A == B:
-        # S = A * I on the frame's span: one exact relaxation step
-        g = linear_combo([(RealName.from_fraction(omega), f)])
-        return FrameAlgorithmResult(g, 1, omega, r, target)
-
     J = iteration_budget(A, B, f.norm.mag, target)
-    step_budget = A * Fraction(1, 1 << (target + 3))
-
-    f_fin, _ = truncate(f, A * Fraction(1, 1 << (target + 3)))
-    fd = dict(f_fin.entries)
-
-    section = CF.finite_section
-    fast = section is not None and f_fin.support <= section.d
-
-    g = _richardson_steps(CF, {}, fd, omega, J, step_budget, fast)
+    g = _richardson(CF, f, {}, J, target)
     vec = VectorName.from_finite(FiniteVector(sorted(g.items())))
-    return FrameAlgorithmResult(vec, J, omega, r, target)
+    return FrameAlgorithmResult(vec, J, Fraction(2) / (A + B), (B - A) / (B + A), target)
 
 
-def _richardson_steps(
+def _richardson(
     CF: CertifiedFrame,
+    f: VectorName,
     g: dict[int, Fraction],
-    fd: dict[int, Fraction],
-    omega: Fraction,
     J: int,
-    step_budget: Fraction,
-    fast: bool,
+    target: int,
 ) -> dict[int, Fraction]:
+    """J steps of g <- g + (2/(A+B)) (f - S g) from g, aiming at 2^-target.
+
+    Each step applies S with absolute error at most A * 2^-(target+3) and
+    rounds with the same budget; f is truncated within it once.  The
+    accumulated error then stays below 2^-(target+1) on top of the
+    geometric iteration error r^J * ||S^-1 f - g||, which the caller's J
+    keeps below 2^-(target+2).  On a finite section, as in the exact
+    solve, coordinates of f from d on lie outside the frame's space and
+    are dropped: S is zero there, so each step would add them again.
+    """
+    A, B = CF.lower, CF.upper
+    omega = Fraction(2) / (A + B)
+    step_budget = A * Fraction(1, 1 << (target + 3))
+    f_fin, _ = truncate(f, step_budget)
     section = CF.finite_section
+    fd = {i: q for i, q in f_fin.entries if section is None or i < section.d}
     for _ in range(J):
-        if fast:
+        if section is not None:
             y = _apply_section(section, g)
         elif CF.s_action is not None:
             y = CF.s_action(g, step_budget)
@@ -371,65 +368,42 @@ def _apply_frame_operator_inexact(
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     """Genuine name of S^-1 f: the frame algorithm run at every precision.
 
-    Successive precision stages warm-start from the finest solution
-    already computed, so the total iteration count across all queried
-    precisions stays close to a single run at the finest one.
+    A finite f on a frame with a finite section is solved exactly; its
+    coordinates from the section's dimension d on lie outside the frame's
+    space and are dropped.  Otherwise successive precision stages
+    warm-start from the finest solution already computed, so the total
+    iteration count across all queried precisions stays close to a single
+    run at the finest one.
     """
-    support = None
-    if CF.finite_section is not None:
-        support = CF.finite_section.d
-        if f.finite is not None and f.finite.support <= support:
-            # the section is exact ground truth: solve S g = f outright
-            from .oracle import exact_frame_solve, mat_vec
+    section = CF.finite_section
+    if section is not None and f.finite is not None:
+        from .oracle import exact_frame_solve, mat_vec
 
-            sol = exact_frame_solve(CF.finite_section)
-            y = mat_vec(sol.S_inv, f.finite.dense(support))
-            return VectorName.from_finite(
-                FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
-            )
-
-    A, B = CF.lower, CF.upper
-    if A == B:
-        return limit_vectors(
-            lambda k: frame_algorithm(CF, f, k).vector, support_bound=support
+        y = mat_vec(exact_frame_solve(section).S_inv, f.finite.dense(section.d))
+        return VectorName.from_finite(
+            FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
         )
 
-    omega = Fraction(2) / (A + B)
+    A, B = CF.lower, CF.upper
     r = (B - A) / (B + A)
     cache: dict[int, dict[int, Fraction]] = {}
     lock = threading.Lock()
 
     def solve(k: int) -> dict[int, Fraction]:
         with lock:
-            if k in cache:
-                return cache[k]
-            warm = [t for t in cache if t < k]
-            if warm:
-                t = max(warm)
-                g = dict(cache[t])
-                err = Fraction(1, 1 << t)
-            else:
-                g = {}
-                err = max(f.norm.mag, Fraction(1)) / A
-            goal = Fraction(1, 1 << (k + 2))
-            J = 0
-            while err > goal:
-                err *= r
-                J += 1
-            step_budget = A * Fraction(1, 1 << (k + 3))
-            f_fin, _ = truncate(f, step_budget)
-            fd = dict(f_fin.entries)
-            fast = (
-                CF.finite_section is not None
-                and f_fin.support <= CF.finite_section.d
-            )
-            g = _richardson_steps(CF, g, fd, omega, J, step_budget, fast)
-            cache[k] = g
-            return g
+            if k not in cache:
+                warm = [t for t in cache if t < k]
+                if warm:
+                    t = max(warm)
+                    g, J = cache[t], _step_count(r, Fraction(1, 1 << t), k)
+                else:
+                    g, J = {}, iteration_budget(A, B, f.norm.mag, k)
+                cache[k] = _richardson(CF, f, g, J, k)
+            return cache[k]
 
     return limit_vectors(
         lambda k: VectorName.from_finite(FiniteVector(sorted(solve(k).items()))),
-        support_bound=support,
+        support_bound=None if section is None else section.d,
     )
 
 
@@ -494,7 +468,4 @@ def range_projection(CF: CertifiedFrame) -> OperatorName:
     def col(k: int) -> VectorName:
         return analysis(CF, inverse_apply(CF, CF.elem(k)))
 
-    support = None
-    if CF.finite_section is not None:
-        support = len(CF.finite_section)
-    return OperatorName(col, Fraction(1), support_bound=support)
+    return OperatorName(col, Fraction(1), support_bound=CF.analysis_op.support_bound)

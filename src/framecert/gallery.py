@@ -14,7 +14,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .dyadic import sqrt_upper
+from .dyadic import Dyadic, clog2, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
 from .realnames import RealName, _memoized, lift_arith
@@ -286,17 +286,41 @@ def toeplitz_reciprocal(g: SequenceGen, i: int) -> RealName:
     b_0 = 1 and b_i = -(a_i + sum_{j=1}^{i-1} a_j b_{i-j}); the rows of
     the inverse Toeplitz operator are (b_i, ..., b_1, 1).  For geometric
     sequences all b_i with i >= 2 vanish.
+
+    The oracle runs the recurrence in a loop over approximations of
+    a_1..a_i at one working precision, rounding each b_n to it.  With
+    m_j = a_j.mag, |b_n| <= M_n = m_n + sum_{j=1}^{n-1} m_j M_{n-j}.  If
+    every a_j and every rounding is within d <= 1, the error of b_n is at
+    most d * C_n, where C_0 = 0 and
+    C_n = 1 + sum_{k<n} M_k + sum_{j=1}^{n} (m_j + 1) C_{n-j}.
     """
     if i < 0:
         raise ValueError("negative index")
-    b: list[RealName] = [ONE]
-    zero = RealName.from_fraction(0)
+    a = [g.a(j) for j in range(1, i + 1)]
+    if all(x.exact is not None for x in a):
+        return RealName.from_fraction(_reciprocal([x.exact for x in a], None))
+    m = [Fraction(0)] + [x.mag for x in a]
+    M, C = [Fraction(1)], [Fraction(0)]
     for n in range(1, i + 1):
-        acc = g.a(n)
-        for j in range(1, n):
-            acc = lift_arith("add", acc, lift_arith("mul", g.a(j), b[n - j]))
-        b.append(lift_arith("sub", zero, acc))
-    return b[i]
+        M.append(sum(m[j] * M[n - j] for j in range(1, n + 1)))
+        C.append(1 + sum(M[:n]) + sum((m[j] + 1) * C[n - j] for j in range(1, n + 1)))
+    guard = clog2(C[i])
+
+    def fn(n: int) -> Dyadic:
+        w = n + 1 + guard
+        b = _reciprocal([x.approx(w).as_fraction() for x in a], w)
+        return round_fraction(b, n + 1)
+
+    return RealName(fn, M[i])
+
+
+def _reciprocal(alpha: list[Fraction], grid: Optional[int]) -> Fraction:
+    """b_i from a_1..a_i = alpha, each b_n rounded to 2^-grid unless None."""
+    b = [Fraction(1)]
+    for n in range(1, len(alpha) + 1):
+        s = -sum(alpha[j - 1] * b[n - j] for j in range(1, n + 1))
+        b.append(s if grid is None else round_fraction(s, grid).as_fraction())
+    return b[-1]
 
 
 def toeplitz_dual_element(g: SequenceGen, i: int) -> VectorName:

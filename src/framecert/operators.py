@@ -75,8 +75,10 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
                 acc = acc.add(c.finite.scaled(q))
             return VectorName.from_finite(acc)
 
+    # stage m is U v exactly (linear_combo of the columns), and
+    # ||U x - U v|| <= ||U|| eps = 2^-m
     def stage(m: int) -> VectorName:
-        eps = Fraction(1, 1 << (m + 1)) / U.norm_bound
+        eps = Fraction(1, 1 << m) / U.norm_bound
         v, _ = truncate(x, eps)
         return linear_combo(
             [(RealName.from_fraction(q), U.col(i)) for i, q in v.entries]

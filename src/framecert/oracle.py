@@ -160,6 +160,23 @@ def is_positive_definite(m: Matrix) -> bool:
     return True
 
 
+def is_positive_semidefinite(m: Matrix) -> bool:
+    """Exact symmetric elimination; a zero pivot needs a zero row beyond it."""
+    m = [row[:] for row in m]
+    n = len(m)
+    for k in range(n):
+        piv = m[k][k]
+        if piv < 0 or (piv == 0 and any(m[k][k + 1:])):
+            return False
+        if piv == 0:
+            continue
+        for i in range(k + 1, n):
+            factor = m[i][k] / piv
+            if factor:
+                m[i][k + 1:] = [a - factor * b for a, b in zip(m[i][k + 1:], m[k][k + 1:])]
+    return True
+
+
 def char_poly_at(S: Matrix, lam: Fraction) -> Fraction:
     """det(lam*I - S), evaluated exactly."""
     n = len(S)

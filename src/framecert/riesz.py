@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .dyadic import sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, apply, from_finite_matrix
 from .realnames import RealName

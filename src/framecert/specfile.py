@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .frames import CertifiedFrame, Frame, frame_from_onb
 from .operators import OperatorName
@@ -119,6 +118,20 @@ def _load_finite(vectors) -> LoadedSpec:
     return LoadedSpec("finite", CF.frame, CF, section, None, "finite frame")
 
 
+def _check_bounds(matrix, A: Fraction, B: Fraction) -> None:
+    """Reject unless A I <= S <= B I for the exact frame operator S = M M^T."""
+    from .oracle import is_positive_semidefinite
+
+    S = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in matrix] for u in matrix]
+    n = len(S)
+    below = [[S[i][j] - A * (i == j) for j in range(n)] for i in range(n)]
+    above = [[B * (i == j) - S[i][j] for j in range(n)] for i in range(n)]
+    if not (is_positive_semidefinite(below) and is_positive_semidefinite(above)):
+        raise InvalidFrameError(
+            f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
+        )
+
+
 def _load_operator(doc) -> LoadedSpec:
     matrix = parse_matrix(doc.get("matrix"), "matrix")
     bounds = doc.get("bounds")
@@ -128,6 +141,7 @@ def _load_operator(doc) -> LoadedSpec:
     B = parse_rational(bounds[1], "bounds[1]")
     if not 0 < A <= B:
         raise InvalidFrameError("declared bounds must satisfy 0 < A <= B")
+    _check_bounds(matrix, A, B)
 
     ncols = len(matrix[0])
     cols = [

@@ -19,7 +19,6 @@ here will synthesize against one.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -6,15 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from framecert.cli import main
+from framecert.cli import EXIT_SUITE_FAILURE, cmd_reconstruct, main
+from framecert.frames import CertifiedFrame, Frame
+from framecert.operators import OperatorName
 from framecert.specfile import (
     InvalidFrameError,
+    LoadedSpec,
     MissingCertificateError,
     SpecFileError,
     load_spec,
     parse_rational,
     parse_vector_text,
 )
+from framecert.vectors import VectorName
 from framecert.verify import max_iterations, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -67,6 +72,22 @@ class TestSpecParsing:
     def test_non_spanning_rejected(self):
         with pytest.raises(InvalidFrameError):
             load_spec(str(FIXTURES / "non_spanning.json"))
+
+    @pytest.mark.parametrize(
+        "matrix, bounds, code",
+        [
+            ([["1", "0"], ["0", "1"]], ["1/2", "1/2"], 3),
+            ([["1", "0", "1"], ["0", "1", "1"]], ["3/2", "3"], 3),
+            ([["1", "0", "1"], ["0", "1", "1"]], ["1", "2"], 3),
+            # spectrum {1, 3}: tight bounds make S - A I and B I - S singular
+            ([["1", "0", "1"], ["0", "1", "1"]], ["1", "3"], 0),
+            ([["1", "0", "1"], ["0", "1", "1"]], ["1/2", "4"], 0),
+        ],
+    )
+    def test_operator_bounds_checked(self, tmp_path, matrix, bounds, code):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "operator", "matrix": matrix, "bounds": bounds}))
+        assert run_cli("bounds", str(spec))[0] == code
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -162,6 +183,26 @@ class TestCliCommands:
         )
         assert code == 1
         assert "[FAIL] row 2 energy equals diagonal" in out
+
+    def test_projection_detects_corrupted_adjoint(self):
+        # the oblique projection of a false adjoint is idempotent but not symmetric
+        code, out = run_cli(
+            "verify", str(FIXTURES / "corrupted_dual.json"), "--suite", "projection"
+        )
+        assert code == 1
+        assert "[FAIL] symmetric on e_0, e_1, e_2" in out
+
+    def test_reconstruct_fails_on_false_bounds(self):
+        # bounds (1/2, 1/2) on the identity: relaxation 2 never converges
+        CF = CertifiedFrame(
+            Frame(VectorName.basis, Fraction(1, 2), Fraction(1, 2)),
+            OperatorName.identity(),
+        )
+        spec = LoadedSpec("onb", CF.frame, CF, None, None, "false bounds")
+        args = argparse.Namespace(vector="0:1", precision=20)
+        out = io.StringIO()
+        assert cmd_reconstruct(spec, args, out) == EXIT_SUITE_FAILURE
+        assert "residual bound: " in out.getvalue()
 
     def test_duality_on_two_row_operator(self, tmp_path):
         # the test vector 0:1/3 1:1 2:-1/2 loses coordinate 2, outside the span

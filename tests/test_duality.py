@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -20,6 +21,7 @@ from framecert.operators import OperatorName
 from framecert.oracle import ExactFrame, embed, exact_frame_solve, projection_matrix
 from framecert.realnames import RealName
 from framecert.riesz import RieszBasisName, riesz_from_matrix
+from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, inner
 
 
@@ -94,6 +96,20 @@ class TestDualFromLeftInverse:
         CF = mercedes()
         with pytest.raises(DualityVerificationError):
             dual_from_left_inverse(CF, OperatorName.zero())
+
+    def test_two_row_operator_canonical_synthesis_passes(self, tmp_path):
+        # the built-in test 0:1/3 2:1 loses coordinate 2, outside the span
+        spec = tmp_path / "op2.json"
+        spec.write_text(json.dumps({
+            "kind": "operator",
+            "matrix": [["1", "0", "1"], ["0", "1", "1"]],
+            "bounds": ["1", "3"],
+        }))
+        CF = load_spec(str(spec)).certified
+        V = synthesis_operator(canonical_dual(CF).frame)
+        pair = dual_from_left_inverse(CF, V)
+        rep = verify_duality(pair, [fv("0:1"), fv("0:1/3 1:-2")], tol(30))
+        assert rep.passed, rep.worst
 
 
 class TestDualFromBessel:

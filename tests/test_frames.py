@@ -125,6 +125,16 @@ class TestFrameAlgorithm:
             )
             assert err_sq <= tol(target) ** 2
 
+    def test_section_drops_coordinates_outside_span(self):
+        # e_2 lies outside the span of the Mercedes frame; S^-1 sees only e_0
+        CF = mercedes()
+        exact = inverse_apply(CF, vec("0:1 2:1")).finite
+        assert exact == FiniteVector.parse("0:2/3 1:-1/3")
+        for target in (10, 20):
+            v = frame_algorithm(CF, vec("0:1 2:1"), target).vector.finite
+            assert v.coefficient(2) == 0
+            assert v.sub(exact).norm_squared() <= tol(target) ** 2
+
     def test_iteration_budget_formula(self):
         A, B = Fraction(1), Fraction(3)
         J = iteration_budget(A, B, Fraction(1), 10)

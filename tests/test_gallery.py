@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -17,6 +18,7 @@ from framecert.gallery import (
     specker_sequence,
     toeplitz_dual_element,
     toeplitz_primal_element,
+    toeplitz_reciprocal,
     upper_row_analysis_coeff,
     upper_row_frame,
 )
@@ -170,6 +172,27 @@ class TestToeplitz:
         assert abs(approx(f2.coeff(2), 30) - 1) <= tol(30)
         a1 = approx(g.a(1), 40)
         assert abs(approx(f2.coeff(1), 30) + a1) <= 2 * tol(30)
+
+    def test_reciprocal_deep_index(self):
+        # a_j = 2^-(j+1)/2 for the identity enumerator; the reference runs
+        # the recurrence exactly on 200-bit square roots
+        g = specker_sequence(parse_enumerator("identity"))
+        start = time.time()
+        got = toeplitz_reciprocal(g, 40).approx(40).as_fraction()
+        assert time.time() - start <= 5
+        bits = 200
+        a = [Fraction(isqrt((1 << (2 * bits)) >> (j + 1)), 1 << bits) for j in range(41)]
+        b = [Fraction(1)]
+        for n in range(1, 41):
+            b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)))
+        assert abs(got - b[40]) <= tol(20)
+        for i in (1, 2, 5, 12):
+            assert abs(approx(toeplitz_reciprocal(g, i), 60) - b[i]) <= tol(59)
+
+    def test_reciprocal_benign_vanishes(self):
+        g = benign_sequence()
+        assert toeplitz_reciprocal(g, 1).exact == Fraction(-1, 2)
+        assert all(toeplitz_reciprocal(g, i).exact == 0 for i in range(2, 41))
 
     def test_primal_needs_norm(self):
         g = specker_sequence(parse_enumerator("identity"))

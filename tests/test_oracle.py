@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from framecert.oracle import (
@@ -10,6 +12,7 @@ from framecert.oracle import (
     embed,
     exact_frame_solve,
     frame_operator_matrix,
+    is_positive_semidefinite,
     mat_mul,
     projection_matrix,
 )
@@ -39,6 +42,25 @@ class TestFrameOperator:
     def test_onb_identity(self):
         S = frame_operator_matrix(ExactFrame([[1, 0], [0, 1]]))
         assert S == [[1, 0], [0, 1]]
+
+
+class TestSemidefinite:
+    def test_small_cases(self):
+        assert is_positive_semidefinite([[1, 1], [1, 1]])
+        assert is_positive_semidefinite([[0, 0], [0, 2]])
+        assert not is_positive_semidefinite([[0, 1], [1, 0]])
+        assert not is_positive_semidefinite([[1, 2], [2, 1]])
+        assert not is_positive_semidefinite([[0, 0], [0, -1]])
+
+    def test_singular_gram_matrices(self):
+        # G = V V^T with 3 x 2 integer V: PSD with a zero eigenvalue
+        rng = random.Random(3)
+        for _ in range(25):
+            V = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
+            G = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in V] for u in V]
+            assert is_positive_semidefinite(G)
+            shifted = [[G[i][j] - Fraction(1, 1000) * (i == j) for j in range(3)] for i in range(3)]
+            assert not is_positive_semidefinite(shifted)
 
 
 class TestEigenvalueEnclosures:
