@@ -16,9 +16,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .dyadic import decimal_string
+from .dyadic import decimal_string, fraction_string
 from .duality import BesselSequence, canonical_dual, dual_from_bessel
 from .frames import analysis, pseudo_inverse, reconstruct
+from .oracle import frame_bounds_hold
 from .realnames import RealName
 from .specfile import (
     InvalidFrameError,
@@ -89,7 +90,7 @@ def cmd_reconstruct(spec, args, out) -> int:
         ]
     )
     bound = resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
-    print(f"residual bound: {bound} (<= 2^-{p} + approximation)", file=out)
+    print(f"residual bound: {fraction_string(bound)} (<= 2^-{p} + approximation)", file=out)
     if bound > Fraction(2, 1 << p):
         print(f"error: residual bound exceeds 2^-{p - 1}", file=sys.stderr)
         return EXIT_SUITE_FAILURE
@@ -108,6 +109,12 @@ def cmd_analyze(spec, args, out) -> int:
 
 
 def _load_bessel(path: str) -> BesselSequence:
+    """Bessel sequence from a JSON file, its bound checked exactly.
+
+    The elements are finite vectors, so sum_k |<f, h_k>|^2 <= bound ||f||^2
+    holds exactly when bound*I - H H^T >= 0 for the matrix H of their
+    coordinates.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -118,13 +125,17 @@ def _load_bessel(path: str) -> BesselSequence:
     if not isinstance(doc, dict):
         raise SpecFileError(f"{path}: top level must be an object")
     bound = parse_rational(doc.get("bound", "1"), "bound")
+    if bound < 0:
+        raise SpecFileError(f"bound: expected a nonnegative rational, got {bound}")
     elems = doc.get("elements", [])
     if not isinstance(elems, list):
         raise SpecFileError("elements: expected a list of vector strings")
-    vecs = [
-        VectorName.from_finite(parse_vector_text(t, f"elements[{i}]"))
-        for i, t in enumerate(elems)
-    ]
+    fins = [parse_vector_text(t, f"elements[{i}]") for i, t in enumerate(elems)]
+    coords = sorted({i for v in fins for i, _ in v.entries})
+    H = [[v.coefficient(i) for v in fins] for i in coords]
+    if not frame_bounds_hold(H, Fraction(0), bound):
+        raise InvalidFrameError(f"Bessel bound {bound} is below ||sum_k h_k h_k^T||")
+    vecs = [VectorName.from_finite(v) for v in fins]
 
     def elem(k: int) -> VectorName:
         return vecs[k] if k < len(vecs) else VectorName.zero()
@@ -217,19 +228,6 @@ def main(argv=None) -> int:
     if args.command == "gallery":
         return cmd_gallery(args, out)
 
-    try:
-        spec = load_spec(args.spec)
-    except SpecFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidFrameError as e:
-        print(f"error: invalid frame: {e}", file=sys.stderr)
-        return EXIT_INVALID_FRAME
-
-    if args.precision < 0:
-        print("error: precision must be nonnegative", file=sys.stderr)
-        return EXIT_PARSE
-
     handlers = {
         "bounds": cmd_bounds,
         "reconstruct": cmd_reconstruct,
@@ -238,10 +236,17 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        spec = load_spec(args.spec)
+        if args.precision < 0:
+            print("error: precision must be nonnegative", file=sys.stderr)
+            return EXIT_PARSE
         return handlers[args.command](spec, args, out)
     except SpecFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except InvalidFrameError as e:
+        print(f"error: invalid frame: {e}", file=sys.stderr)
+        return EXIT_INVALID_FRAME
     except MissingCertificateError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_CERTIFICATE

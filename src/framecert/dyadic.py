@@ -178,7 +178,29 @@ def decimal_string(d: Dyadic) -> str:
     sign = "-" if m < 0 else ""
     m = abs(m)
     if e >= 0:
-        return f"{sign}{m << e}"
+        return f"{sign}{int_string(m << e)}"
     scaled = m * 5 ** (-e)  # m * 10^-e / 2^-e... m*2^e = m*5^-e * 10^e
-    digits = str(scaled).rjust(-e + 1, "0")
+    digits = int_string(scaled).rjust(-e + 1, "0")
     return f"{sign}{digits[:e]}.{digits[e:]}"
+
+
+_CHUNK_DIGITS = 600  # below 640, the least int-to-str digit limit Python allows
+
+
+def int_string(n: int) -> str:
+    """str(n) for an integer of any size, in chunks of _CHUNK_DIGITS digits."""
+    sign = "-" if n < 0 else ""
+    n, chunks = abs(n), []
+    base = 10**_CHUNK_DIGITS
+    while n >= base:
+        n, low = divmod(n, base)
+        chunks.append(str(low).rjust(_CHUNK_DIGITS, "0"))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
+def fraction_string(q: Fraction) -> str:
+    """str(q) for a Fraction of any size."""
+    if q.denominator == 1:
+        return int_string(q.numerator)
+    return f"{int_string(q.numerator)}/{int_string(q.denominator)}"

@@ -2,9 +2,13 @@
 
 Everything here is computed with exact Fractions: the frame operator,
 its inverse, the canonical dual, Gram/projection matrices, and
-frame-bound enclosures by bisection with exact positive-definiteness
-tests.  The kernel is validated against this module, so nothing in it
-may rely on floating point.
+frame-bound enclosures by bisection.  Two eliminations do all the work.
+A symmetric one without pivoting decides (semi)definiteness: the span
+test of ExactFrame (the vectors span Q^d exactly when S is positive
+definite), each bisection step, and checks of declared frame bounds.
+A Gauss-Jordan with row pivoting gives inverses and determinants.  The
+kernel is validated against this module, so nothing in it may rely on
+floating point.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class ExactFrame:
             raise ValueError("vectors must share a positive dimension")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "d", d)
-        if _rank([list(v) for v in vecs]) < d:
+        # the vectors span Q^d exactly when S = sum v v^T is positive definite
+        if not is_positive_definite(frame_operator_matrix(self)):
             raise NonSpanningError(f"vectors do not span Q^{d}")
 
     def __setattr__(self, name, value):
@@ -79,27 +84,13 @@ class FrameSolution:
 # -- exact linear algebra --------------------------------------------
 
 
-def _rank(m: Matrix) -> int:
-    m = [row[:] for row in m]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [q * inv for q in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+def identity(n: int) -> Matrix:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def shift(S: Matrix, lam: Fraction) -> Matrix:
+    """S - lam*I."""
+    return [[q - lam * (i == j) for j, q in enumerate(row)] for i, row in enumerate(S)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -113,60 +104,58 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def mat_inv(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NonSpanningError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [q * inv for q in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _gauss_jordan(m: Matrix) -> tuple[Matrix, Fraction]:
+    """Reduce the left square block of the n rows m to I by row pivoting.
 
-
-def determinant(m: Matrix) -> Fraction:
+    Returns the reduced rows and the determinant of that block, the
+    signed product of the pivots; both stop at the first column without
+    a pivot, where the determinant is 0.
+    """
+    m = [list(row) for row in m]
     n = len(m)
-    m = [row[:] for row in m]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return m, Fraction(0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
+        piv = m[col][col]
+        det *= piv
+        m[col] = [q / piv for q in m[col]]
+        for r in range(n):
+            factor = m[r][col]
+            if r != col and factor != 0:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    return m, det
 
 
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester criterion with exact leading principal minors."""
+def mat_inv(m: Matrix) -> Matrix:
     n = len(m)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in m[:k]]
-        if determinant(minor) <= 0:
-            return False
-    return True
+    rows, det = _gauss_jordan([list(r) + e for r, e in zip(m, identity(n))])
+    if det == 0:
+        raise NonSpanningError("singular matrix")
+    return [row[n:] for row in rows]
 
 
-def is_positive_semidefinite(m: Matrix) -> bool:
-    """Exact symmetric elimination; a zero pivot needs a zero row beyond it."""
-    m = [row[:] for row in m]
+def determinant(m: Matrix) -> Fraction:
+    return _gauss_jordan(m)[1]
+
+
+def _definite(m: Matrix, strict: bool) -> bool:
+    """Symmetric elimination without pivoting.
+
+    Pivot k is D_{k+1} / D_k, the ratio of consecutive leading principal
+    minors, so the strict test (every pivot > 0) is Sylvester's
+    criterion.  The semidefinite test admits a zero pivot only with a
+    zero row beyond it.
+    """
+    m = [list(row) for row in m]
     n = len(m)
     for k in range(n):
         piv = m[k][k]
-        if piv < 0 or (piv == 0 and any(m[k][k + 1:])):
+        if piv < 0 or (piv == 0 and (strict or any(m[k][k + 1:]))):
             return False
         if piv == 0:
             continue
@@ -177,29 +166,35 @@ def is_positive_semidefinite(m: Matrix) -> bool:
     return True
 
 
+def is_positive_definite(m: Matrix) -> bool:
+    """Sylvester's criterion: every leading principal minor is > 0."""
+    return _definite(m, strict=True)
+
+
+def is_positive_semidefinite(m: Matrix) -> bool:
+    """For symmetric m: every principal minor is >= 0."""
+    return _definite(m, strict=False)
+
+
+def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
+    """A*I <= M M^T <= B*I, decided exactly (M holds synthesis columns)."""
+    S = mat_mul(M, [list(col) for col in zip(*M)])
+    return is_positive_semidefinite(shift(S, A)) and is_positive_semidefinite(
+        shift([[-q for q in row] for row in S], -B)
+    )
+
+
 def char_poly_at(S: Matrix, lam: Fraction) -> Fraction:
     """det(lam*I - S), evaluated exactly."""
-    n = len(S)
-    m = [
-        [(lam if i == j else Fraction(0)) - S[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    return determinant(m)
+    return (-1) ** len(S) * determinant(shift(S, lam))
 
 
 # -- the oracle ------------------------------------------------------
 
 
 def frame_operator_matrix(F: ExactFrame) -> Matrix:
-    d = F.d
-    S = [[Fraction(0)] * d for _ in range(d)]
-    for v in F.vectors:
-        for i in range(d):
-            if v[i] == 0:
-                continue
-            for j in range(d):
-                S[i][j] += v[i] * v[j]
-    return S
+    """S = sum_k f_k f_k^T = V^T V for the rows V of F."""
+    return mat_mul([list(col) for col in zip(*F.vectors)], F.vectors)
 
 
 def eigenvalue_enclosures(
@@ -211,42 +206,24 @@ def eigenvalue_enclosures(
     endpoints are strictly outside the spectrum, so char-poly signs at
     them are determined.
     """
-    n = len(S)
-    trace = sum((S[i][i] for i in range(n)), Fraction(0))
-    top = trace + 1
-
-    def shifted(lam: Fraction, flip: bool) -> Matrix:
-        # flip=False: S - lam I ; flip=True: lam I - S
-        sgn = -1 if not flip else 1
-        return [
-            [
-                sgn * ((lam if i == j else Fraction(0)) - S[i][j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    # lambda_min: pd(S - lam I) iff lam < lambda_min
-    lo, hi = Fraction(0), top
     if not is_positive_definite(S):
         raise NonSpanningError("frame operator is not positive definite")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if is_positive_definite(shifted(mid, flip=False)):
-            lo = mid
-        else:
-            hi = mid
-    a_minus, a_plus = lo, hi
+    top = sum((S[i][i] for i in range(len(S))), Fraction(0)) + 1
+    neg = [[-q for q in row] for row in S]
 
-    # lambda_max: pd(lam I - S) iff lam > lambda_max
-    lo, hi = Fraction(0), top
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if is_positive_definite(shifted(mid, flip=True)):
-            hi = mid
-        else:
-            lo = mid
-    b_minus, b_plus = lo, hi
+    def bracket(below) -> tuple[Fraction, Fraction]:
+        lo, hi = Fraction(0), top
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
+    a_minus, a_plus = bracket(lambda lam: is_positive_definite(shift(S, lam)))
+    b_minus, b_plus = bracket(lambda lam: not is_positive_definite(shift(neg, -lam)))
     return a_minus, a_plus, b_minus, b_plus
 
 

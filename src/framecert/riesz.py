@@ -15,6 +15,7 @@ from typing import Callable
 
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, apply, from_finite_matrix
+from .oracle import identity, mat_mul
 from .realnames import RealName
 from .vectors import FiniteVector, VectorName, _memoized
 
@@ -121,11 +122,8 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
         len(row) != d for row in M_inv
     ):
         raise ValueError("matrices must be square and of equal size")
-    for i in range(d):
-        for j in range(d):
-            s = sum(M[i][k] * M_inv[k][j] for k in range(d))
-            if s != Fraction(int(i == j)):
-                raise ValueError("supplied inverse is not the exact inverse")
+    if mat_mul(M, M_inv) != identity(d):
+        raise ValueError("supplied inverse is not the exact inverse")
 
     def block_operator(mat) -> OperatorName:
         base = from_finite_matrix(mat)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .frames import CertifiedFrame, Frame, frame_from_onb
 from .operators import OperatorName
+from .oracle import ExactFrame, NonSpanningError, embed, frame_bounds_hold
 from .vectors import FiniteVector, VectorName
 
 
@@ -87,6 +88,8 @@ def parse_matrix(value, field: str):
 
 def parse_vector_text(text: str, field: str = "vector") -> FiniteVector:
     """Finite vector from "i:p/q,j:p/q" (comma or space separated)."""
+    if not isinstance(text, str):
+        raise SpecFileError(f"{field}: expected a vector string, got {text!r}")
     text = text.strip()
     if not text:
         return FiniteVector()
@@ -107,8 +110,6 @@ def parse_vector_text(text: str, field: str = "vector") -> FiniteVector:
 
 
 def _load_finite(vectors) -> LoadedSpec:
-    from .oracle import ExactFrame, NonSpanningError, embed
-
     rows = parse_matrix(vectors, "vectors")
     try:
         section = ExactFrame(rows)
@@ -116,20 +117,6 @@ def _load_finite(vectors) -> LoadedSpec:
     except NonSpanningError as e:
         raise InvalidFrameError(str(e)) from None
     return LoadedSpec("finite", CF.frame, CF, section, None, "finite frame")
-
-
-def _check_bounds(matrix, A: Fraction, B: Fraction) -> None:
-    """Reject unless A I <= S <= B I for the exact frame operator S = M M^T."""
-    from .oracle import is_positive_semidefinite
-
-    S = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in matrix] for u in matrix]
-    n = len(S)
-    below = [[S[i][j] - A * (i == j) for j in range(n)] for i in range(n)]
-    above = [[B * (i == j) - S[i][j] for j in range(n)] for i in range(n)]
-    if not (is_positive_semidefinite(below) and is_positive_semidefinite(above)):
-        raise InvalidFrameError(
-            f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
-        )
 
 
 def _load_operator(doc) -> LoadedSpec:
@@ -141,7 +128,10 @@ def _load_operator(doc) -> LoadedSpec:
     B = parse_rational(bounds[1], "bounds[1]")
     if not 0 < A <= B:
         raise InvalidFrameError("declared bounds must satisfy 0 < A <= B")
-    _check_bounds(matrix, A, B)
+    if not frame_bounds_hold(matrix, A, B):
+        raise InvalidFrameError(
+            f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
+        )
 
     ncols = len(matrix[0])
     cols = [

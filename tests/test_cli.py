@@ -32,6 +32,17 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def _decimal_fraction(text: str) -> Fraction:
+    """Exact value of a decimal literal of any length (int() caps digits per call)."""
+    sign = -1 if text.startswith("-") else 1
+    whole, _, frac = text.lstrip("-").partition(".")
+    digits, n = whole + frac, 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * Fraction(n, 10 ** len(frac))
+
+
 class TestSpecParsing:
     def test_rationals(self):
         assert parse_rational("3/4", "x") == Fraction(3, 4)
@@ -163,6 +174,45 @@ class TestCliCommands:
         )
         assert code == 0
         assert "Bessel" in out
+
+    @pytest.mark.parametrize("bound, code", [("0", 3), ("1/2", 3), ("1", 0)])
+    def test_dual_bessel_bound_checked(self, tmp_path, bound, code):
+        # sum_k h_k h_k^T = I on coordinates 0, 1, so a bound below 1 is false
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"bound": bound, "elements": ["0:1", "1:1"]}))
+        got, out = run_cli(
+            "dual", str(FIXTURES / "riesz_shear.json"), "--bessel", str(h), "-p", "20"
+        )
+        assert got == code
+        if code == 0:
+            # on a Riesz basis every Bessel-parametrized dual is S^-1 f_k
+            assert "g_0: (1 ± 2^-20, -1 ± 2^-20, 0 ± 2^-20," in out
+
+    @pytest.mark.parametrize("doc", [
+        {"bound": "-1", "elements": ["0:1"]},
+        {"bound": "1", "elements": [3]},
+    ])
+    def test_malformed_bessel_exits_2(self, tmp_path, capsys, doc):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps(doc))
+        code, out = run_cli("dual", str(FIXTURES / "onb.json"), "--bessel", str(h))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dual_beyond_int_string_limit(self):
+        # 6000 fractional digits exceed Python's default int-to-str limit
+        code, out = run_cli("dual", str(FIXTURES / "mercedes.json"), "-p", "6000")
+        assert code == 0
+        line = next(l for l in out.splitlines() if "g_0:" in l)
+        text = line.split("(", 1)[1].split(" ± ", 1)[0]
+        assert abs(_decimal_fraction(text) - Fraction(2, 3)) <= Fraction(1, 2**6000)
+
+    def test_reconstruct_beyond_int_string_limit(self):
+        code, out = run_cli(
+            "reconstruct", str(FIXTURES / "onb.json"), "--vector", "0:1", "-p", "20000"
+        )
+        assert code == 0
+        assert "0: 1 ± 2^-20000" in out and "residual bound: 1/" in out
 
     def test_verify_pass_and_fail(self):
         code, _ = run_cli(

@@ -7,6 +7,8 @@ from framecert.dyadic import (
     Dyadic,
     clog2,
     decimal_string,
+    fraction_string,
+    int_string,
     round_fraction,
     sqrt_lower,
     sqrt_upper,
@@ -69,3 +71,21 @@ def test_decimal_string():
     assert decimal_string(Dyadic(-3, 1)) == "-6"
     assert decimal_string(Dyadic(0)) == "0"
     assert decimal_string(Dyadic(1, -3)) == "0.125"
+
+
+@given(st.integers())
+def test_int_string_matches_str(n):
+    assert int_string(n) == str(n)
+
+
+def test_int_string_chunk_boundaries():
+    # chunks of 600 digits; zeros inside a chunk must survive
+    for n in (10**600 - 1, 10**600, 10**600 + 1, -(10**1200), 3**5000, 0):
+        assert int_string(n) == str(n)
+
+
+def test_int_string_beyond_limit():
+    n = 10**9000 + 12345
+    assert int_string(n) == "1" + "0" * 8995 + "12345"
+    assert fraction_string(Fraction(-n, 3)) == "-1" + "0" * 8995 + "12345/3"
+    assert fraction_string(Fraction(5)) == "5"

@@ -1,18 +1,23 @@
 from fractions import Fraction
+from itertools import combinations
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecert.oracle import (
     ExactFrame,
     NonSpanningError,
     cross_gram_matrix,
+    determinant,
     eigenvalue_enclosures,
     embed,
     exact_frame_solve,
     frame_operator_matrix,
+    is_positive_definite,
     is_positive_semidefinite,
+    mat_inv,
     mat_mul,
     projection_matrix,
 )
@@ -166,3 +171,130 @@ class TestEmbed:
         col0 = CF.analysis_op.col(0)
         assert col0.finite.entries == ((0, Fraction(1)), (2, Fraction(1)))
         assert CF.analysis_op.col(5).finite.entries == ()
+
+
+# -- both elimination kernels against cofactor expansion ----------------
+
+
+def cofactor_det(m) -> Fraction:
+    """Laplace expansion along the first row: the independent reference."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (
+            (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+            for j in range(len(m))
+        ),
+        Fraction(0),
+    )
+
+
+def submatrix(m, idx):
+    return [[m[i][j] for j in idx] for i in idx]
+
+
+# small integers plus dyadic shifts
+entries = st.builds(
+    lambda a, k: Fraction(a) + Fraction(k, 4),
+    st.integers(-3, 3),
+    st.sampled_from([0, 0, 0, 1, -1, 2]),
+)
+
+
+@st.composite
+def square(draw, n=None, symmetric=False):
+    n = n or draw(st.integers(1, 4))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    return m
+
+
+@st.composite
+def low_rank(draw, symmetric=False):
+    # V W with inner size r < n (or V V^T), shifted by a small dyadic
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n - 1))
+    V = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    W = [list(c) for c in zip(*V)] if symmetric else [[draw(entries) for _ in range(n)] for _ in range(r)]
+    shift = draw(st.sampled_from([0, 0, Fraction(1, 8), Fraction(-1, 8)]))
+    return [
+        [sum((V[i][k] * W[k][j] for k in range(r)), Fraction(0)) + shift * (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+matrices = st.one_of(square(), low_rank())
+symmetric_matrices = st.one_of(square(symmetric=True), low_rank(symmetric=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices)
+def test_positive_definite_iff_leading_minors_positive(m):
+    n = len(m)
+    expected = all(cofactor_det(submatrix(m, range(k))) > 0 for k in range(1, n + 1))
+    assert is_positive_definite(m) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices)
+def test_positive_semidefinite_iff_principal_minors_nonnegative(m):
+    n = len(m)
+    expected = all(
+        cofactor_det(submatrix(m, idx)) >= 0
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+    )
+    assert is_positive_semidefinite(m) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_determinant_matches_cofactor_expansion(m):
+    assert determinant(m) == cofactor_det(m)
+
+
+def test_determinant_needs_row_swaps():
+    # zero leading entries force a swap at every column; each swap flips the sign
+    m = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert determinant([[Fraction(q) for q in row] for row in m]) == -1 == cofactor_det(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_inverse_or_singular(m):
+    n = len(m)
+    if cofactor_det(m) == 0:
+        with pytest.raises(NonSpanningError):
+            mat_inv(m)
+        return
+    inv = mat_inv(m)
+    product = [[sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def vector_lists(draw):
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
+    vecs = [[draw(entries) for _ in range(d)] for _ in range(K)]
+    if K > 1 and draw(st.booleans()):
+        # a multiple of the first vector keeps the rank from growing
+        c = draw(entries)
+        vecs[-1] = [c * q for q in vecs[0]]
+    return vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_exact_frame_spans_iff_some_full_minor(vecs):
+    d = len(vecs[0])
+    spans = any(cofactor_det([vecs[i] for i in rows]) != 0 for rows in combinations(range(len(vecs)), d))
+    if spans:
+        assert ExactFrame(vecs).d == d
+    else:
+        with pytest.raises(NonSpanningError):
+            ExactFrame(vecs)
