@@ -133,6 +133,11 @@ def round_fraction(q: Fraction, n: int) -> Dyadic:
     return Dyadic(m, -n)
 
 
+def div_nearest(num: int, den: int) -> int:
+    """Nearest integer to num/den for den > 0 (ties up); error <= 1/2."""
+    return (2 * num + den) // (2 * den)
+
+
 def clog2(q: Fraction) -> int:
     """Smallest integer g with 2**g >= q (q > 0)."""
     if q <= 0:

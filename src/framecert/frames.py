@@ -13,16 +13,22 @@ relaxation 2/(A+B), which converges at the explicit geometric rate
 convergence, which is exactly what a name of S^-1 f needs.  One driver
 serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
 (every precision, warm-started); a tight frame is its case r = 0 and
-takes one step.  A finite vector on a finite section is solved exactly.
+takes one step.  The driver runs in fixed point: the iterate is integer
+mantissas on one grid 2^-G, GUARD_BITS finer than the step budget, and
+Fractions appear only at its input and output.  S is applied exactly
+on a finite section (one integer mat-vec), by the frame's closed-form
+``s_action``, or by analysis then synthesis within budget.  A finite
+vector on a finite section is solved exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
-from .dyadic import clog2, round_fraction, sqrt_upper
+from .dyadic import clog2, div_nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
 from .operators import OperatorName, apply, compose
 from .vectors import (
@@ -62,11 +68,14 @@ class CertifiedFrame:
     """Frame plus an operator name for its analysis operator T*.
 
     ``finite_section`` optionally carries the exact rational vectors of
-    an embedded finite-dimensional frame; the frame algorithm uses it as
-    a fast exact path.  ``s_action`` optionally supplies a structural
-    application of the frame operator: a callable mapping (entries dict,
-    budget) to a finite entries dict within that l2 budget of S applied
-    to the input — used by frames whose S has a known closed form.
+    an embedded finite-dimensional frame; the frame algorithm applies
+    its exact S.  ``s_action`` optionally supplies a structural
+    application of the frame operator, for frames whose S has a known
+    closed form: a callable (m, G, budget) -> y taking integer mantissas
+    m of x = m 2^-G (a dict index -> int) to mantissas y on the same
+    grid with ||y 2^-G - S x|| <= budget in l2.  Callers keep
+    G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
+    the budget.
     """
 
     __slots__ = ("frame", "analysis_op", "finite_section", "s_action")
@@ -244,6 +253,12 @@ class FrameAlgorithmResult:
         raise AttributeError("FrameAlgorithmResult is immutable")
 
 
+# Guard bits of the Richardson grid beyond the step budget b: with
+# 2^-G <= b 2^-GUARD_BITS, rounding n <= 2^64 coordinates to the nearest
+# multiples of 2^-G costs at most sqrt(n) 2^-(G+1) <= 2^-(G-31) <= b/4.
+GUARD_BITS = 33
+
+
 def iteration_budget(
     A: Fraction, B: Fraction, f_mag: Fraction, target: int
 ) -> int:
@@ -260,20 +275,6 @@ def _step_count(r: Fraction, err: Fraction, target: int) -> int:
         err *= r
         J += 1
     return J
-
-
-def _round_entries(entries: dict[int, Fraction], budget: Fraction) -> dict[int, Fraction]:
-    """Round to a dyadic grid with total l2 perturbation <= budget."""
-    if not entries:
-        return {}
-    per = budget / (len(entries) + 1)
-    grid = max(0, clog2(1 / per))
-    out = {}
-    for i, q in entries.items():
-        d = round_fraction(q, grid).as_fraction()
-        if d != 0:
-            out[i] = d
-    return out
 
 
 def frame_algorithm(
@@ -301,53 +302,88 @@ def _richardson(
     J: int,
     target: int,
 ) -> dict[int, Fraction]:
-    """J steps of g <- g + (2/(A+B)) (f - S g) from g, aiming at 2^-target.
+    """J steps of g <- g + w (f - S g), w = 2/(A+B), from g, aiming at 2^-target.
 
-    Each step applies S with absolute error at most A * 2^-(target+3) and
-    rounds with the same budget; f is truncated within it once.  The
-    accumulated error then stays below 2^-(target+1) on top of the
-    geometric iteration error r^J * ||S^-1 f - g||, which the caller's J
-    keeps below 2^-(target+2).  On a finite section, as in the exact
+    The iterate is held as integer mantissas m, g = m 2^-G, on one grid
+    fixed for the run: G = clog2(max(1, 1/w) / b) + GUARD_BITS for the
+    step budget b = A 2^-(target+3).  One step is
+    m_i <- m_i + round(w (f_i - y_i)) with y within b of S g.  Rounding
+    n <= 2^64 coordinates to the grid costs at most sqrt(n) 2^-(G+1)
+    <= min(1, w) b/4 in l2.  f is truncated within b/2 and rounded onto
+    the grid once.  So each step errs from the exact one by at most
+    w b (from f) + w b (from S) + w b/4 (rounding).  Iterating contracts
+    by r = (B-A)/(B+A) and 1/(1-r) = 1/(w A), so the errors add up to at
+    most (9/4) b/A < 2^-(target+1) on top of the geometric iteration
+    error r^J ||S^-1 f - g||, which the caller's J keeps below
+    2^-(target+2).  A warm start from a coarser run lies on a coarser
+    grid and converts exactly.  On a finite section, as in the exact
     solve, coordinates of f from d on lie outside the frame's space and
     are dropped: S is zero there, so each step would add them again.
     """
     A, B = CF.lower, CF.upper
     omega = Fraction(2) / (A + B)
     step_budget = A * Fraction(1, 1 << (target + 3))
-    f_fin, _ = truncate(f, step_budget)
+    G = clog2(max(Fraction(1), 1 / omega) / step_budget) + GUARD_BITS
+    f_fin, _ = truncate(f, step_budget / 2)
     section = CF.finite_section
-    fd = {i: q for i, q in f_fin.entries if section is None or i < section.d}
+    fm = _to_grid(((i, q) for i, q in f_fin.entries if section is None or i < section.d), G)
+    m = _to_grid(g.items(), G)
+
+    # S x = y / D for the mantissas y returned: D = 1 where y is on the grid
+    D = 1
+    if section is not None:
+        M, D = _integer_matrix(section.S)
+
+        def apply_s(x: dict[int, int]) -> dict[int, int]:
+            return {i: sum(row[j] * v for j, v in x.items()) for i, row in enumerate(M)}
+
+    elif CF.s_action is not None:
+
+        def apply_s(x: dict[int, int]) -> dict[int, int]:
+            return CF.s_action(x, G, step_budget)
+
+    else:
+
+        def apply_s(x: dict[int, int]) -> dict[int, int]:
+            y = _apply_frame_operator_inexact(CF, _from_grid(x, G), step_budget / 2)
+            return _to_grid(y.items(), G)
+
+    # round(w (f_i - y_i / D)) = floor((a (D f_i - y_i) + half) / den), w = a/b,
+    # den = b D, half = floor(den/2): off by at most 1/2, also for odd den
+    a, den = omega.numerator, omega.denominator * D
+    half = den // 2
+    fa = {i: a * D * v for i, v in fm.items()}
     for _ in range(J):
-        if section is not None:
-            y = _apply_section(section, g)
-        elif CF.s_action is not None:
-            y = CF.s_action(g, step_budget)
-        else:
-            y = _apply_frame_operator_inexact(CF, g, step_budget)
-        nxt = dict(g)
-        for i, q in fd.items():
-            nxt[i] = nxt.get(i, Fraction(0)) + omega * q
-        for i, q in y.items():
-            if q != 0:
-                nxt[i] = nxt.get(i, Fraction(0)) - omega * q
-        g = _round_entries(nxt, step_budget)
-    return g
+        y = apply_s(m)
+        nxt = dict(m)
+        for i in fa.keys() | y.keys():
+            v = nxt.get(i, 0) + (fa.get(i, 0) - a * y.get(i, 0) + half) // den
+            if v:
+                nxt[i] = v
+            else:
+                nxt.pop(i, None)
+        m = nxt
+    return _from_grid(m, G)
 
 
-def _apply_section(section, g: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Exact S g for an embedded finite frame (g supported on the span)."""
-    d = section.d
-    dense = [Fraction(0)] * d
-    for i, q in g.items():
-        dense[i] = q
-    out = [Fraction(0)] * d
-    for v in section.vectors:
-        c = sum((v[i] * dense[i] for i in range(d) if dense[i]), Fraction(0))
-        if c:
-            for i in range(d):
-                if v[i]:
-                    out[i] += c * v[i]
-    return {i: q for i, q in enumerate(out) if q != 0}
+def _to_grid(entries, G: int) -> dict[int, int]:
+    """Nonzero mantissas of the nearest multiples of 2^-G to rational entries."""
+    out = {}
+    for i, q in entries:
+        v = div_nearest(q.numerator << G, q.denominator)
+        if v:
+            out[i] = v
+    return out
+
+
+def _from_grid(m: dict[int, int], G: int) -> dict[int, Fraction]:
+    return {i: Fraction(v, 1 << G) for i, v in m.items()}
+
+
+def _integer_matrix(S) -> tuple[list[list[int]], int]:
+    """Integer M and D > 0 with S = M / D."""
+    D = lcm(*(q.denominator for row in S for q in row))
+    return [[q.numerator * (D // q.denominator) for q in row] for row in S], D
 
 
 def _apply_frame_operator_inexact(

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import lcm
 from typing import Callable, Optional
 
-from .dyadic import Dyadic, clog2, round_fraction, sqrt_upper
+from .dyadic import Dyadic, clog2, div_nearest, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
 from .realnames import RealName, _memoized, lift_arith
@@ -186,40 +189,65 @@ def _upper_row_s_action(g: SequenceGen):
 
     With S = U U* and U = I + e_0 a'^T one gets, for finite rational x,
     (Sx)_0 = x_0 * (square sum) + sum_{i>=1} a_i x_i and
-    (Sx)_j = a_j x_0 + x_j for j >= 1; only the geometric tail a_j x_0
-    needs truncating, bounded via sq_tail.
+    (Sx)_j = a_j x_0 + x_j for j >= 1.  Inputs and outputs are mantissas
+    on the grid 2^-G (see :class:`CertifiedFrame`).  The geometric tail
+    a_j x_0 is cut where sq_tail bounds it by budget/2; each of the N
+    coordinates that need one is rounded once, at most sqrt(N) 2^-(G+1)
+    <= budget/2 in l2 when G >= clog2(1/budget) + GUARD_BITS.  Each a_j
+    is read once, on first use, into a table of integers over one common
+    denominator, so a step does integer arithmetic only.
     """
     if g.sq_sum_exact is None or g.sq_tail is None:
         return None
-
-    def exact(i: int) -> Optional[Fraction]:
-        return g.a(i).exact
-
-    if exact(1) is None:
+    if g.a(1).exact is None:
         return None
+    Q = g.sq_sum_exact
+    # a_j = c[j] / L for every j read so far (every j in [1, dense) among
+    # them), and Q = cq / L
+    L, cq, c, dense = Q.denominator, Q.numerator, {}, 1
+    lock = threading.Lock()
 
-    def s_action(entries: dict, budget: Fraction) -> dict:
-        x0 = entries.get(0, Fraction(0))
-        out: dict[int, Fraction] = {}
-        head = x0 * g.sq_sum_exact
-        for i, q in entries.items():
-            if i >= 1:
-                head += exact(i) * q
-                out[i] = q
-        if head != 0:
-            out[0] = head
-        if x0 != 0:
-            N = 1
-            goal = budget * budget
-            while x0 * x0 * g.sq_tail(N) > goal:
-                N *= 2
-            for j in range(1, N):
-                v = out.get(j, Fraction(0)) + exact(j) * x0
-                if v != 0:
-                    out[j] = v
-                elif j in out:
-                    del out[j]
-        return {i: q for i, q in out.items() if q != 0}
+    def scaled(N: int, indices) -> tuple[dict[int, int], int, int]:
+        """(c, cq, L) covering every j in [1, N) and every j >= 1 in indices."""
+        nonlocal L, cq, c, dense
+        with lock:
+            new = {j for j in chain(range(dense, N), indices - c.keys()) if j >= 1}
+            if new:
+                qs = [(j, g.a(j).exact) for j in new]
+                L_new = lcm(L, *(q.denominator for _, q in qs))
+                k = L_new // L
+                c = {j: v * k for j, v in c.items()}
+                c.update((j, q.numerator * (L_new // q.denominator)) for j, q in qs)
+                cq, L = cq * k, L_new
+            dense = max(dense, N)
+            return c, cq, L
+
+    @lru_cache(maxsize=None)
+    def tail(k: int) -> tuple[int, int]:
+        """(numerator, denominator) of sq_tail(2^k)."""
+        q = g.sq_tail(1 << k)
+        return q.numerator, q.denominator
+
+    def s_action(m: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
+        m0 = m.get(0, 0)
+        N = 1
+        if m0:
+            # x_0^2 sq_tail(N) <= (budget/2)^2 with the denominators cleared
+            lhs = 4 * m0 * m0 * budget.denominator ** 2
+            rhs = budget.numerator ** 2 << (2 * G)
+            k = 0
+            while lhs * tail(k)[0] > rhs * tail(k)[1]:
+                k += 1
+            N = 1 << k
+        c, cq, L = scaled(N, m.keys())
+        out = {i: v for i, v in m.items() if i >= 1}
+        head = m0 * cq + sum(v * c[i] for i, v in out.items())
+        # div_nearest(c[j] * m0, L), inlined: this loop is the hot one
+        m2, L2 = 2 * m0, 2 * L
+        for j in range(1, N):
+            out[j] = out.get(j, 0) + (c[j] * m2 + L) // L2
+        out[0] = div_nearest(head, L)
+        return {i: v for i, v in out.items() if v}
 
     return s_action
 

@@ -27,9 +27,13 @@ class NonSpanningError(ValueError):
 
 
 class ExactFrame:
-    """Finite list of rational vectors in Q^d, required to span."""
+    """Finite list of rational vectors in Q^d, required to span.
 
-    __slots__ = ("vectors", "d")
+    ``S`` is the exact frame operator V^T V, formed once here for the
+    span test and read by everything that needs it.
+    """
+
+    __slots__ = ("vectors", "d", "S")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         vecs = tuple(tuple(Fraction(q) for q in v) for v in vectors)
@@ -40,8 +44,9 @@ class ExactFrame:
             raise ValueError("vectors must share a positive dimension")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "S", mat_mul([list(col) for col in zip(*vecs)], vecs))
         # the vectors span Q^d exactly when S = sum v v^T is positive definite
-        if not is_positive_definite(frame_operator_matrix(self)):
+        if not is_positive_definite(self.S):
             raise NonSpanningError(f"vectors do not span Q^{d}")
 
     def __setattr__(self, name, value):
@@ -194,7 +199,7 @@ def char_poly_at(S: Matrix, lam: Fraction) -> Fraction:
 
 def frame_operator_matrix(F: ExactFrame) -> Matrix:
     """S = sum_k f_k f_k^T = V^T V for the rows V of F."""
-    return mat_mul([list(col) for col in zip(*F.vectors)], F.vectors)
+    return F.S
 
 
 def eigenvalue_enclosures(
@@ -229,7 +234,7 @@ def eigenvalue_enclosures(
 
 @lru_cache(maxsize=128)
 def exact_frame_solve(F: ExactFrame) -> FrameSolution:
-    S = frame_operator_matrix(F)
+    S = F.S
     S_inv = mat_inv(S)
     dual = [mat_vec(S_inv, list(v)) for v in F.vectors]
     bounds = eigenvalue_enclosures(S)

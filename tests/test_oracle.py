@@ -48,6 +48,12 @@ class TestFrameOperator:
         S = frame_operator_matrix(ExactFrame([[1, 0], [0, 1]]))
         assert S == [[1, 0], [0, 1]]
 
+    def test_formed_once(self):
+        F = ExactFrame([[1, 0], [0, 1], [1, 1]])
+        assert frame_operator_matrix(F) is F.S
+        sol = exact_frame_solve(F)  # cached per equal frame
+        assert sol.S is sol.frame.S
+
 
 class TestSemidefinite:
     def test_small_cases(self):
