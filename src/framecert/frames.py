@@ -15,10 +15,13 @@ serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
 (every precision, warm-started); a tight frame is its case r = 0 and
 takes one step.  The driver runs in fixed point: the iterate is integer
 mantissas on one grid 2^-G, GUARD_BITS finer than the step budget, and
-Fractions appear only at its input and output.  S is applied exactly
-on a finite section (one integer mat-vec), by the frame's closed-form
-``s_action``, or by analysis then synthesis within budget.  A finite
-vector on a finite section is solved exactly.
+Fractions appear only at its input and output.  S is applied by the
+frame's closed-form ``s_action`` when it has one; otherwise exactly,
+from the columns S e_n = sum_k (T* e_n)_k f_k of every frame whose
+analysis columns and elements are finite vectors (finite sections, Riesz
+and operator specs), as one sparse integer mat-vec; and for any step
+that needs a column without finite data, by analysis then synthesis
+within budget.  A finite vector on a finite section is solved exactly.
 """
 
 from __future__ import annotations
@@ -68,8 +71,11 @@ class CertifiedFrame:
     """Frame plus an operator name for its analysis operator T*.
 
     ``finite_section`` optionally carries the exact rational vectors of
-    an embedded finite-dimensional frame; the frame algorithm applies
-    its exact S.  ``s_action`` optionally supplies a structural
+    an embedded finite-dimensional frame: :func:`inverse_apply` solves
+    finite vectors on it exactly, and the verify suites compare with its
+    exact projection.  It does not select how the frame algorithm
+    applies S; finite analysis columns and elements do that for every
+    frame.  ``s_action`` optionally supplies a structural
     application of the frame operator, for frames whose S has a known
     closed form: a callable (m, G, budget) -> y taking integer mantissas
     m of x = m 2^-G (a dict index -> int) to mantissas y on the same
@@ -316,45 +322,48 @@ def _richardson(
     most (9/4) b/A < 2^-(target+1) on top of the geometric iteration
     error r^J ||S^-1 f - g||, which the caller's J keeps below
     2^-(target+2).  A warm start from a coarser run lies on a coarser
-    grid and converts exactly.  On a finite section, as in the exact
-    solve, coordinates of f from d on lie outside the frame's space and
-    are dropped: S is zero there, so each step would add them again.
+    grid and converts exactly.  Coordinates n of f whose analysis column
+    T* e_n is exactly zero are dropped: e_n is orthogonal to every f_k,
+    so S e_n = 0 and each step would add them again.
+
+    S g comes from the frame's ``s_action`` when it has one.  Otherwise
+    a step whose columns of S are all exact (:func:`_exact_columns`)
+    applies S exactly, and any other step applies it within b by
+    analysis then synthesis.
     """
     A, B = CF.lower, CF.upper
     omega = Fraction(2) / (A + B)
     step_budget = A * Fraction(1, 1 << (target + 3))
     G = clog2(max(Fraction(1), 1 / omega) / step_budget) + GUARD_BITS
     f_fin, _ = truncate(f, step_budget / 2)
-    section = CF.finite_section
-    fm = _to_grid(((i, q) for i, q in f_fin.entries if section is None or i < section.d), G)
+    fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
     m = _to_grid(g.items(), G)
 
-    # S x = y / D for the mantissas y returned: D = 1 where y is on the grid
-    D = 1
-    if section is not None:
-        M, D = _integer_matrix(section.S)
+    # S x = y / D for the pair (y, D) returned: D = 1 where y is on the grid
+    if CF.s_action is not None:
 
-        def apply_s(x: dict[int, int]) -> dict[int, int]:
-            return {i: sum(row[j] * v for j, v in x.items()) for i, row in enumerate(M)}
-
-    elif CF.s_action is not None:
-
-        def apply_s(x: dict[int, int]) -> dict[int, int]:
-            return CF.s_action(x, G, step_budget)
+        def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
+            return CF.s_action(x, G, step_budget), 1
 
     else:
+        exact_s = _exact_columns(CF)
 
-        def apply_s(x: dict[int, int]) -> dict[int, int]:
+        def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
+            exact = exact_s(x)
+            if exact is not None:
+                return exact
             y = _apply_frame_operator_inexact(CF, _from_grid(x, G), step_budget / 2)
-            return _to_grid(y.items(), G)
+            return _to_grid(y.items(), G), 1
 
     # round(w (f_i - y_i / D)) = floor((a (D f_i - y_i) + half) / den), w = a/b,
     # den = b D, half = floor(den/2): off by at most 1/2, also for odd den
-    a, den = omega.numerator, omega.denominator * D
-    half = den // 2
-    fa = {i: a * D * v for i, v in fm.items()}
+    a, D = omega.numerator, None
     for _ in range(J):
-        y = apply_s(m)
+        y, Dy = apply_s(m)
+        if Dy != D:
+            D, den = Dy, omega.denominator * Dy
+            half = den // 2
+            fa = {i: a * D * v for i, v in fm.items()}
         nxt = dict(m)
         for i in fa.keys() | y.keys():
             v = nxt.get(i, 0) + (fa.get(i, 0) - a * y.get(i, 0) + half) // den
@@ -380,10 +389,63 @@ def _from_grid(m: dict[int, int], G: int) -> dict[int, Fraction]:
     return {i: Fraction(v, 1 << G) for i, v in m.items()}
 
 
-def _integer_matrix(S) -> tuple[list[list[int]], int]:
-    """Integer M and D > 0 with S = M / D."""
-    D = lcm(*(q.denominator for row in S for q in row))
-    return [[q.numerator * (D // q.denominator) for q in row] for row in S], D
+def _outside_span(CF: CertifiedFrame, n: int) -> bool:
+    """Whether the analysis column T* e_n is exactly the zero vector."""
+    col = CF.analysis_op.col(n).finite
+    return col is not None and not col.entries
+
+
+def _exact_columns(
+    CF: CertifiedFrame,
+) -> Callable[[dict[int, int]], Optional[tuple[dict[int, int], int]]]:
+    """Exact S x = y / D for integer x, as (y, D), from exact columns of S.
+
+    Column n is S e_n = sum_k (T* e_n)_k f_k, exact when T* e_n and those
+    f_k are finite.  Each column is read on first use and kept, with all
+    the others read so far, as integers over one common denominator D,
+    which grows when a new column brings a new denominator.  Returns None
+    when a column that x needs is not exact.
+    """
+    cols: dict[int, Optional[dict[int, int]]] = {}
+    D = 1
+
+    def apply_s(x: dict[int, int]) -> Optional[tuple[dict[int, int], int]]:
+        nonlocal D
+        new = {n: _exact_column(CF, n) for n in x if n not in cols}
+        if new:
+            L = lcm(D, *(q.denominator for c in new.values() if c is not None for _, q in c.entries))
+            if L != D:
+                k = L // D
+                for c in cols.values():
+                    if c is not None:
+                        for i in c:
+                            c[i] *= k
+                D = L
+            for n, c in new.items():
+                cols[n] = None if c is None else {
+                    i: q.numerator * (D // q.denominator) for i, q in c.entries
+                }
+        y: dict[int, int] = {}
+        for n, v in x.items():
+            col = cols[n]
+            if col is None:
+                return None
+            for i, s in col.items():
+                y[i] = y.get(i, 0) + s * v
+        return y, D
+
+    return apply_s
+
+
+def _exact_column(CF: CertifiedFrame, n: int) -> Optional[FiniteVector]:
+    """S e_n = sum_k (T* e_n)_k f_k in rationals, or None if a datum is not finite."""
+    c = CF.analysis_op.col(n).finite
+    if c is None:
+        return None
+    elems = [CF.elem(k).finite for k, _ in c.entries]
+    if any(e is None for e in elems):
+        return None
+    return FiniteVector.combination((q, e) for (_, q), e in zip(c.entries, elems))
 
 
 def _apply_frame_operator_inexact(

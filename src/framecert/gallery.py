@@ -191,7 +191,8 @@ def _upper_row_s_action(g: SequenceGen):
     (Sx)_0 = x_0 * (square sum) + sum_{i>=1} a_i x_i and
     (Sx)_j = a_j x_0 + x_j for j >= 1.  Inputs and outputs are mantissas
     on the grid 2^-G (see :class:`CertifiedFrame`).  The geometric tail
-    a_j x_0 is cut where sq_tail bounds it by budget/2; each of the N
+    a_j x_0 is cut at the smallest N, found by doubling and then
+    bisection, where sq_tail bounds it by budget/2; each of the N
     coordinates that need one is rounded once, at most sqrt(N) 2^-(G+1)
     <= budget/2 in l2 when G >= clog2(1/budget) + GUARD_BITS.  Each a_j
     is read once, on first use, into a table of integers over one common
@@ -223,9 +224,9 @@ def _upper_row_s_action(g: SequenceGen):
             return c, cq, L
 
     @lru_cache(maxsize=None)
-    def tail(k: int) -> tuple[int, int]:
-        """(numerator, denominator) of sq_tail(2^k)."""
-        q = g.sq_tail(1 << k)
+    def tail(N: int) -> tuple[int, int]:
+        """(numerator, denominator) of sq_tail(N)."""
+        q = g.sq_tail(N)
         return q.numerator, q.denominator
 
     def s_action(m: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
@@ -235,10 +236,22 @@ def _upper_row_s_action(g: SequenceGen):
             # x_0^2 sq_tail(N) <= (budget/2)^2 with the denominators cleared
             lhs = 4 * m0 * m0 * budget.denominator ** 2
             rhs = budget.numerator ** 2 << (2 * G)
-            k = 0
-            while lhs * tail(k)[0] > rhs * tail(k)[1]:
-                k += 1
-            N = 1 << k
+
+            def fits(n: int) -> bool:
+                num, den = tail(n)
+                return lhs * num <= rhs * den
+
+            while not fits(N):
+                N *= 2
+            # bisect (N/2, N] down to the smallest N that fits; fits(N) holds
+            # throughout, so the cut is valid even where sq_tail is not monotone
+            lo = N // 2
+            while N - lo > 1:
+                mid = (lo + N) // 2
+                if fits(mid):
+                    N = mid
+                else:
+                    lo = mid
         c, cq, L = scaled(N, m.keys())
         out = {i: v for i, v in m.items() if i >= 1}
         head = m0 * cq + sum(v * c[i] for i, v in out.items())

@@ -70,10 +70,9 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
     if x.finite is not None:
         cols = [U.col(i) for i, _ in x.finite.entries]
         if all(c.finite is not None for c in cols):
-            acc = FiniteVector()
-            for (i, q), c in zip(x.finite.entries, cols):
-                acc = acc.add(c.finite.scaled(q))
-            return VectorName.from_finite(acc)
+            return VectorName.from_finite(FiniteVector.combination(
+                (q, c.finite) for (_, q), c in zip(x.finite.entries, cols)
+            ))
 
     # stage m is U v exactly (linear_combo of the columns), and
     # ||U x - U v|| <= ||U|| eps = 2^-m

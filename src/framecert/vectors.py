@@ -92,6 +92,15 @@ class FiniteVector:
     def sub(self, other: "FiniteVector") -> "FiniteVector":
         return self.add(other.scaled(Fraction(-1)))
 
+    @staticmethod
+    def combination(terms) -> "FiniteVector":
+        """sum_k q_k v_k over (rational q_k, FiniteVector v_k) pairs, in one pass."""
+        acc: dict[int, Fraction] = {}
+        for q, v in terms:
+            for i, x in v.entries:
+                acc[i] = acc.get(i, 0) + q * x
+        return FiniteVector(sorted(acc.items()))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
             return NotImplemented
@@ -333,17 +342,16 @@ def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
     if all(
         s.exact is not None and v.finite is not None for s, v in terms
     ):
-        acc = FiniteVector()
-        for s, v in terms:
-            acc = acc.add(v.finite.scaled(s.exact))
-        return VectorName.from_finite(acc)
+        return VectorName.from_finite(
+            FiniteVector.combination((s.exact, v.finite) for s, v in terms)
+        )
 
     def coeff(i: int) -> RealName:
         return sum_names([lift_arith("mul", s, v.coeff(i)) for s, v in terms])
 
     def finite_stage(j: int) -> FiniteVector:
         budget = Fraction(1, 1 << j) / len(terms)
-        acc = FiniteVector()
+        parts = []
         for s, v in terms:
             sm, vm = s.mag, v.norm.mag
             # |s - sd| * (||v|| + e) + |s| * e <= budget, split evenly
@@ -352,8 +360,8 @@ def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
             sd_prec = max(0, clog2(2 * (vm + 1) / half))
             sd = s.approx(sd_prec).as_fraction()
             u, _ = truncate(v, e)
-            acc = acc.add(u.scaled(sd))
-        return acc
+            parts.append((sd, u))
+        return FiniteVector.combination(parts)
 
     stage = _memoized(finite_stage)
     norm = limit_fast(

@@ -118,6 +118,26 @@ def test_benign_s_action_within_budget(data):
     assert err <= budget * budget
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_benign_tail_cut_is_minimal(data):
+    # the tail a_j x_0 stops at the smallest N with x_0^2 sq_tail(N) <= (budget/2)^2
+    s_action = upper_row_frame(benign_sequence()).s_action
+    k = data.draw(st.integers(min_value=10, max_value=140))
+    budget = Fraction(data.draw(st.integers(min_value=1, max_value=1000)), 1 << k)
+    G = clog2(1 / budget) + GUARD_BITS + data.draw(st.integers(min_value=0, max_value=8))
+    size = 1 << (G + 3)
+    m0 = data.draw(st.integers(min_value=size >> 11, max_value=size)) * data.draw(st.sampled_from((1, -1)))
+    m = {0: m0, **data.draw(st.dictionaries(
+        st.integers(min_value=1, max_value=40), st.integers(min_value=-size, max_value=size), max_size=4
+    ))}
+    x0 = Fraction(m0, 1 << G)
+    N = 1
+    while x0 * x0 * Fraction(4, 3) / 4**N > (budget / 2) ** 2:
+        N += 1
+    assert all(j < N for j in s_action(m, G, budget).keys() - m.keys())
+
+
 # -- one step of the driver ------------------------------------------
 
 
