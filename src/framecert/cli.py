@@ -19,6 +19,7 @@ from fractions import Fraction
 from .dyadic import decimal_string, fraction_string
 from .duality import BesselSequence, canonical_dual, dual_from_bessel
 from .frames import analysis, pseudo_inverse, reconstruct
+from .operators import finite_columns
 from .oracle import frame_bounds_hold
 from .realnames import RealName
 from .specfile import (
@@ -29,7 +30,7 @@ from .specfile import (
     parse_rational,
     parse_vector_text,
 )
-from .vectors import VectorName, linear_combo
+from .vectors import VectorName, distance_bound
 from .verify import DEFAULT_TOL, SUITES, run_suite
 
 EXIT_OK = 0
@@ -83,13 +84,7 @@ def cmd_reconstruct(spec, args, out) -> int:
     back = reconstruct(CF, c)
     count = (f.finite.support if f.finite is not None else 0) + 4
     _print_vector("reconstruction:", back, count, p, out)
-    resid = linear_combo(
-        [
-            (RealName.from_fraction(1), f),
-            (RealName.from_fraction(-1), back),
-        ]
-    )
-    bound = resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
+    bound = distance_bound(f, back, p)
     print(f"residual bound: {fraction_string(bound)} (<= 2^-{p} + approximation)", file=out)
     if bound > Fraction(2, 1 << p):
         print(f"error: residual bound exceeds 2^-{p - 1}", file=sys.stderr)
@@ -135,12 +130,7 @@ def _load_bessel(path: str) -> BesselSequence:
     H = [[v.coefficient(i) for v in fins] for i in coords]
     if not frame_bounds_hold(H, Fraction(0), bound):
         raise InvalidFrameError(f"Bessel bound {bound} is below ||sum_k h_k h_k^T||")
-    vecs = [VectorName.from_finite(v) for v in fins]
-
-    def elem(k: int) -> VectorName:
-        return vecs[k] if k < len(vecs) else VectorName.zero()
-
-    return BesselSequence(elem, bound)
+    return BesselSequence(finite_columns(fins), bound)
 
 
 def cmd_dual(spec, args, out) -> int:

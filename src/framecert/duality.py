@@ -25,7 +25,7 @@ from .frames import (
 )
 from .operators import OperatorName, apply
 from .realnames import RealName, _memoized
-from .vectors import FiniteVector, VectorName, inner, linear_combo
+from .vectors import FiniteVector, VectorName, distance_bound, inner, linear_combo
 
 
 class DualityVerificationError(ValueError):
@@ -133,14 +133,7 @@ def dual_from_left_inverse(
         )
     for t in tests:
         f = VectorName.from_finite(t)
-        back = apply(V, analysis(CF, f))
-        resid = linear_combo(
-            [
-                (RealName.from_fraction(1), f),
-                (RealName.from_fraction(-1), back),
-            ]
-        )
-        bound = resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
+        bound = distance_bound(f, apply(V, analysis(CF, f)), p)
         if bound > tol:
             raise DualityVerificationError(
                 f"V is not a left inverse on {t.format()!r}: "
@@ -209,13 +202,7 @@ def verify_duality(
                     for k in range(N)
                 ]
             )
-            resid = linear_combo(
-                [
-                    (RealName.from_fraction(1), f),
-                    (RealName.from_fraction(-1), s),
-                ]
-            )
-            bound = resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
+            bound = distance_bound(f, s, p)
             best = bound if best is None else min(best, bound)
             if best <= tol:
                 break

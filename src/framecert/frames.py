@@ -15,13 +15,14 @@ serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
 (every precision, warm-started); a tight frame is its case r = 0 and
 takes one step.  The driver runs in fixed point: the iterate is integer
 mantissas on one grid 2^-G, GUARD_BITS finer than the step budget, and
-Fractions appear only at its input and output.  S is applied by the
-frame's closed-form ``s_action`` when it has one; otherwise exactly,
-from the columns S e_n = sum_k (T* e_n)_k f_k of every frame whose
-analysis columns and elements are finite vectors (finite sections, Riesz
-and operator specs), as one sparse integer mat-vec; and for any step
-that needs a column without finite data, by analysis then synthesis
-within budget.  A finite vector on a finite section is solved exactly.
+Fractions appear only at its input and output.  S is applied in one of
+two ways: by the frame's closed-form ``s_action`` when it has one, and
+otherwise from the columns of :func:`frame_operator`, kept as integers
+over one common denominator so that a step is one sparse integer
+mat-vec.  A finite column (finite sections, Riesz and operator specs)
+is read exactly; any other column is read at a Cauchy stage fine enough
+for the step budget.  A finite vector on a finite section is solved
+exactly.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from typing import Callable, Optional
 
 from .dyadic import clog2, div_nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
-from .operators import OperatorName, apply, compose
+from .operators import OperatorName, apply
 from .vectors import (
     FiniteVector,
     VectorName,
     WeakVectorName,
     inner,
     limit_vectors,
-    linear_combo,
     strengthen,
     truncate,
 )
@@ -74,12 +74,13 @@ class CertifiedFrame:
     an embedded finite-dimensional frame: :func:`inverse_apply` solves
     finite vectors on it exactly, and the verify suites compare with its
     exact projection.  It does not select how the frame algorithm
-    applies S; finite analysis columns and elements do that for every
-    frame.  ``s_action`` optionally supplies a structural
-    application of the frame operator, for frames whose S has a known
-    closed form: a callable (m, G, budget) -> y taking integer mantissas
-    m of x = m 2^-G (a dict index -> int) to mantissas y on the same
-    grid with ||y 2^-G - S x|| <= budget in l2.  Callers keep
+    applies S.  ``s_action`` is the one hook that does: it optionally
+    supplies a structural application of the frame operator, for frames
+    whose S has a known closed form, and every other frame's S is read
+    from the columns of :func:`frame_operator`.  It is a callable
+    (m, G, budget) -> y taking integer mantissas m of x = m 2^-G (a dict
+    index -> int) to mantissas y on the same grid with
+    ||y 2^-G - S x|| <= budget in l2.  Callers keep
     G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
     the budget.
     """
@@ -235,9 +236,9 @@ def analysis(CF: CertifiedFrame, f: VectorName) -> VectorName:
 
 
 def frame_operator(CF: CertifiedFrame) -> OperatorName:
-    """S = T T* with norm bound B."""
-    S = compose(synthesis_operator(CF.frame), CF.analysis_op)
-    return OperatorName(S.col, CF.upper, support_bound=S.support_bound)
+    """S = T T* with norm bound B: column n is T applied to T* e_n."""
+    T = synthesis_operator(CF.frame)
+    return OperatorName(lambda n: apply(T, CF.analysis_op.col(n)), CF.upper)
 
 
 # -- the frame algorithm ---------------------------------------------
@@ -326,10 +327,10 @@ def _richardson(
     T* e_n is exactly zero are dropped: e_n is orthogonal to every f_k,
     so S e_n = 0 and each step would add them again.
 
-    S g comes from the frame's ``s_action`` when it has one.  Otherwise
-    a step whose columns of S are all exact (:func:`_exact_columns`)
-    applies S exactly, and any other step applies it within b by
-    analysis then synthesis.
+    S g comes from the frame's ``s_action`` when it has one, and
+    otherwise from the columns of ``frame_operator(CF)``
+    (:func:`_columns`): exact where they are finite, each other one read
+    at a stage whose error, weighted by the iterate, sums to at most b.
     """
     A, B = CF.lower, CF.upper
     omega = Fraction(2) / (A + B)
@@ -346,14 +347,7 @@ def _richardson(
             return CF.s_action(x, G, step_budget), 1
 
     else:
-        exact_s = _exact_columns(CF)
-
-        def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
-            exact = exact_s(x)
-            if exact is not None:
-                return exact
-            y = _apply_frame_operator_inexact(CF, _from_grid(x, G), step_budget / 2)
-            return _to_grid(y.items(), G), 1
+        apply_s = _columns(frame_operator(CF), G, step_budget)
 
     # round(w (f_i - y_i / D)) = floor((a (D f_i - y_i) + half) / den), w = a/b,
     # den = b D, half = floor(den/2): off by at most 1/2, also for odd den
@@ -395,72 +389,54 @@ def _outside_span(CF: CertifiedFrame, n: int) -> bool:
     return col is not None and not col.entries
 
 
-def _exact_columns(
-    CF: CertifiedFrame,
-) -> Callable[[dict[int, int]], Optional[tuple[dict[int, int], int]]]:
-    """Exact S x = y / D for integer x, as (y, D), from exact columns of S.
+def _columns(S: OperatorName, G: int, budget: Fraction):
+    """S x = y / D within budget for integer x on the grid 2^-G, as (y, D).
 
-    Column n is S e_n = sum_k (T* e_n)_k f_k, exact when T* e_n and those
-    f_k are finite.  Each column is read on first use and kept, with all
-    the others read so far, as integers over one common denominator D,
-    which grows when a new column brings a new denominator.  Returns None
-    when a column that x needs is not exact.
+    Column n of S is read on first use: exactly when it is a finite
+    vector, else at stage k, where 2^-k sum |x_n| <= budget with the sum
+    over the columns that are not finite, so their errors add up to at
+    most budget; it is read again at a finer stage when a later x needs
+    one.  All columns are kept as integers over one common denominator D,
+    which grows when a column brings a new denominator, so y / D is a
+    finite combination of them.
     """
-    cols: dict[int, Optional[dict[int, int]]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
     D = 1
 
-    def apply_s(x: dict[int, int]) -> Optional[tuple[dict[int, int], int]]:
+    def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
         nonlocal D
-        new = {n: _exact_column(CF, n) for n in x if n not in cols}
+        new = {}
+        for n in x:
+            if n not in cols and n not in staged:
+                c = S.col(n).finite
+                if c is None:
+                    staged[n] = -1
+                else:
+                    new[n] = c
+        if staged:
+            mass = sum(abs(x[n]) for n in staged if n in x)
+            k = max(0, clog2(Fraction(mass, 1 << G) / budget)) if mass else 0
+            for n, held in staged.items():
+                if held < k and n in x:
+                    new[n], staged[n] = S.col(n).stage(k), k
         if new:
-            L = lcm(D, *(q.denominator for c in new.values() if c is not None for _, q in c.entries))
+            L = lcm(D, *(q.denominator for c in new.values() for _, q in c.entries))
             if L != D:
-                k = L // D
+                scale = L // D
                 for c in cols.values():
-                    if c is not None:
-                        for i in c:
-                            c[i] *= k
+                    for i in c:
+                        c[i] *= scale
                 D = L
             for n, c in new.items():
-                cols[n] = None if c is None else {
-                    i: q.numerator * (D // q.denominator) for i, q in c.entries
-                }
+                cols[n] = {i: q.numerator * (D // q.denominator) for i, q in c.entries}
         y: dict[int, int] = {}
         for n, v in x.items():
-            col = cols[n]
-            if col is None:
-                return None
-            for i, s in col.items():
+            for i, s in cols[n].items():
                 y[i] = y.get(i, 0) + s * v
         return y, D
 
     return apply_s
-
-
-def _exact_column(CF: CertifiedFrame, n: int) -> Optional[FiniteVector]:
-    """S e_n = sum_k (T* e_n)_k f_k in rationals, or None if a datum is not finite."""
-    c = CF.analysis_op.col(n).finite
-    if c is None:
-        return None
-    elems = [CF.elem(k).finite for k, _ in c.entries]
-    if any(e is None for e in elems):
-        return None
-    return FiniteVector.combination((q, e) for (_, q), e in zip(c.entries, elems))
-
-
-def _apply_frame_operator_inexact(
-    CF: CertifiedFrame, g: dict[int, Fraction], budget: Fraction
-) -> dict[int, Fraction]:
-    """Finite vector within budget of S g, via analysis then synthesis."""
-    gv = VectorName.from_finite(FiniteVector(sorted(g.items())))
-    c = apply(CF.analysis_op, gv)
-    sqB = sqrt_upper(CF.upper)
-    c_fin, _ = truncate(c, (budget / 2) / sqB)
-    y = linear_combo(
-        [(RealName.from_fraction(q), CF.elem(i)) for i, q in c_fin.entries]
-    )
-    y_fin, _ = truncate(y, budget / 2)
-    return dict(y_fin.entries)
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:

@@ -14,13 +14,13 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Optional
 
 from .dyadic import Dyadic, clog2, div_nearest, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
-from .realnames import RealName, _memoized, lift_arith
+from .realnames import ZERO_NAME, RealName, _memoized, lift_arith
 from .vectors import (
     FiniteVector,
     VectorName,
@@ -151,37 +151,88 @@ def upper_row_analysis_coeff(g: SequenceGen, f: VectorName) -> WeakVectorName:
     return WeakVectorName(coeff, Fraction(3) * f.norm.mag)
 
 
+def upper_row_bounds(g: SequenceGen) -> tuple[Fraction, Fraction]:
+    """Frame bounds (1 -+ s)^2 of the upper-row frame.
+
+    s is a dyadic upper bound of ||(a_1, a_2, ...)||, from
+    ||U* f|| >= (1 - ||a'||) ||f|| and ||U|| <= 1 + ||a'||.
+    """
+    s = sqrt_upper(g.sq_sum_upper - 1, bits=10)
+    if s >= 1:
+        raise ValueError("cannot certify a positive lower frame bound")
+    return (1 - s) * (1 - s), (1 + s) * (1 + s)
+
+
 def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
     """The upper-row frame with a full analysis certificate.
 
     Requires g.norm_name: the analysis column at index 0 is the whole
-    sequence (a_i), a full name only when its norm is one.  Frame
-    bounds: (1 -+ s)^2 for a dyadic upper bound s of ||(a_1, a_2, ...)||,
-    from ||U* f|| >= (1 - ||a'||) ||f|| and ||U|| <= 1 + ||a'||.
+    sequence (a_i), a full name only when its norm is one.  Frame bounds
+    from :func:`upper_row_bounds`.
     """
     if g.norm_name is None:
         raise MissingNormCertificateError(
             "the analysis certificate needs a norm name for (a_i)"
         )
     U = example_upper_row(g)
-
-    s = sqrt_upper(g.sq_sum_upper - 1, bits=10)
-    if s >= 1:
-        raise ValueError("cannot certify a positive lower frame bound")
-    lower = (1 - s) * (1 - s)
-    upper = (1 + s) * (1 + s)
+    lower, upper = upper_row_bounds(g)
 
     def rows(n: int) -> VectorName:
-        if n == 0:
-            # row 0 of U is (1, a_1, a_2, ...); its norm is the norm of (a_i)
-            return VectorName(lambda i: g.a(i), g.norm_name)
-        return VectorName.basis(n)
+        # row 0 of U is (1, a_1, a_2, ...) = (a_i)
+        return _sequence_name(g, 0) if n == 0 else VectorName.basis(n)
 
     analysis_op = banded_adjoint(rows, Fraction(3))
     s_action = _upper_row_s_action(g)
     return CertifiedFrame(
         Frame(U.col, lower, upper), analysis_op, s_action=s_action
     )
+
+
+def _sequence_name(g: SequenceGen, start: int) -> VectorName:
+    """(0, ..., 0, a_0, a_1, ...) with a_0 at index start; norm g.norm_name.
+
+    With a tail certificate sq_tail it carries a Cauchy stage: stage k is
+    (a_0, ..., a_{N-1}) for the smallest N with sq_tail(N) <= 4^-k, so it
+    is within 2^-k.  That reads every a_i it keeps exactly; when one of
+    them has no exact value, stage k instead cuts at sq_tail(N) <= 4^-(k+1)
+    and rounds each a_i within 2^-(k+1) / sqrt(N), which costs 2^-(k+1)
+    for the tail plus 2^-(k+1) for the rounding.
+    """
+
+    def coeff(n: int) -> RealName:
+        return ZERO_NAME if n < start else g.a(n - start)
+
+    def stage(k: int) -> FiniteVector:
+        N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k)))
+        a = [g.a(i).exact for i in range(N)]
+        if None in a:
+            N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k + 2)))
+            pc = k + 1 + clog2(Fraction(isqrt(N) + 1))
+            a = [g.a(i).approx(pc).as_fraction() for i in range(N)]
+        return FiniteVector([(start + i, q) for i, q in enumerate(a)])
+
+    staged = None if g.sq_tail is None else _memoized(stage)
+    return VectorName(coeff, g.norm_name, stage=staged)
+
+
+def _smallest(fits: Callable[[int], bool]) -> int:
+    """Smallest N >= 1 with fits(N), by doubling and then bisection.
+
+    fits(N) holds throughout the bisection, so the answer fits even where
+    fits is not monotone (and is then the smallest one that bisection
+    finds).
+    """
+    N = 1
+    while not fits(N):
+        N *= 2
+    lo = N // 2
+    while N - lo > 1:
+        mid = (lo + N) // 2
+        if fits(mid):
+            N = mid
+        else:
+            lo = mid
+    return N
 
 
 def _upper_row_s_action(g: SequenceGen):
@@ -241,17 +292,7 @@ def _upper_row_s_action(g: SequenceGen):
                 num, den = tail(n)
                 return lhs * num <= rhs * den
 
-            while not fits(N):
-                N *= 2
-            # bisect (N/2, N] down to the smallest N that fits; fits(N) holds
-            # throughout, so the cut is valid even where sq_tail is not monotone
-            lo = N // 2
-            while N - lo > 1:
-                mid = (lo + N) // 2
-                if fits(mid):
-                    N = mid
-                else:
-                    lo = mid
+            N = _smallest(fits)
         c, cq, L = scaled(N, m.keys())
         out = {i: v for i, v in m.items() if i >= 1}
         head = m0 * cq + sum(v * c[i] for i, v in out.items())
@@ -277,9 +318,7 @@ def lower_column_operator(g: SequenceGen) -> OperatorName:
         )
 
     def col(i: int) -> VectorName:
-        if i == 0:
-            return VectorName(lambda n: g.a(n), g.norm_name)
-        return VectorName.basis(i)
+        return _sequence_name(g, 0) if i == 0 else VectorName.basis(i)
 
     return OperatorName(col, Fraction(3))
 
@@ -308,15 +347,8 @@ def coeff_perturbation_rows(g: SequenceGen) -> Callable[[int], VectorName]:
                 "row 1 contains the whole sequence (a_i); needs its norm"
             )
 
-        def coeff(i: int) -> RealName:
-            if i == 0:
-                return RealName.from_fraction(0)
-            if i == 1:
-                return ONE
-            return g.a(i - 1)
-
-        # ||row||^2 = 1 + (||a||^2 - 1) = ||a||^2   (a_0 = 1 replaced by the 1 at index 1)
-        return VectorName(coeff, g.norm_name)
+        # (0, 1, a_1, a_2, ...) is (a_i) shifted by one, since a_0 = 1
+        return _sequence_name(g, 1)
 
     return rows
 
@@ -387,13 +419,7 @@ def toeplitz_primal_element(g: SequenceGen, i: int) -> VectorName:
         raise MissingNormCertificateError(
             "g_i contains the whole sequence (a_i); needs its norm"
         )
-
-    def coeff(n: int) -> RealName:
-        if n < i:
-            return RealName.from_fraction(0)
-        return g.a(n - i)
-
-    return VectorName(coeff, g.norm_name)
+    return _sequence_name(g, i)
 
 
 def doubled_onb() -> CertifiedFrame:

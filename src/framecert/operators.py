@@ -95,6 +95,16 @@ def compose(U: OperatorName, V: OperatorName) -> OperatorName:
     )
 
 
+def finite_columns(vectors: Sequence[FiniteVector]) -> Callable[[int], VectorName]:
+    """Column oracle k -> vectors[k] as a finite name, zero past the list."""
+    names = [VectorName.from_finite(v) for v in vectors]
+
+    def col(k: int) -> VectorName:
+        return names[k] if k < len(names) else VectorName.zero()
+
+    return col
+
+
 def from_finite_matrix(rows: Sequence[Sequence[Fraction]]) -> OperatorName:
     """Embed an exact rational matrix; Frobenius norm as the bound."""
     matrix = [[Fraction(q) for q in row] for row in rows]
@@ -104,16 +114,7 @@ def from_finite_matrix(rows: Sequence[Sequence[Fraction]]) -> OperatorName:
     if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
     frob_sq = sum((q * q for row in matrix for q in row), Fraction(0))
-    columns = [
-        VectorName.from_finite(
-            FiniteVector([(i, matrix[i][k]) for i in range(len(matrix))])
-        )
-        for k in range(ncols)
-    ]
-
-    def col(k: int) -> VectorName:
-        return columns[k] if k < ncols else VectorName.zero()
-
+    col = finite_columns([FiniteVector.from_dense(c) for c in zip(*matrix)])
     return OperatorName(col, sqrt_upper(frob_sq), support_bound=len(matrix))
 
 

@@ -279,32 +279,14 @@ def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
 def embed(F: ExactFrame):
     """Bridge to the name world: a certified frame over the span of e_0..e_{d-1}."""
     from .frames import CertifiedFrame, Frame
-    from .operators import OperatorName
-    from .vectors import FiniteVector, VectorName
+    from .operators import OperatorName, finite_columns
+    from .vectors import FiniteVector
 
     sol = exact_frame_solve(F)
-    K, d = len(F), F.d
-    elements = [
-        VectorName.from_finite(
-            FiniteVector([(i, q) for i, q in enumerate(v) if q != 0])
-        )
-        for v in F.vectors
-    ]
-
-    def elem(i: int) -> VectorName:
-        return elements[i] if i < K else VectorName.zero()
-
-    def analysis_col(n: int) -> VectorName:
-        if n >= d:
-            return VectorName.zero()
-        return VectorName.from_finite(
-            FiniteVector(
-                [(i, F.vectors[i][n]) for i in range(K) if F.vectors[i][n] != 0]
-            )
-        )
-
+    elem = finite_columns([FiniteVector.from_dense(v) for v in F.vectors])
+    analysis_col = finite_columns([FiniteVector.from_dense(c) for c in zip(*F.vectors)])
     analysis_op = OperatorName(
-        analysis_col, sqrt_upper(sol.upper), support_bound=K
+        analysis_col, sqrt_upper(sol.upper), support_bound=len(F)
     )
     frame = Frame(elem, sol.lower, sol.upper)
     return CertifiedFrame(frame, analysis_op, finite_section=F)

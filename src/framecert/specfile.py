@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .dyadic import sqrt_upper
 from .frames import CertifiedFrame, Frame, frame_from_onb
-from .operators import OperatorName
+from .operators import OperatorName, finite_columns
 from .oracle import ExactFrame, NonSpanningError, embed, frame_bounds_hold
-from .vectors import FiniteVector, VectorName
+from .vectors import FiniteVector
 
 
 class SpecFileError(ValueError):
@@ -37,15 +38,14 @@ class LoadedSpec:
     rational ground truth for finite kinds.
     """
 
-    __slots__ = ("kind", "frame", "certified", "section", "declared_bounds", "label")
+    __slots__ = ("kind", "frame", "certified", "section", "declared_bounds")
 
-    def __init__(self, kind, frame, certified, section, declared_bounds, label):
+    def __init__(self, kind, frame, certified, section, declared_bounds):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "certified", certified)
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "declared_bounds", declared_bounds)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoadedSpec is immutable")
@@ -116,7 +116,7 @@ def _load_finite(vectors) -> LoadedSpec:
         CF = embed(section)
     except NonSpanningError as e:
         raise InvalidFrameError(str(e)) from None
-    return LoadedSpec("finite", CF.frame, CF, section, None, "finite frame")
+    return LoadedSpec("finite", CF.frame, CF, section, None)
 
 
 def _load_operator(doc) -> LoadedSpec:
@@ -133,37 +133,13 @@ def _load_operator(doc) -> LoadedSpec:
             f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
         )
 
-    ncols = len(matrix[0])
-    cols = [
-        FiniteVector([(i, matrix[i][k]) for i in range(len(matrix)) if matrix[i][k] != 0])
-        for k in range(ncols)
-    ]
-
-    def elem(k: int) -> VectorName:
-        if k < ncols:
-            return VectorName.from_finite(cols[k])
-        return VectorName.zero()
-
-    if "adjoint_rows" in doc:
-        adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows")
-    else:
-        adj = [[matrix[i][k] for k in range(ncols)] for i in range(len(matrix))]
-    adj_cols = [
-        FiniteVector([(k, row[k]) for k in range(len(row)) if row[k] != 0])
-        for row in adj
-    ]
-
-    def analysis_col(n: int) -> VectorName:
-        if n < len(adj_cols):
-            return VectorName.from_finite(adj_cols[n])
-        return VectorName.zero()
-
-    from .dyadic import sqrt_upper
-
-    frame = Frame(elem, A, B)
-    analysis_op = OperatorName(analysis_col, sqrt_upper(B), support_bound=ncols)
+    # the adjoint's column n is row n of the matrix, unless supplied
+    adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
+    frame = Frame(finite_columns([FiniteVector.from_dense(c) for c in zip(*matrix)]), A, B)
+    analysis_col = finite_columns([FiniteVector.from_dense(row) for row in adj])
+    analysis_op = OperatorName(analysis_col, sqrt_upper(B), support_bound=len(matrix[0]))
     CF = CertifiedFrame(frame, analysis_op)
-    return LoadedSpec("operator", frame, CF, None, (A, B), "operator frame")
+    return LoadedSpec("operator", frame, CF, None, (A, B))
 
 
 def _load_gallery(doc) -> LoadedSpec:
@@ -177,7 +153,7 @@ def _load_gallery(doc) -> LoadedSpec:
 
     if name == "doubled-onb":
         CF = gal.doubled_onb()
-        return LoadedSpec("gallery", CF.frame, CF, None, (Fraction(2), Fraction(2)), name)
+        return LoadedSpec("gallery", CF.frame, CF, None, (Fraction(2), Fraction(2)))
 
     if name not in ("ex3.7", "ex3.14", "ex3.20", "ex3.27"):
         raise SpecFileError(f"gallery.name: unknown instance {name!r}")
@@ -200,15 +176,12 @@ def _load_gallery(doc) -> LoadedSpec:
             "use the library interfaces for it"
         )
 
-    from .dyadic import sqrt_upper
-
-    s = sqrt_upper(g.sq_sum_upper - 1, bits=10)
-    frame = Frame(gal.example_upper_row(g).col, (1 - s) * (1 - s), (1 + s) * (1 + s))
+    frame = Frame(gal.example_upper_row(g).col, *gal.upper_row_bounds(g))
     certified = None
     if g.norm_name is not None:
         certified = gal.upper_row_frame(g)
         frame = certified.frame
-    return LoadedSpec("gallery", frame, certified, None, None, f"{name} ({params})")
+    return LoadedSpec("gallery", frame, certified, None, None)
 
 
 def _load_riesz(doc) -> LoadedSpec:
@@ -221,7 +194,7 @@ def _load_riesz(doc) -> LoadedSpec:
     except ValueError as e:
         raise InvalidFrameError(str(e)) from None
     CF = riesz_as_frame(R)
-    return LoadedSpec("riesz", CF.frame, CF, None, (CF.lower, CF.upper), "riesz basis")
+    return LoadedSpec("riesz", CF.frame, CF, None, (CF.lower, CF.upper))
 
 
 def load_spec(path: str) -> LoadedSpec:
@@ -237,7 +210,7 @@ def load_spec(path: str) -> LoadedSpec:
     kind = doc.get("kind")
     if kind == "onb":
         CF = frame_from_onb()
-        return LoadedSpec("onb", CF.frame, CF, None, (Fraction(1), Fraction(1)), "orthonormal")
+        return LoadedSpec("onb", CF.frame, CF, None, (Fraction(1), Fraction(1)))
     if kind == "finite":
         return _load_finite(doc.get("vectors"))
     if kind == "operator":

@@ -374,6 +374,14 @@ def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
     return VectorName(coeff, norm, support_bound=support_bound, stage=stage)
 
 
+def distance_bound(x: VectorName, y: VectorName, p: int) -> Fraction:
+    """Rational upper bound on ||x - y||: the norm of x - y at 2^-p, plus 2^-p."""
+    resid = linear_combo(
+        [(RealName.from_fraction(1), x), (RealName.from_fraction(-1), y)]
+    )
+    return resid.norm.approx(p).as_fraction() + Fraction(1, 1 << p)
+
+
 def limit_vectors(
     s: Callable[[int], VectorName],
     support_bound: Optional[int] = None,

@@ -22,8 +22,7 @@ from .frames import (
     span_dim,
 )
 from .operators import apply
-from .realnames import RealName
-from .vectors import FiniteVector, VectorName, inner, linear_combo
+from .vectors import FiniteVector, VectorName, distance_bound, inner
 
 DEFAULT_TOL = Fraction(1, 2**30)
 
@@ -46,10 +45,6 @@ class SuiteReport:
 def _report(suite, lines, tol):
     worst = max((r for _, r, _ in lines), default=Fraction(0))
     return SuiteReport(suite, all(ok for _, _, ok in lines), lines, worst)
-
-
-def _bound(name: RealName, p: int) -> Fraction:
-    return name.approx(p).as_fraction() + Fraction(1, 1 << p)
 
 
 def _restrict(CF: CertifiedFrame, text: str) -> FiniteVector:
@@ -96,14 +91,7 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
     for text in cs:
         c = VectorName.from_finite(FiniteVector.parse(text))
         Pc = apply(P, c)
-        PPc = apply(P, Pc)
-        resid = linear_combo(
-            [
-                (RealName.from_fraction(1), PPc),
-                (RealName.from_fraction(-1), Pc),
-            ]
-        )
-        r = _bound(resid.norm, p)
+        r = distance_bound(apply(P, Pc), Pc, p)
         lines.append((f"idempotent on {text}", r, r <= tol))
 
     if CF.finite_section is not None:
@@ -132,14 +120,7 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
     for text in ("0:1", "0:2 1:-1"):
         f = VectorName.from_finite(_restrict(CF, text))
         cf = analysis(CF, f)
-        Pcf = apply(P, cf)
-        resid = linear_combo(
-            [
-                (RealName.from_fraction(1), Pcf),
-                (RealName.from_fraction(-1), cf),
-            ]
-        )
-        r = _bound(resid.norm, p)
+        r = distance_bound(apply(P, cf), cf, p)
         lines.append((f"fixes analysis image of {text}", r, r <= tol))
 
     return _report("projection", lines, tol)

@@ -248,7 +248,7 @@ class TestCliCommands:
             Frame(VectorName.basis, Fraction(1, 2), Fraction(1, 2)),
             OperatorName.identity(),
         )
-        spec = LoadedSpec("onb", CF.frame, CF, None, None, "false bounds")
+        spec = LoadedSpec("onb", CF.frame, CF, None, None)
         args = argparse.Namespace(vector="0:1", precision=20)
         out = io.StringIO()
         assert cmd_reconstruct(spec, args, out) == EXIT_SUITE_FAILURE

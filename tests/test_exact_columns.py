@@ -1,11 +1,11 @@
-"""One exact way to apply S for every frame whose data is finite.
+"""One column reader for S in the Richardson driver.
 
-The Richardson driver reads columns S e_n = sum_k (T* e_n)_k f_k from
-the finite analysis columns and frame elements, so finite sections,
-Riesz specs and operator specs never take the analysis-then-synthesis
-path.  A step that needs a column without finite data falls back to that
-path alone.  Answers are checked against exact Fractions from
-``framecert.oracle``.
+Without an ``s_action`` the driver reads the columns of
+``frame_operator(CF)``: exactly where they are finite vectors (finite
+sections, Riesz specs and operator specs), and through a Cauchy stage
+otherwise (the benign gallery frame's column 0, whose analysis column is
+the whole sequence).  Answers are checked against exact Fractions from
+``framecert.oracle`` and against the benign frame's ``s_action``.
 """
 
 import json
@@ -15,10 +15,19 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from framecert import frames
+from framecert import frames, vectors
 from framecert.frames import CertifiedFrame, frame_algorithm, inverse_apply
-from framecert.gallery import benign_sequence, upper_row_frame
+from framecert.gallery import (
+    SequenceGen,
+    benign_sequence,
+    coeff_perturbation_rows,
+    lower_column_operator,
+    toeplitz_primal_element,
+    upper_row_frame,
+)
+from framecert.operators import OperatorName
 from framecert.oracle import determinant, mat_inv, mat_mul, mat_vec
+from framecert.realnames import RealName, scale, sqrt_name
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
@@ -46,11 +55,21 @@ def operator_spec(tmp_path, matrix, bounds):
     return load_spec(str(path)).certified
 
 
-def forbid_inexact(monkeypatch):
-    def fail(*args):
-        raise AssertionError("S was applied by analysis then synthesis")
+def forbid_stages(monkeypatch):
+    """Fail when the driver reads a column of S that is not a finite vector."""
+    frame_operator = frames.frame_operator
 
-    monkeypatch.setattr(frames, "_apply_frame_operator_inexact", fail)
+    def finite_columns_only(CF):
+        S = frame_operator(CF)
+
+        def col(n):
+            c = S.col(n)
+            assert c.finite is not None, f"column {n} of S was read through a stage"
+            return c
+
+        return OperatorName(col, S.norm_bound, support_bound=S.support_bound)
+
+    monkeypatch.setattr(frames, "frame_operator", finite_columns_only)
 
 
 # -- out-of-span coordinates -----------------------------------------
@@ -72,7 +91,7 @@ def test_out_of_span_coordinates_dropped(tmp_path):
     assert err_sq(v, exact) <= Fraction(1, 1 << 80)
 
 
-# -- the exact path serves sections, Riesz specs and operator specs ---
+# -- finite columns serve sections, Riesz specs and operator specs ---
 
 
 def exact_cases(tmp_path):
@@ -95,7 +114,7 @@ def exact_cases(tmp_path):
 
 
 def test_exact_path_runs(tmp_path, monkeypatch):
-    forbid_inexact(monkeypatch)
+    forbid_stages(monkeypatch)
     f = VectorName.from_finite(FiniteVector.parse("0:1 1:1"))
     for label, CF, S, iterations in exact_cases(tmp_path):
         d = len(S)
@@ -131,33 +150,74 @@ def test_riesz_blocks_against_oracle(data):
     p = data.draw(st.integers(min_value=1, max_value=64))
     fv = VectorName.from_finite(FiniteVector([(i, q) for i, q in enumerate(f) if q]))
     with pytest.MonkeyPatch.context() as mp:
-        forbid_inexact(mp)
+        forbid_stages(mp)
         v = frame_algorithm(CF, fv, p).vector.finite
     assert err_sq(v, mat_vec(mat_inv(S), f)) <= Fraction(1, 1 << (2 * p))
 
 
-# -- the per-step fallback -------------------------------------------
+# -- columns read through a stage ------------------------------------
 
 
-def test_steps_mix_exact_and_inexact(monkeypatch):
-    # column 0 of the benign frame is the whole sequence (a_i), not finite:
-    # steps whose iterate touches e_0 fall back to analysis then synthesis
+@pytest.mark.parametrize("p", [64, 128])
+def test_benign_frame_without_s_action(monkeypatch, p):
+    # column 0 of the benign frame's S comes from the whole sequence (a_i):
+    # it is read through the sequence's stage, never through tail_norm
     CF = upper_row_frame(benign_sequence())
     bare = CertifiedFrame(CF.frame, CF.analysis_op)
-    calls = []
-    inexact = frames._apply_frame_operator_inexact
+    f = VectorName.from_finite(FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5"))
+    ref = frame_algorithm(CF, f, p)
 
-    def counted(*args):
-        calls.append(1)
-        return inexact(*args)
+    def fail(*args):
+        raise AssertionError("a column of S was truncated through tail_norm")
 
-    monkeypatch.setattr(frames, "_apply_frame_operator_inexact", counted)
-    f = VectorName.from_finite(FiniteVector.parse("1:-5/3 2:2/9 3:1/5"))
-    ref = frame_algorithm(CF, f, 64)
-    assert not calls
-    res = frame_algorithm(bare, f, 64)
-    # the first two steps (from 0, then on e_1..e_3) are exact
-    assert 0 < len(calls) <= res.iterations - 2
+    monkeypatch.setattr(vectors, "tail_norm", fail)
+    res = frame_algorithm(bare, f, p)
     assert res.iterations == ref.iterations
     diff = res.vector.finite.sub(ref.vector.finite)
-    assert diff.norm_squared() <= Fraction(1, 1 << 126)
+    assert diff.norm_squared() <= Fraction(1, 1 << (2 * p - 2))
+
+
+SEQUENCE_NAMES = {
+    0: lambda g: lower_column_operator(g).col(0),
+    1: lambda g: coeff_perturbation_rows(g)(1),
+    5: lambda g: toeplitz_primal_element(g, 5),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=200), st.sampled_from(sorted(SEQUENCE_NAMES)))
+def test_sequence_stage_is_the_minimal_exact_cut(k, start):
+    # a_i = 2^-i: stage k keeps a_0..a_{N-1} exactly, so its squared error
+    # is exactly sq_tail(N), for the smallest N with sq_tail(N) <= 4^-k
+    g = benign_sequence()
+    names = [SEQUENCE_NAMES[start](g)]
+    if start == 0:
+        names.append(upper_row_frame(g).analysis_op.col(0))
+    for x in names:
+        v = x.stage(k)
+        N = len(v.entries)
+        assert v.entries == tuple((start + i, Fraction(1, 1 << i)) for i in range(N))
+        assert g.sq_tail(N) <= Fraction(1, 1 << (2 * k)) < g.sq_tail(N - 1)
+
+
+def test_sequence_stage_rounds_inexact_terms():
+    # a_i = sqrt(2) 2^-(i+1) for i >= 1 has no exact terms: sq_tail(N) =
+    # (2/3) 4^-N for N >= 1, and each stage rounds within its budget
+    root2 = sqrt_name(RealName.from_fraction(2))
+    g = SequenceGen(
+        lambda i: RealName.from_fraction(1) if i == 0 else scale(Fraction(1, 1 << (i + 1)), root2),
+        Fraction(7, 6),
+        sqrt_name(RealName.from_fraction(Fraction(7, 6))),
+        sq_tail=lambda N: Fraction(7, 6) if N == 0 else Fraction(2, 3) / (1 << (2 * N)),
+    )
+    x = lower_column_operator(g).col(0)
+    for k in (0, 5, 20, 60):
+        v = x.stage(k)
+        N = v.support
+        head = sum(
+            ((g.a(i).approx(2 * k + 40).as_fraction() - v.coefficient(i)) ** 2 for i in range(N)),
+            Fraction(0),
+        )
+        # each approximation is within 2^-(2k+40) of a_i
+        slack = N * Fraction(1, 1 << (2 * k + 38))
+        assert head + slack + g.sq_tail(N) <= Fraction(1, 1 << (2 * k))
