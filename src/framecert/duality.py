@@ -20,7 +20,7 @@ from .frames import (
     analysis,
     bessel_synthesis,
     inverse_apply,
-    span_dim,
+    restrict_to_span,
     synthesis,
 )
 from .operators import OperatorName, apply
@@ -124,14 +124,7 @@ def dual_from_left_inverse(
     """
     tol = Fraction(tol)
     p = max(2, clog2(4 / tol))
-    tests = _BUILTIN_TESTS
-    d = span_dim(CF)
-    if d is not None:
-        # keep only coordinates inside the frame's span
-        tests = tuple(
-            FiniteVector([(i, q) for i, q in t.entries if i < d]) for t in tests
-        )
-    for t in tests:
+    for t in [restrict_to_span(CF, u) for u in _BUILTIN_TESTS]:
         f = VectorName.from_finite(t)
         bound = distance_bound(f, apply(V, analysis(CF, f)), p)
         if bound > tol:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from typing import Callable
 
 
 class Dyadic:
@@ -148,6 +149,26 @@ def clog2(q: Fraction) -> int:
     while _pow2_ge(g - 1, num, den):
         g -= 1
     return g
+
+
+def _smallest(fits: Callable[[int], bool]) -> int:
+    """Smallest N >= 1 with fits(N), by doubling and then bisection.
+
+    fits(N) holds throughout the bisection, so the answer fits even where
+    fits is not monotone (and is then the smallest one that bisection
+    finds).
+    """
+    N = 1
+    while not fits(N):
+        N *= 2
+    lo = N // 2
+    while N - lo > 1:
+        mid = (lo + N) // 2
+        if fits(mid):
+            N = mid
+        else:
+            lo = mid
+    return N
 
 
 def _pow2_ge(g: int, num: int, den: int) -> bool:

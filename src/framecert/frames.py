@@ -15,11 +15,12 @@ serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
 (every precision, warm-started); a tight frame is its case r = 0 and
 takes one step.  The driver runs in fixed point: the iterate is integer
 mantissas on one grid 2^-G, GUARD_BITS finer than the step budget, and
-Fractions appear only at its input and output.  S is applied in one of
-two ways: by the frame's closed-form ``s_action`` when it has one, and
-otherwise from the columns of :func:`frame_operator`, kept as integers
-over one common denominator so that a step is one sparse integer
-mat-vec.  A finite column (finite sections, Riesz and operator specs)
+Fractions appear only at its input and output.  It applies S through one
+contract, (m, G, budget) -> mantissas on 2^-G within budget: the frame's
+closed-form ``s_action`` when it has one, and otherwise the columns of
+:func:`frame_operator` (:func:`_columns`), kept as integers over one
+common denominator so that a step is one sparse integer mat-vec and one
+rounding.  A finite column (finite sections, Riesz and operator specs)
 is read exactly; any other column is read at a Cauchy stage fine enough
 for the step budget.  A finite vector on a finite section is solved
 exactly.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .dyadic import clog2, div_nearest, sqrt_upper
+from .dyadic import _smallest, clog2, div_nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
 from .operators import OperatorName, apply
 from .vectors import (
@@ -74,15 +75,14 @@ class CertifiedFrame:
     an embedded finite-dimensional frame: :func:`inverse_apply` solves
     finite vectors on it exactly, and the verify suites compare with its
     exact projection.  It does not select how the frame algorithm
-    applies S.  ``s_action`` is the one hook that does: it optionally
-    supplies a structural application of the frame operator, for frames
-    whose S has a known closed form, and every other frame's S is read
-    from the columns of :func:`frame_operator`.  It is a callable
-    (m, G, budget) -> y taking integer mantissas m of x = m 2^-G (a dict
-    index -> int) to mantissas y on the same grid with
-    ||y 2^-G - S x|| <= budget in l2.  Callers keep
-    G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
-    the budget.
+    applies S.  ``s_action`` optionally supplies a closed form of S for
+    frames that have one; without it the frame algorithm reads S from
+    the columns of :func:`frame_operator`, through :func:`_columns`.
+    Both keep one contract: a callable (m, G, budget) -> y taking
+    integer mantissas m of x = m 2^-G (a dict index -> int) to mantissas
+    y on the same grid with ||y 2^-G - S x|| <= budget in l2.  Callers
+    keep G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid
+    fits in the budget.
     """
 
     __slots__ = ("frame", "analysis_op", "finite_section", "s_action")
@@ -201,6 +201,14 @@ def span_dim(CF: CertifiedFrame) -> Optional[int]:
     return max(bounds, default=0)
 
 
+def restrict_to_span(CF: CertifiedFrame, v: FiniteVector) -> FiniteVector:
+    """v without its coordinates at or past :func:`span_dim`, when known."""
+    d = span_dim(CF)
+    if d is None:
+        return v
+    return FiniteVector([(i, q) for i, q in v.entries if i < d])
+
+
 # -- synthesis / analysis --------------------------------------------
 
 
@@ -274,14 +282,12 @@ def iteration_budget(
 
 
 def _step_count(r: Fraction, err: Fraction, target: int) -> int:
-    """Smallest J >= 1 with r^J * err <= 2^-(target+2); 1 when r = 0."""
+    """Smallest J >= 1 with r^J * err <= 2^-(target+2); 1 when r = 0.
+
+    r^J * err decreases in J, so the search of :func:`_smallest` is exact.
+    """
     goal = Fraction(1, 1 << (target + 2))
-    J = 1
-    err *= r
-    while err > goal:
-        err *= r
-        J += 1
-    return J
+    return _smallest(lambda J: r**J * err <= goal)
 
 
 def frame_algorithm(
@@ -329,8 +335,7 @@ def _richardson(
 
     S g comes from the frame's ``s_action`` when it has one, and
     otherwise from the columns of ``frame_operator(CF)``
-    (:func:`_columns`): exact where they are finite, each other one read
-    at a stage whose error, weighted by the iterate, sums to at most b.
+    (:func:`_columns`); both return mantissas on the grid within b.
     """
     A, B = CF.lower, CF.upper
     omega = Fraction(2) / (A + B)
@@ -339,25 +344,15 @@ def _richardson(
     f_fin, _ = truncate(f, step_budget / 2)
     fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
     m = _to_grid(g.items(), G)
+    apply_s = CF.s_action or _columns(frame_operator(CF))
 
-    # S x = y / D for the pair (y, D) returned: D = 1 where y is on the grid
-    if CF.s_action is not None:
-
-        def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
-            return CF.s_action(x, G, step_budget), 1
-
-    else:
-        apply_s = _columns(frame_operator(CF), G, step_budget)
-
-    # round(w (f_i - y_i / D)) = floor((a (D f_i - y_i) + half) / den), w = a/b,
-    # den = b D, half = floor(den/2): off by at most 1/2, also for odd den
-    a, D = omega.numerator, None
+    # round(w (f_i - y_i)) = floor((a (f_i - y_i) + half) / den) for w = a/den,
+    # half = floor(den/2): off by at most 1/2, also for odd den
+    a, den = omega.numerator, omega.denominator
+    half = den // 2
+    fa = {i: a * v for i, v in fm.items()}
     for _ in range(J):
-        y, Dy = apply_s(m)
-        if Dy != D:
-            D, den = Dy, omega.denominator * Dy
-            half = den // 2
-            fa = {i: a * D * v for i, v in fm.items()}
+        y = apply_s(m, G, step_budget)
         nxt = dict(m)
         for i in fa.keys() | y.keys():
             v = nxt.get(i, 0) + (fa.get(i, 0) - a * y.get(i, 0) + half) // den
@@ -389,22 +384,24 @@ def _outside_span(CF: CertifiedFrame, n: int) -> bool:
     return col is not None and not col.entries
 
 
-def _columns(S: OperatorName, G: int, budget: Fraction):
-    """S x = y / D within budget for integer x on the grid 2^-G, as (y, D).
+def _columns(S: OperatorName):
+    """S as an ``s_action`` (see :class:`CertifiedFrame`), read from its columns.
 
     Column n of S is read on first use: exactly when it is a finite
-    vector, else at stage k, where 2^-k sum |x_n| <= budget with the sum
-    over the columns that are not finite, so their errors add up to at
-    most budget; it is read again at a finer stage when a later x needs
-    one.  All columns are kept as integers over one common denominator D,
-    which grows when a column brings a new denominator, so y / D is a
-    finite combination of them.
+    vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with the
+    sum over the columns that are not finite, so their errors add up to
+    at most budget/2; it is read again at a finer stage when a later x
+    needs one.  All columns are kept as integers over one common
+    denominator D, which grows when a column brings a new denominator.
+    The integer combination y of them is S x D 2^G (up to the stages'
+    error), and y / D is rounded once onto the grid, which costs at most
+    budget/4 under the GUARD_BITS rule (nothing when D = 1).
     """
     cols: dict[int, dict[int, int]] = {}
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
     D = 1
 
-    def apply_s(x: dict[int, int]) -> tuple[dict[int, int], int]:
+    def s_action(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
         nonlocal D
         new = {}
         for n in x:
@@ -416,7 +413,7 @@ def _columns(S: OperatorName, G: int, budget: Fraction):
                     new[n] = c
         if staged:
             mass = sum(abs(x[n]) for n in staged if n in x)
-            k = max(0, clog2(Fraction(mass, 1 << G) / budget)) if mass else 0
+            k = max(0, clog2(Fraction(2 * mass, 1 << G) / budget)) if mass else 0
             for n, held in staged.items():
                 if held < k and n in x:
                     new[n], staged[n] = S.col(n).stage(k), k
@@ -434,9 +431,11 @@ def _columns(S: OperatorName, G: int, budget: Fraction):
         for n, v in x.items():
             for i, s in cols[n].items():
                 y[i] = y.get(i, 0) + s * v
-        return y, D
+        if D > 1:
+            y = {i: div_nearest(v, D) for i, v in y.items()}
+        return y
 
-    return apply_s
+    return s_action
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
 from math import isqrt, lcm
 from typing import Callable, Optional
 
-from .dyadic import Dyadic, clog2, div_nearest, round_fraction, sqrt_upper
+from .dyadic import Dyadic, _smallest, clog2, div_nearest, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
 from .realnames import ZERO_NAME, RealName, _memoized, lift_arith
@@ -40,26 +38,24 @@ class SequenceGen:
     """Positive sequence (a_i), a_0 = 1, with square-sum certificate.
 
     norm_name (a name of the l2 norm of (a_i)) is present only for
-    instances whose norm is actually computable.  When the square sum is
-    an exactly known rational, sq_sum_exact holds it and sq_tail(N)
-    bounds the tail sum of a_i^2 over i >= N — together they enable a
-    closed-form application of the induced frame operator.
+    instances whose norm is actually computable.  sq_tail(N), when
+    given, bounds the tail sum of a_i^2 over i >= N: it gives the
+    sequence's names a Cauchy stage, and with it alone the upper-row
+    frame gets a closed-form application of its frame operator.
     """
 
-    __slots__ = ("_a", "sq_sum_upper", "norm_name", "sq_sum_exact", "sq_tail")
+    __slots__ = ("_a", "sq_sum_upper", "norm_name", "sq_tail")
 
     def __init__(
         self,
         a: Callable[[int], RealName],
         sq_sum_upper: Fraction,
         norm_name: Optional[RealName] = None,
-        sq_sum_exact: Optional[Fraction] = None,
         sq_tail: Optional[Callable[[int], Fraction]] = None,
     ):
         object.__setattr__(self, "_a", _memoized(a))
         object.__setattr__(self, "sq_sum_upper", Fraction(sq_sum_upper))
         object.__setattr__(self, "norm_name", norm_name)
-        object.__setattr__(self, "sq_sum_exact", sq_sum_exact)
         object.__setattr__(self, "sq_tail", sq_tail)
         if not 0 < self.sq_sum_upper < 2:
             raise ValueError("square-sum bound must lie in (0, 2)")
@@ -79,7 +75,6 @@ def benign_sequence() -> SequenceGen:
         lambda i: RealName.from_fraction(Fraction(1, 1 << i)),
         Fraction(4, 3),
         sqrt_of_fraction(Fraction(4, 3)),
-        sq_sum_exact=Fraction(4, 3),
         # sum_{i >= N} 4^-i = 4^-N * 4/3
         sq_tail=lambda N: Fraction(4, 3) / (1 << (2 * N)),
     )
@@ -176,13 +171,14 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
         )
     U = example_upper_row(g)
     lower, upper = upper_row_bounds(g)
+    # row 0 of U is (1, a_1, a_2, ...) = (a_i)
+    row = _sequence_name(g, 0)
 
     def rows(n: int) -> VectorName:
-        # row 0 of U is (1, a_1, a_2, ...) = (a_i)
-        return _sequence_name(g, 0) if n == 0 else VectorName.basis(n)
+        return row if n == 0 else VectorName.basis(n)
 
     analysis_op = banded_adjoint(rows, Fraction(3))
-    s_action = _upper_row_s_action(g)
+    s_action = None if g.sq_tail is None else _upper_row_s_action(row)
     return CertifiedFrame(
         Frame(U.col, lower, upper), analysis_op, s_action=s_action
     )
@@ -215,92 +211,54 @@ def _sequence_name(g: SequenceGen, start: int) -> VectorName:
     return VectorName(coeff, g.norm_name, stage=staged)
 
 
-def _smallest(fits: Callable[[int], bool]) -> int:
-    """Smallest N >= 1 with fits(N), by doubling and then bisection.
+def _upper_row_s_action(row: VectorName):
+    """Closed-form frame-operator application from the staged row 0 of U.
 
-    fits(N) holds throughout the bisection, so the answer fits even where
-    fits is not monotone (and is then the smallest one that bisection
-    finds).
+    U = I + e_0 a'^T has row 0 a = (a_i), and S = U U*.  Stage k of the
+    row gives a finite â within 2^-k of a, and V, which is U with row 0
+    replaced by â, has (V V* x)_0 = x_0 sum_i â_i^2 + sum_{i>=1} â_i x_i
+    and (V V* x)_j = â_j x_0 + x_j for j >= 1.  ||U - V|| <= 2^-k,
+    ||U|| <= 1 + ||a'|| < 2 (a_0 = 1, square sum below 2) and
+    ||V|| < 2 + 2^-k, so ||S x - V V* x|| <= 5 2^-k sum |x_i|; k is the
+    smallest with that at most budget/2.  Inputs and outputs are
+    mantissas on the grid 2^-G (see :class:`CertifiedFrame`); the N
+    coordinates below the stage's support are rounded once each, at
+    most sqrt(N) 2^-(G+1) <= budget/2 in l2 when
+    G >= clog2(1/budget) + GUARD_BITS.  Each stage is read once into
+    integers (c, L, cq) with â_i = c[i] / L and cq = sum c_i^2, so a
+    step does integer arithmetic only.
     """
-    N = 1
-    while not fits(N):
-        N *= 2
-    lo = N // 2
-    while N - lo > 1:
-        mid = (lo + N) // 2
-        if fits(mid):
-            N = mid
-        else:
-            lo = mid
-    return N
 
+    def integers(k: int) -> tuple[list[int], int, int]:
+        stage = row.stage(k)
+        L = lcm(*(q.denominator for _, q in stage.entries))
+        c = [0] * stage.support
+        for i, q in stage.entries:
+            c[i] = q.numerator * (L // q.denominator)
+        return c, L, sum(v * v for v in c)
 
-def _upper_row_s_action(g: SequenceGen):
-    """Closed-form frame-operator application for exactly known sequences.
-
-    With S = U U* and U = I + e_0 a'^T one gets, for finite rational x,
-    (Sx)_0 = x_0 * (square sum) + sum_{i>=1} a_i x_i and
-    (Sx)_j = a_j x_0 + x_j for j >= 1.  Inputs and outputs are mantissas
-    on the grid 2^-G (see :class:`CertifiedFrame`).  The geometric tail
-    a_j x_0 is cut at the smallest N, found by doubling and then
-    bisection, where sq_tail bounds it by budget/2; each of the N
-    coordinates that need one is rounded once, at most sqrt(N) 2^-(G+1)
-    <= budget/2 in l2 when G >= clog2(1/budget) + GUARD_BITS.  Each a_j
-    is read once, on first use, into a table of integers over one common
-    denominator, so a step does integer arithmetic only.
-    """
-    if g.sq_sum_exact is None or g.sq_tail is None:
-        return None
-    if g.a(1).exact is None:
-        return None
-    Q = g.sq_sum_exact
-    # a_j = c[j] / L for every j read so far (every j in [1, dense) among
-    # them), and Q = cq / L
-    L, cq, c, dense = Q.denominator, Q.numerator, {}, 1
-    lock = threading.Lock()
-
-    def scaled(N: int, indices) -> tuple[dict[int, int], int, int]:
-        """(c, cq, L) covering every j in [1, N) and every j >= 1 in indices."""
-        nonlocal L, cq, c, dense
-        with lock:
-            new = {j for j in chain(range(dense, N), indices - c.keys()) if j >= 1}
-            if new:
-                qs = [(j, g.a(j).exact) for j in new]
-                L_new = lcm(L, *(q.denominator for _, q in qs))
-                k = L_new // L
-                c = {j: v * k for j, v in c.items()}
-                c.update((j, q.numerator * (L_new // q.denominator)) for j, q in qs)
-                cq, L = cq * k, L_new
-            dense = max(dense, N)
-            return c, cq, L
-
-    @lru_cache(maxsize=None)
-    def tail(N: int) -> tuple[int, int]:
-        """(numerator, denominator) of sq_tail(N)."""
-        q = g.sq_tail(N)
-        return q.numerator, q.denominator
+    table = _memoized(integers)
 
     def s_action(m: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
+        # smallest k >= 0 with 10 M 2^-G 2^-k <= budget, M = sum |m_i|:
+        # with M d <= e 2^k for d = 10 budget.denominator and
+        # e = budget.numerator 2^G, k is one of two values from bit lengths
+        Md = 10 * budget.denominator * sum(abs(v) for v in m.values())
+        e = budget.numerator << G
+        k = max(0, Md.bit_length() - e.bit_length())
+        if Md > e << k:
+            k += 1
+        c, L, cq = table(k)
+        N = len(c)
         m0 = m.get(0, 0)
-        N = 1
-        if m0:
-            # x_0^2 sq_tail(N) <= (budget/2)^2 with the denominators cleared
-            lhs = 4 * m0 * m0 * budget.denominator ** 2
-            rhs = budget.numerator ** 2 << (2 * G)
-
-            def fits(n: int) -> bool:
-                num, den = tail(n)
-                return lhs * num <= rhs * den
-
-            N = _smallest(fits)
-        c, cq, L = scaled(N, m.keys())
         out = {i: v for i, v in m.items() if i >= 1}
-        head = m0 * cq + sum(v * c[i] for i, v in out.items())
-        # div_nearest(c[j] * m0, L), inlined: this loop is the hot one
-        m2, L2 = 2 * m0, 2 * L
-        for j in range(1, N):
-            out[j] = out.get(j, 0) + (c[j] * m2 + L) // L2
-        out[0] = div_nearest(head, L)
+        head = m0 * cq + L * sum(v * c[i] for i, v in out.items() if i < N)
+        if m0:
+            # div_nearest(c[j] * m0, L), inlined: this loop is the hot one
+            m2, L2 = 2 * m0, 2 * L
+            for j in range(1, N):
+                out[j] = out.get(j, 0) + (c[j] * m2 + L) // L2
+        out[0] = div_nearest(head, L * L)
         return {i: v for i, v in out.items() if v}
 
     return s_action

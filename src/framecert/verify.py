@@ -19,7 +19,7 @@ from .frames import (
     complete_dual_gram_row,
     frame_algorithm,
     range_projection,
-    span_dim,
+    restrict_to_span,
 )
 from .operators import apply
 from .vectors import FiniteVector, VectorName, distance_bound, inner
@@ -42,18 +42,9 @@ class SuiteReport:
         raise AttributeError("SuiteReport is immutable")
 
 
-def _report(suite, lines, tol):
+def _report(suite, lines):
     worst = max((r for _, r, _ in lines), default=Fraction(0))
     return SuiteReport(suite, all(ok for _, _, ok in lines), lines, worst)
-
-
-def _restrict(CF: CertifiedFrame, text: str) -> FiniteVector:
-    """The finite vector ``text``, dropping coordinates outside the span."""
-    v = FiniteVector.parse(text)
-    d = span_dim(CF)
-    if d is not None:
-        v = FiniteVector([(i, q) for i, q in v.entries if i < d])
-    return v
 
 
 def _test_vectors(CF: CertifiedFrame, count: int = 4) -> list[FiniteVector]:
@@ -65,7 +56,7 @@ def _test_vectors(CF: CertifiedFrame, count: int = 4) -> list[FiniteVector]:
         "0:1/3 1:1 2:-1/2",
         "0:-1 2:2 3:1/5",
     ]
-    return [_restrict(CF, text) for text in base[:count]]
+    return [restrict_to_span(CF, FiniteVector.parse(text)) for text in base[:count]]
 
 
 def duality_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
@@ -77,7 +68,7 @@ def duality_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRepor
         (f"reconstruct {t.format() or '0'}", r, r <= tol)
         for t, r in zip(tests, rep.residual_bounds)
     ]
-    return _report("duality", lines, tol)
+    return _report("duality", lines)
 
 
 def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
@@ -118,12 +109,12 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
         lines.append(("symmetric on e_0, e_1, e_2", worst, worst <= tol))
 
     for text in ("0:1", "0:2 1:-1"):
-        f = VectorName.from_finite(_restrict(CF, text))
+        f = VectorName.from_finite(restrict_to_span(CF, FiniteVector.parse(text)))
         cf = analysis(CF, f)
         r = distance_bound(apply(P, cf), cf, p)
         lines.append((f"fixes analysis image of {text}", r, r <= tol))
 
-    return _report("projection", lines, tol)
+    return _report("projection", lines)
 
 
 def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
@@ -161,7 +152,7 @@ def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
             energy = inner(Pe, Pe).approx(p).as_fraction()
             r = max(abs(got - energy) - Fraction(1, 1 << (p - 1)), Fraction(0))
             lines.append((f"row {n} energy equals diagonal", r, r <= tol))
-    return _report("gram", lines, tol)
+    return _report("gram", lines)
 
 
 def max_iterations(A: Fraction, B: Fraction, f_mag: Fraction, p: int) -> int:
@@ -176,7 +167,7 @@ def max_iterations(A: Fraction, B: Fraction, f_mag: Fraction, p: int) -> int:
 def rate_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
     """Iteration counts stay within the geometric-rate budget."""
     lines = []
-    f = VectorName.from_finite(_restrict(CF, "0:1 1:1"))
+    f = VectorName.from_finite(restrict_to_span(CF, FiniteVector.parse("0:1 1:1")))
     for p in (20, 40, 60):
         res = frame_algorithm(CF, f, p)
         cap = max_iterations(CF.lower, CF.upper, f.norm.mag, p)
@@ -187,7 +178,7 @@ def rate_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
             (f"p={p}: {res.iterations} iterations (cap {cap})",
              Fraction(res.iterations), ok)
         )
-    return _report("rate", lines, tol)
+    return _report("rate", lines)
 
 
 SUITES = {

@@ -177,6 +177,29 @@ def test_benign_frame_without_s_action(monkeypatch, p):
     assert diff.norm_squared() <= Fraction(1, 1 << (2 * p - 2))
 
 
+def test_inexact_terms_keep_the_closed_form():
+    # a_1 = 1/2 is exact and a_j = sqrt(2) 2^-(j+1) for j >= 2 is not:
+    # sq_tail is 31/24, 7/24, then (2/3) 4^-N.  The closed form reads the
+    # row through its stage, which rounds the inexact terms
+    root2 = sqrt_name(RealName.from_fraction(2))
+    a = {0: RealName.from_fraction(1), 1: RealName.from_fraction(Fraction(1, 2))}
+    g = SequenceGen(
+        lambda i: a[i] if i in a else scale(Fraction(1, 1 << (i + 1)), root2),
+        Fraction(31, 24),
+        sqrt_name(RealName.from_fraction(Fraction(31, 24))),
+        sq_tail=lambda N: (Fraction(31, 24), Fraction(7, 24))[N] if N < 2 else Fraction(2, 3) / (1 << (2 * N)),
+    )
+    CF = upper_row_frame(g)
+    assert CF.s_action is not None
+    bare = CertifiedFrame(CF.frame, CF.analysis_op)
+    f = VectorName.from_finite(FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5"))
+    for p, J in ((20, 101), (64, 273)):
+        res, ref = frame_algorithm(CF, f, p), frame_algorithm(bare, f, p)
+        assert res.iterations == ref.iterations == J
+        diff = res.vector.finite.sub(ref.vector.finite)
+        assert diff.norm_squared() <= Fraction(1, 1 << (2 * p - 2))
+
+
 SEQUENCE_NAMES = {
     0: lambda g: lower_column_operator(g).col(0),
     1: lambda g: coeff_perturbation_rows(g)(1),

@@ -2,8 +2,9 @@
 
 The driver keeps its iterate as integer mantissas on one grid 2^-G.
 These tests check its answers against exact Fractions from
-``framecert.oracle``, the closed-form ``s_action`` of the benign gallery
-frame against its l2 budget, and the rounding of one step.
+``framecert.oracle``, both ways of applying S to the benign gallery
+frame (its closed-form ``s_action`` and its columns) against their l2
+budget, and the rounding of one step.
 """
 
 from fractions import Fraction
@@ -15,7 +16,9 @@ from framecert.frames import (
     GUARD_BITS,
     CertifiedFrame,
     Frame,
+    _columns,
     frame_algorithm,
+    frame_operator,
     inverse_apply,
 )
 from framecert.gallery import benign_sequence, upper_row_frame
@@ -93,10 +96,8 @@ def benign_s(x: dict[int, Fraction], j: int) -> Fraction:
     return x0 / (1 << j) + x.get(j, Fraction(0))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_benign_s_action_within_budget(data):
-    s_action = upper_row_frame(benign_sequence()).s_action
+def check_benign_within_budget(data, s_action):
+    """Draw (m, G, budget), check ||s_action(m, G, budget) - S x|| <= budget."""
     k = data.draw(st.integers(min_value=10, max_value=140))
     budget = Fraction(data.draw(st.integers(min_value=1, max_value=1000)), 1 << k)
     G = clog2(1 / budget) + GUARD_BITS + data.draw(st.integers(min_value=0, max_value=8))
@@ -108,7 +109,7 @@ def test_benign_s_action_within_budget(data):
     x0 = st.integers(min_value=size >> 11, max_value=size)
     m[0] = data.draw(st.just(0) | x0 | x0.map(lambda v: -v))
     y = s_action(m, G, budget)
-    assert all(isinstance(v, int) and v != 0 for v in y.values())
+    assert all(isinstance(v, int) for v in y.values())
     x = {i: Fraction(v, 1 << G) for i, v in m.items()}
     x0 = x.get(0, Fraction(0))
     # past both supports y_j = 0 and (Sx)_j = a_j x_0, whose squares sum to x_0^2 * 4^-N * 4/3
@@ -116,26 +117,33 @@ def test_benign_s_action_within_budget(data):
     err = sum((Fraction(y.get(j, 0), 1 << G) - benign_s(x, j)) ** 2 for j in range(N))
     err += x0 * x0 * Fraction(4, 3) / 4**N
     assert err <= budget * budget
+    return m, G, budget, y
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_benign_tail_cut_is_minimal(data):
-    # the tail a_j x_0 stops at the smallest N with x_0^2 sq_tail(N) <= (budget/2)^2
-    s_action = upper_row_frame(benign_sequence()).s_action
-    k = data.draw(st.integers(min_value=10, max_value=140))
-    budget = Fraction(data.draw(st.integers(min_value=1, max_value=1000)), 1 << k)
-    G = clog2(1 / budget) + GUARD_BITS + data.draw(st.integers(min_value=0, max_value=8))
-    size = 1 << (G + 3)
-    m0 = data.draw(st.integers(min_value=size >> 11, max_value=size)) * data.draw(st.sampled_from((1, -1)))
-    m = {0: m0, **data.draw(st.dictionaries(
-        st.integers(min_value=1, max_value=40), st.integers(min_value=-size, max_value=size), max_size=4
-    ))}
-    x0 = Fraction(m0, 1 << G)
-    N = 1
-    while x0 * x0 * Fraction(4, 3) / 4**N > (budget / 2) ** 2:
-        N += 1
-    assert all(j < N for j in s_action(m, G, budget).keys() - m.keys())
+def test_benign_s_action_within_budget(data):
+    CF = upper_row_frame(benign_sequence())
+    m, G, budget, y = check_benign_within_budget(data, CF.s_action)
+    assert all(v != 0 for v in y.values())
+    # row 0 is read at the smallest k >= 0 with 5 2^-k sum |x_i| <= budget/2,
+    # and y adds no coordinate at or past that stage's support
+    mass = sum(abs(Fraction(v, 1 << G)) for v in m.values())
+    k = 0
+    while 5 * mass > budget / 2 * (1 << k):
+        k += 1
+    N = CF.analysis_op.col(0).stage(k).support
+    assert all(j < N for j in y.keys() - m.keys())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_benign_columns_within_budget(data):
+    # column 0 of S is read at a stage and every other one exactly, all over
+    # one denominator D > 1, so the output is rounded onto the grid
+    CF = upper_row_frame(benign_sequence())
+    bare = CertifiedFrame(CF.frame, CF.analysis_op)
+    check_benign_within_budget(data, _columns(frame_operator(bare)))
 
 
 # -- one step of the driver ------------------------------------------
