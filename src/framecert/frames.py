@@ -41,7 +41,6 @@ from .vectors import (
     VectorName,
     WeakVectorName,
     inner,
-    limit_vectors,
     strengthen,
     truncate,
 )
@@ -439,14 +438,15 @@ def _columns(S: OperatorName):
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
-    """Genuine name of S^-1 f: the frame algorithm run at every precision.
+    """Genuine name of S^-1 f: stage k is the frame algorithm run at target k.
 
     A finite f on a frame with a finite section is solved exactly; its
     coordinates from the section's dimension d on lie outside the frame's
-    space and are dropped.  Otherwise successive precision stages
-    warm-start from the finest solution already computed, so the total
-    iteration count across all queried precisions stays close to a single
-    run at the finest one.
+    space and are dropped.  Otherwise nothing runs until a stage is read
+    (||S^-1 f|| <= ||f||/A bounds it beforehand), coefficients and norm
+    are read from the stages, and each run warm-starts from the finest
+    one already computed, so the total iteration count across all
+    queried precisions stays close to a single run at the finest one.
     """
     section = CF.finite_section
     if section is not None and f.finite is not None:
@@ -462,7 +462,7 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     cache: dict[int, dict[int, Fraction]] = {}
     lock = threading.Lock()
 
-    def solve(k: int) -> dict[int, Fraction]:
+    def stage(k: int) -> FiniteVector:
         with lock:
             if k not in cache:
                 warm = [t for t in cache if t < k]
@@ -472,11 +472,10 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
                 else:
                     g, J = {}, iteration_budget(A, B, f.norm.mag, k)
                 cache[k] = _richardson(CF, f, g, J, k)
-            return cache[k]
+        return FiniteVector(sorted(cache[k].items()))
 
-    return limit_vectors(
-        lambda k: VectorName.from_finite(FiniteVector(sorted(solve(k).items()))),
-        support_bound=None if section is None else section.d,
+    return VectorName.from_stage(
+        stage, f.norm.mag / A, None if section is None else section.d
     )
 
 
@@ -535,10 +534,9 @@ def complete_dual_gram_row(row: Callable[[int], RealName], n: int) -> RealName:
 def range_projection(CF: CertifiedFrame) -> OperatorName:
     """Orthogonal projection of l2 onto the range of T*.
 
-    Column k is the analysis image of the canonical-dual element S^-1 f_k.
+    It is the cross-Gram operator of CF with itself: column k is the
+    analysis image of the canonical-dual element S^-1 f_k.
     """
+    from .duality import cross_gram_operator
 
-    def col(k: int) -> VectorName:
-        return analysis(CF, inverse_apply(CF, CF.elem(k)))
-
-    return OperatorName(col, Fraction(1), support_bound=CF.analysis_op.support_bound)
+    return cross_gram_operator(CF, CF, Fraction(1))

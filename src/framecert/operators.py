@@ -15,13 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .dyadic import sqrt_upper
 from .realnames import RealName, _memoized
-from .vectors import (
-    FiniteVector,
-    VectorName,
-    limit_vectors,
-    linear_combo,
-    truncate,
-)
+from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
 
 
 class OperatorName:
@@ -63,27 +57,25 @@ class OperatorName:
 
 
 def apply(U: OperatorName, x: VectorName) -> VectorName:
-    """Name of Ux; the input tail is truncated under the norm bound."""
+    """Name of Ux: the exact combination of U's columns for a finite x.
+
+    Otherwise stage k truncates x within 2^-(k+1)/||U|| and combines the
+    columns within 2^-(k+1), so it lies within 2^-k of Ux.
+    """
     if U.norm_bound == 0:
         return VectorName.zero()
-
     if x.finite is not None:
-        cols = [U.col(i) for i, _ in x.finite.entries]
-        if all(c.finite is not None for c in cols):
-            return VectorName.from_finite(FiniteVector.combination(
-                (q, c.finite) for (_, q), c in zip(x.finite.entries, cols)
-            ))
-
-    # stage m is U v exactly (linear_combo of the columns), and
-    # ||U x - U v|| <= ||U|| eps = 2^-m
-    def stage(m: int) -> VectorName:
-        eps = Fraction(1, 1 << m) / U.norm_bound
-        v, _ = truncate(x, eps)
         return linear_combo(
-            [(RealName.from_fraction(q), U.col(i)) for i, q in v.entries]
+            [(RealName.from_fraction(q), U.col(i)) for i, q in x.finite.entries]
         )
 
-    return limit_vectors(stage, support_bound=U.support_bound)
+    def stage(k: int) -> FiniteVector:
+        v, _ = truncate(x, Fraction(1, 1 << (k + 1)) / U.norm_bound)
+        return finite_stage(
+            [(RealName.from_fraction(q), U.col(i)) for i, q in v.entries], k + 1
+        )
+
+    return VectorName.from_stage(stage, U.norm_bound * x.norm.mag, U.support_bound)
 
 
 def compose(U: OperatorName, V: OperatorName) -> OperatorName:

@@ -202,9 +202,11 @@ def frame_operator_matrix(F: ExactFrame) -> Matrix:
     return F.S
 
 
-def eigenvalue_enclosures(
-    S: Matrix, width: Fraction = Fraction(1, 2**20)
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+# Width of each bisected enclosure of eigenvalue_enclosures.
+ENCLOSURE_WIDTH = Fraction(1, 2**20)
+
+
+def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(A-, A+, B-, B+) with A- < lambda_min <= A+ and B- <= lambda_max < B+.
 
     Bisection with the exact positive-definiteness predicate; the outer
@@ -218,7 +220,7 @@ def eigenvalue_enclosures(
 
     def bracket(below) -> tuple[Fraction, Fraction]:
         lo, hi = Fraction(0), top
-        while hi - lo > width:
+        while hi - lo > ENCLOSURE_WIDTH:
             mid = (lo + hi) / 2
             if below(mid):
                 lo = mid
@@ -243,20 +245,9 @@ def exact_frame_solve(F: ExactFrame) -> FrameSolution:
     return FrameSolution(F, S, S_inv, dual, bounds)
 
 
-def projection_matrix(F: ExactFrame, sol: FrameSolution | None = None) -> Matrix:
-    """Gram-type matrix M with M[n][k] = <f_n, S^-1 f_k>; idempotent, symmetric."""
-    sol = sol or exact_frame_solve(F)
-    K = len(F)
-    return [
-        [
-            sum(
-                (F.vectors[n][i] * sol.dual[k][i] for i in range(F.d)),
-                Fraction(0),
-            )
-            for k in range(K)
-        ]
-        for n in range(K)
-    ]
+def projection_matrix(F: ExactFrame) -> Matrix:
+    """M[n][k] = <f_n, S^-1 f_k>, the orthogonal projection onto the range of T*."""
+    return cross_gram_matrix(F, F)
 
 
 def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:

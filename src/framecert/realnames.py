@@ -71,10 +71,6 @@ class RealName:
         q = Fraction(q)
         return RealName(None, abs(q), exact=q)
 
-    @staticmethod
-    def from_dyadic(d: Dyadic) -> "RealName":
-        return RealName.from_fraction(d.as_fraction())
-
     # -- operator sugar (lift_arith under the hood) -------------------
 
     def __add__(self, other: "RealName") -> "RealName":

@@ -1,16 +1,18 @@
-"""Names of points of l2: coefficient oracles, a norm name, and Cauchy stages.
+"""Names of points of l2: Cauchy stages, coefficient oracles and a norm name.
 
-The canonical vector name stores the basis coefficients together with a
-real name of the norm.  The norm component is what makes tail bounds --
-and hence every infinite sum in the frame calculus -- computable.  An
-equivalent name is a Cauchy name: for each k a finite rational vector
-``stage(k)`` within 2^-k of the point.  Every vector built here (finite
-vectors, finite linear combinations, limits) carries such a stage, and
-:func:`truncate` reads it directly.  Only names that arrive without a
-stage -- caller or gallery oracles given as coefficients plus a norm,
-:func:`strengthen` -- are truncated through the norm, by certifying the
-tail sqrt(||x||^2 - sum_{i<N} x_i^2); that costs about twice the bits
-asked for at every nesting level, where a stage costs a constant.
+A vector name gives the basis coefficients together with a real name of
+the norm.  The norm component is what makes tail bounds -- and hence
+every infinite sum in the frame calculus -- computable.  An equivalent
+name is a Cauchy name: for each k a finite rational vector ``stage(k)``
+within 2^-k of the point.  Finite vectors are exact, and every other
+vector computed here (finite linear combinations, operator images,
+limits, S^-1 f) is built from its stage by :meth:`VectorName.from_stage`,
+which reads the coefficients and the norm from it; :func:`truncate`
+reads the stage directly.  Only names that arrive as coefficients plus a
+norm -- caller or gallery oracles, :func:`strengthen` -- are truncated
+through the norm, by certifying the tail sqrt(||x||^2 - sum_{i<N} x_i^2);
+that costs about twice the bits asked for at every nesting level, where
+a stage costs a constant.
 
 A :class:`WeakVectorName` deliberately lacks a norm: it models
 coefficientwise data whose norm carries no certificate, and nothing
@@ -145,7 +147,10 @@ class VectorName:
     ``stage``, when present, is a Cauchy name of the same point:
     ``stage(k)`` is a finite rational vector with ||x - stage(k)|| <= 2^-k
     for every k >= 0.  :func:`truncate` reads it in place of a tail bound,
-    so its builder passes it memoized.
+    so its builder passes it memoized.  A computed name is built by
+    :meth:`from_stage` and its coefficients and norm are read from the
+    stage; the constructor itself serves names given as coefficients
+    plus a norm.
     ``finite`` is an optional exact payload: when present the vector is
     exactly that finite rational vector, every stage is the payload, and
     operations may shortcut.  A finite name may be built with ``norm``
@@ -198,6 +203,27 @@ class VectorName:
         return VectorName(
             lambda i: RealName.from_fraction(v.coefficient(i)), None, finite=v
         )
+
+    @staticmethod
+    def from_stage(
+        stage: Callable[[int], FiniteVector],
+        mag: Fraction,
+        support_bound: Optional[int] = None,
+    ) -> "VectorName":
+        """Name of the x with ||x - stage(k)|| <= 2^-k and ||x|| <= mag.
+
+        Coefficient i at 2^-n is stage(n+1)_i rounded to 2^-(n+1), off by
+        at most 2^-(n+1) + 2^-(n+2); the norm is the limit of ||stage(j)||.
+        """
+        stage = _memoized(stage)
+
+        def coeff(i: int) -> RealName:
+            return RealName(
+                lambda n: round_fraction(stage(n + 1).coefficient(i), n + 1), mag
+            )
+
+        norm = limit_fast(lambda j: sqrt_of_fraction(stage(j).norm_squared()), mag)
+        return VectorName(coeff, norm, support_bound=support_bound, stage=stage)
 
     @staticmethod
     def basis(i: int) -> "VectorName":
@@ -333,45 +359,42 @@ def inner(x: VectorName, y: VectorName) -> RealName:
     return RealName(fn, mx * my)
 
 
-def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
-    """Name of sum_k scalar_k * vector_k (finite list)."""
-    terms = list(terms)
-    if not terms:
-        return VectorName.zero()
+def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> FiniteVector:
+    """Finite vector within 2^-j of sum_k scalar_k * vector_k.
 
-    if all(
-        s.exact is not None and v.finite is not None for s, v in terms
-    ):
+    Each term gets budget 2^-j / len(terms): an exact scalar is used as
+    is, and any other is rounded so that |s - sd| (||v|| + e) + |s| e
+    stays within it, for a truncation of v within e.
+    """
+    if not terms:
+        return FiniteVector()
+    half = Fraction(1, 1 << (j + 1)) / len(terms)
+    parts = []
+    for s, v in terms:
+        sd = s.exact
+        if sd is None:
+            sd = s.approx(max(0, clog2(2 * (v.norm.mag + 1) / half))).as_fraction()
+        parts.append((sd, truncate(v, half / (s.mag + 1))[0]))
+    return FiniteVector.combination(parts)
+
+
+def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
+    """Name of sum_k scalar_k * vector_k (finite list).
+
+    Exact when every scalar and vector is; otherwise stage j is
+    :func:`finite_stage` at j.
+    """
+    terms = list(terms)
+    if all(s.exact is not None and v.finite is not None for s, v in terms):
         return VectorName.from_finite(
             FiniteVector.combination((s.exact, v.finite) for s, v in terms)
         )
-
-    def coeff(i: int) -> RealName:
-        return sum_names([lift_arith("mul", s, v.coeff(i)) for s, v in terms])
-
-    def finite_stage(j: int) -> FiniteVector:
-        budget = Fraction(1, 1 << j) / len(terms)
-        parts = []
-        for s, v in terms:
-            sm, vm = s.mag, v.norm.mag
-            # |s - sd| * (||v|| + e) + |s| * e <= budget, split evenly
-            half = budget / 2
-            e = half / (sm + 1)
-            sd_prec = max(0, clog2(2 * (vm + 1) / half))
-            sd = s.approx(sd_prec).as_fraction()
-            u, _ = truncate(v, e)
-            parts.append((sd, u))
-        return FiniteVector.combination(parts)
-
-    stage = _memoized(finite_stage)
-    norm = limit_fast(
-        lambda j: sqrt_of_fraction(stage(j).norm_squared()),
-        mag=sum((s.mag * v.norm.mag for s, v in terms), Fraction(0)),
-    )
-
     bounds = [v.support_bound for _, v in terms]
-    support_bound = None if any(b is None for b in bounds) else max(bounds)
-    return VectorName(coeff, norm, support_bound=support_bound, stage=stage)
+    return VectorName.from_stage(
+        lambda j: finite_stage(terms, j),
+        sum((s.mag * v.norm.mag for s, v in terms), Fraction(0)),
+        None if None in bounds else max(bounds),
+    )
 
 
 def distance_bound(x: VectorName, y: VectorName, p: int) -> Fraction:
@@ -389,19 +412,12 @@ def limit_vectors(
     """Full name of L from vectors with ||s(k) - L|| <= 2^-k.
 
     Stage k of L is a 2^-(k+1) truncation of s(k+1), which is within
-    2^-(k+1) + 2^-(k+1) = 2^-k of L.
+    2^-(k+1) + 2^-(k+1) = 2^-k of L, and ||L|| <= ||s(0)|| + 1.
     """
-    memo = _memoized(s)
-
-    def coeff(i: int) -> RealName:
-        return limit_fast(lambda k: memo(k).coeff(i))
-
-    def stage(k: int) -> FiniteVector:
-        return truncate(memo(k + 1), Fraction(1, 1 << (k + 1)))[0]
-
-    norm = limit_fast(lambda k: memo(k).norm)
-    return VectorName(
-        coeff, norm, support_bound=support_bound, stage=_memoized(stage)
+    return VectorName.from_stage(
+        lambda k: truncate(s(k + 1), Fraction(1, 1 << (k + 1)))[0],
+        s(0).norm.mag + 1,
+        support_bound,
     )
 
 

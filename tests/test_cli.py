@@ -19,7 +19,7 @@ from framecert.specfile import (
     parse_rational,
     parse_vector_text,
 )
-from framecert.vectors import VectorName
+from framecert.vectors import FiniteVector, VectorName
 from framecert.verify import max_iterations, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -127,6 +127,23 @@ class TestVerifySuites:
         rep = run_suite("duality", CF)
         assert not rep.passed
         assert rep.worst >= Fraction(1, 4)
+
+    def test_gram_diagonal_line_fails_on_false_certificate(self):
+        # Mercedes with T* e_0 = (2, 0, 1) instead of (1, 0, 1): the exact
+        # section still solves S^-1 f_k correctly, but P = T*_false S^-1 T
+        # is oblique, so ||P e_n||^2 differs from the diagonal entry
+        CF = load_spec(str(FIXTURES / "mercedes.json")).certified
+        T = CF.analysis_op
+        false_col = VectorName.from_finite(FiniteVector.parse("0:2 2:1"))
+        tampered = CertifiedFrame(
+            CF.frame,
+            OperatorName(lambda n: false_col if n == 0 else T.col(n), Fraction(3), T.support_bound),
+            finite_section=CF.finite_section,
+        )
+        rep = run_suite("gram", tampered)
+        diagonal = [ok for label, _, ok in rep.lines if label.endswith("energy equals diagonal")]
+        assert diagonal == [False, False, False]
+        assert not rep.passed
 
 
 class TestCliCommands:

@@ -127,3 +127,57 @@ def test_finite_norm_is_lazy_and_unchanged():
     assert x._norm is x.norm
     assert VectorName.from_finite(FiniteVector.parse("0:3 1:4")).norm.exact == 5
     assert truncate(x, Fraction(1, 1 << 40)) == (v, 2)
+
+
+# -- names read from their stages ------------------------------------
+
+
+def _within_sqrt(a: Fraction, q: Fraction, e: Fraction) -> bool:
+    """|a - sqrt(q)| <= e, decided exactly."""
+    return (a - e <= 0 or (a - e) ** 2 <= q) and q <= (a + e) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.fractions(min_value=-1, max_value=1, max_denominator=16),
+)
+def test_from_stage_reads_coefficients_and_norm_within_precision(v, j, l, s):
+    # stage(k) = v + delta_k with delta_k = s 2^-k (3/5 e_j + 4/5 e_l) when
+    # j != l, and s 2^-k e_j otherwise: ||delta_k|| <= 2^-k
+    weights = {j: Fraction(3, 5), l: Fraction(4, 5)} if j != l else {j: Fraction(1)}
+    exact = FiniteVector.from_dense(v)
+
+    def stage(k: int) -> FiniteVector:
+        delta = FiniteVector(sorted((i, s * w / (1 << k)) for i, w in weights.items()))
+        return exact.add(delta)
+
+    x = VectorName.from_stage(stage, sum(abs(q) for q in v))
+    for n in (0, 1, 5, 17, 40):
+        e = Fraction(1, 1 << n)
+        for i in range(len(v) + 3):
+            assert abs(x.coeff(i).approx(n).as_fraction() - exact.coefficient(i)) <= e
+        assert _within_sqrt(x.norm.approx(n).as_fraction(), exact.norm_squared(), e)
+
+
+def test_inverse_apply_runs_only_the_stages_read(monkeypatch):
+    # building S^-1 f and its analysis image runs nothing; one coefficient
+    # at 2^-30 reads stage 31 of S^-1 f, which is one run at target 31
+    import framecert.frames as frames_module
+
+    CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
+    targets: list[int] = []
+    run = frames_module._richardson
+
+    def logged(CF, f, g, J, target):
+        targets.append(target)
+        return run(CF, f, g, J, target)
+
+    monkeypatch.setattr(frames_module, "_richardson", logged)
+    g = inverse_apply(CF, VectorName.from_finite(FiniteVector.parse("0:2 1:1/3")))
+    analysis(CF, g)
+    assert targets == []
+    g.coeff(0).approx(30)
+    assert targets == [31]
