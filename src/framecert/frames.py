@@ -438,21 +438,23 @@ def _columns(S: OperatorName):
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
-    """Genuine name of S^-1 f: stage k is the frame algorithm run at target k.
+    """Genuine name of S^-1 f: stage k is a frame-algorithm run at target >= k.
 
     A finite f on a frame with a finite section is solved exactly; its
     coordinates from the section's dimension d on lie outside the frame's
     space and are dropped.  Otherwise nothing runs until a stage is read
-    (||S^-1 f|| <= ||f||/A bounds it beforehand), coefficients and norm
-    are read from the stages, and each run warm-starts from the finest
-    one already computed, so the total iteration count across all
-    queried precisions stays close to a single run at the finest one.
+    (||S^-1 f|| <= ||f||/A bounds it beforehand), and coefficients and
+    norm are read from the stages.  Stage k is the run at the smallest
+    target t >= k already computed, being within 2^-t <= 2^-k; without
+    one, a run at target k warm-starts from the finest coarser run, so
+    the total iteration count across all queried precisions stays close
+    to a single run at the finest one.
     """
     section = CF.finite_section
     if section is not None and f.finite is not None:
-        from .oracle import exact_frame_solve, mat_vec
+        from .oracle import exact_frame_solve
 
-        y = mat_vec(exact_frame_solve(section).S_inv, f.finite.dense(section.d))
+        y = exact_frame_solve(section).solve(f.finite.dense(section.d))
         return VectorName.from_finite(
             FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
         )
@@ -464,7 +466,10 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
 
     def stage(k: int) -> FiniteVector:
         with lock:
-            if k not in cache:
+            finer = [t for t in cache if t >= k]
+            if finer:
+                k = min(finer)
+            else:
                 warm = [t for t in cache if t < k]
                 if warm:
                     t = max(warm)

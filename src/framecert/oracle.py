@@ -1,20 +1,23 @@
 """Exact rational ground truth for finitely many frame vectors in Q^d.
 
-Everything here is computed with exact Fractions: the frame operator,
-its inverse, the canonical dual, Gram/projection matrices, and
-frame-bound enclosures by bisection.  Two eliminations do all the work.
-A symmetric one without pivoting decides (semi)definiteness: the span
+The frame operator, its inverse, the canonical dual, Gram/projection
+matrices and frame-bound enclosures by bisection are exact: Fractions
+go in and come out, and in between a matrix's denominators are cleared
+once and one fraction-free (Bareiss) elimination runs on integers.  Its
+symmetric mode without pivoting decides (semi)definiteness: the span
 test of ExactFrame (the vectors span Q^d exactly when S is positive
 definite), each bisection step, and checks of declared frame bounds.
-A Gauss-Jordan with row pivoting gives inverses and determinants.  The
-kernel is validated against this module, so nothing in it may rely on
-floating point.
+Its Gauss-Jordan mode with row pivoting gives determinants and
+adjugates.  The kernel is validated against this module, so nothing in
+it may rely on floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .dyadic import sqrt_upper
@@ -44,9 +47,12 @@ class ExactFrame:
             raise ValueError("vectors must share a positive dimension")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "S", mat_mul([list(col) for col in zip(*vecs)], vecs))
+        N, D = _cleared(vecs)
+        cols = list(zip(*N))
+        G = [[sum(map(mul, u, v)) for v in cols] for u in cols]
+        object.__setattr__(self, "S", [[Fraction(g, D * D) for g in row] for row in G])
         # the vectors span Q^d exactly when S = sum v v^T is positive definite
-        if not is_positive_definite(self.S):
+        if not _bareiss(G, strict=True):
             raise NonSpanningError(f"vectors do not span Q^{d}")
 
     def __setattr__(self, name, value):
@@ -63,15 +69,16 @@ class ExactFrame:
 
 
 class FrameSolution:
-    """Exact S, S^-1, canonical dual, and rational frame-bound enclosure."""
+    """Exact S, S^-1 (as ``inverse`` = (R, c): S^-1 = c R, R integer),
+    canonical dual, and rational frame-bound enclosure."""
 
-    __slots__ = ("frame", "S", "S_inv", "dual", "bounds_enclosure")
+    __slots__ = ("frame", "S", "inverse", "dual", "bounds_enclosure")
 
-    def __init__(self, frame, S, S_inv, dual, bounds_enclosure):
+    def __init__(self, frame, S, inverse, bounds_enclosure):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "S_inv", S_inv)
-        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "dual", [self.solve(v) for v in frame.vectors])
         object.__setattr__(self, "bounds_enclosure", bounds_enclosure)
 
     def __setattr__(self, name, value):
@@ -84,6 +91,16 @@ class FrameSolution:
     @property
     def upper(self) -> Fraction:
         return self.bounds_enclosure[3]
+
+    @property
+    def S_inv(self) -> Matrix:
+        return _scaled(*self.inverse)
+
+    def solve(self, v: Sequence[Fraction]) -> list[Fraction]:
+        """S^-1 v: one integer product, then one Fraction per coordinate."""
+        R, c = self.inverse
+        (n,), d = _cleared([v])
+        return [Fraction(c.numerator * sum(map(mul, row, n)), c.denominator * d) for row in R]
 
 
 # -- exact linear algebra --------------------------------------------
@@ -109,76 +126,79 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def _gauss_jordan(m: Matrix) -> tuple[Matrix, Fraction]:
-    """Reduce the left square block of the n rows m to I by row pivoting.
+def _cleared(m) -> tuple[list[list[int]], int]:
+    """Integer rows N and the lcm D of the entries' denominators: m = N / D."""
+    D = lcm(*(q.denominator for row in m for q in row))
+    return [[q.numerator * (D // q.denominator) for q in row] for row in m], D
 
-    Returns the reduced rows and the determinant of that block, the
-    signed product of the pivots; both stop at the first column without
-    a pivot, where the determinant is 0.
+
+def _bareiss(m: list[list[int]], strict: bool | None = None) -> int:
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place.
+
+    Every division is exact, and pivot k is the leading principal minor
+    of order k+1 of the rows as pivoted.  Returns the last pivot, or 0
+    where it stops.  With strict None: Gauss-Jordan with row pivoting
+    over the left square block; a swap negates one row, so this is the
+    block's determinant (0 at a column without pivot), and the columns
+    right of the block end as det * block^-1 times their start.  Else
+    symmetric, unpivoted, on the upper triangle: it stops at a pivot < 0,
+    or = 0 when strict or with a nonzero row beyond it; a zero pivot with
+    a zero row drops that row and column and keeps the previous divisor.
     """
-    m = [list(row) for row in m]
+    n, prev = len(m), 1
+    for k in range(n):
+        if strict is None:
+            r = next((r for r in range(k, n) if m[r][k]), k)
+            if not m[r][k]:
+                return 0
+            if r != k:
+                m[k], m[r] = m[r], [-x for x in m[k]]
+        elif m[k][k] < 0 or (m[k][k] == 0 and (strict or any(m[k][k + 1:]))):
+            return 0
+        elif m[k][k] == 0:
+            continue
+        p, top = m[k][k], m[k]
+        for i in range(n) if strict is None else range(k + 1, n):
+            if i != k:
+                row = m[i]
+                a, j = (row[k], k + 1) if strict is None else (top[i], i)
+                row[j:] = [(x * p - a * y) // prev for x, y in zip(row[j:], top[j:])]
+        prev = p
+    return prev
+
+
+def _inverse(m: Matrix) -> tuple[list[list[int]], Fraction]:
+    """(R, c) with R integer and m^-1 = c R: R = adj N and c = D / det N for m = N / D."""
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return m, Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        piv = m[col][col]
-        det *= piv
-        m[col] = [q / piv for q in m[col]]
-        for r in range(n):
-            factor = m[r][col]
-            if r != col and factor != 0:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return m, det
+    N, D = _cleared(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
+    det = _bareiss(rows)
+    if det == 0:
+        raise NonSpanningError("singular matrix")
+    return [row[n:] for row in rows], Fraction(D, det)
+
+
+def _scaled(R: list[list[int]], c: Fraction) -> Matrix:
+    return [[c * x for x in row] for row in R]
 
 
 def mat_inv(m: Matrix) -> Matrix:
-    n = len(m)
-    rows, det = _gauss_jordan([list(r) + e for r, e in zip(m, identity(n))])
-    if det == 0:
-        raise NonSpanningError("singular matrix")
-    return [row[n:] for row in rows]
+    return _scaled(*_inverse(m))
 
 
 def determinant(m: Matrix) -> Fraction:
-    return _gauss_jordan(m)[1]
-
-
-def _definite(m: Matrix, strict: bool) -> bool:
-    """Symmetric elimination without pivoting.
-
-    Pivot k is D_{k+1} / D_k, the ratio of consecutive leading principal
-    minors, so the strict test (every pivot > 0) is Sylvester's
-    criterion.  The semidefinite test admits a zero pivot only with a
-    zero row beyond it.
-    """
-    m = [list(row) for row in m]
-    n = len(m)
-    for k in range(n):
-        piv = m[k][k]
-        if piv < 0 or (piv == 0 and (strict or any(m[k][k + 1:]))):
-            return False
-        if piv == 0:
-            continue
-        for i in range(k + 1, n):
-            factor = m[i][k] / piv
-            if factor:
-                m[i][k + 1:] = [a - factor * b for a, b in zip(m[i][k + 1:], m[k][k + 1:])]
-    return True
+    N, D = _cleared(m)
+    return Fraction(_bareiss(N), D ** len(m))
 
 
 def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion: every leading principal minor is > 0."""
-    return _definite(m, strict=True)
+    """For symmetric m, Sylvester's criterion: every leading principal minor is > 0."""
+    return _bareiss(_cleared(m)[0], strict=True) > 0
 
 
 def is_positive_semidefinite(m: Matrix) -> bool:
     """For symmetric m: every principal minor is >= 0."""
-    return _definite(m, strict=False)
+    return _bareiss(_cleared(m)[0], strict=False) > 0
 
 
 def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
@@ -209,40 +229,38 @@ ENCLOSURE_WIDTH = Fraction(1, 2**20)
 def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(A-, A+, B-, B+) with A- < lambda_min <= A+ and B- <= lambda_max < B+.
 
-    Bisection with the exact positive-definiteness predicate; the outer
-    endpoints are strictly outside the spectrum, so char-poly signs at
-    them are determined.
+    Bisection of [0, trace + 1] with the exact positive-definiteness
+    predicate; the outer endpoints are strictly outside the spectrum, so
+    char-poly signs at them are determined.  For S = N / D and trace + 1
+    = T / D, step e tests lam = a T / (D 2^e) on the integer matrix
+    +-(2^e N - a T I) = +-D 2^e (S - lam I).
     """
-    if not is_positive_definite(S):
+    N, D = _cleared(S)
+    if not _bareiss([list(row) for row in N], strict=True):
         raise NonSpanningError("frame operator is not positive definite")
-    top = sum((S[i][i] for i in range(len(S))), Fraction(0)) + 1
-    neg = [[-q for q in row] for row in S]
+    T = sum(N[i][i] for i in range(len(N))) + D
 
-    def bracket(below) -> tuple[Fraction, Fraction]:
-        lo, hi = Fraction(0), top
-        while hi - lo > ENCLOSURE_WIDTH:
-            mid = (lo + hi) / 2
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
+    def bracket(sign: int) -> tuple[Fraction, Fraction]:
+        a, e = 0, 0
+        while Fraction(T, D << e) > ENCLOSURE_WIDTH:
+            a, e = 2 * a, e + 1
+            c = (a + 1) * T
+            m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
+                 for i, r in enumerate(N)]
+            # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
+            if (_bareiss(m, strict=True) > 0) == (sign > 0):
+                a += 1
+        return Fraction(a * T, D << e), Fraction((a + 1) * T, D << e)
 
-    # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
-    a_minus, a_plus = bracket(lambda lam: is_positive_definite(shift(S, lam)))
-    b_minus, b_plus = bracket(lambda lam: not is_positive_definite(shift(neg, -lam)))
-    return a_minus, a_plus, b_minus, b_plus
+    return bracket(1) + bracket(-1)
 
 
 @lru_cache(maxsize=128)
 def exact_frame_solve(F: ExactFrame) -> FrameSolution:
-    S = F.S
-    S_inv = mat_inv(S)
-    dual = [mat_vec(S_inv, list(v)) for v in F.vectors]
-    bounds = eigenvalue_enclosures(S)
+    bounds = eigenvalue_enclosures(F.S)
     if bounds[0] <= 0:
         raise NonSpanningError("could not certify a positive lower frame bound")
-    return FrameSolution(F, S, S_inv, dual, bounds)
+    return FrameSolution(F, F.S, _inverse(F.S), bounds)
 
 
 def projection_matrix(F: ExactFrame) -> Matrix:
@@ -254,17 +272,8 @@ def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
     """u[l][k] = <phi_l, S^-1 f_k> for the cross-frame coefficient operator."""
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
-    sol = exact_frame_solve(F)
-    return [
-        [
-            sum(
-                (Phi.vectors[l][i] * sol.dual[k][i] for i in range(F.d)),
-                Fraction(0),
-            )
-            for k in range(len(F))
-        ]
-        for l in range(len(Phi))
-    ]
+    dual = exact_frame_solve(F).dual
+    return [[sum(map(mul, phi, g)) for g in dual] for phi in Phi.vectors]
 
 
 def embed(F: ExactFrame):

@@ -179,7 +179,7 @@ class TestEmbed:
         assert CF.analysis_op.col(5).finite.entries == ()
 
 
-# -- both elimination kernels against cofactor expansion ----------------
+# -- both modes of the elimination kernel against cofactor expansion ----
 
 
 def cofactor_det(m) -> Fraction:
@@ -199,23 +199,31 @@ def submatrix(m, idx):
     return [[m[i][j] for j in idx] for i in idx]
 
 
-# small integers plus dyadic shifts
+# small integers plus shifts with mixed denominators, so clearing them
+# takes an lcm; plain ints stand for integer input
 entries = st.builds(
-    lambda a, k: Fraction(a) + Fraction(k, 4),
+    lambda a, k, q: Fraction(a) + Fraction(k, q),
     st.integers(-3, 3),
     st.sampled_from([0, 0, 0, 1, -1, 2]),
+    st.sampled_from([2, 3, 4, 6]),
 )
+int_entries = st.integers(-3, 3)
 
 
 @st.composite
-def square(draw, n=None, symmetric=False):
+def square(draw, n=None, symmetric=False, entry=entries):
     n = n or draw(st.integers(1, 4))
-    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if symmetric:
         m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     if draw(st.booleans()):
         for i in range(n):
-            m[i][i] = Fraction(0)
+            m[i][i] = 0
+    if draw(st.booleans()):
+        # a zero row and column: a zero pivot with nothing beyond it
+        r = draw(st.integers(0, n - 1))
+        for i in range(n):
+            m[r][i] = m[i][r] = 0
     return m
 
 
@@ -233,8 +241,10 @@ def low_rank(draw, symmetric=False):
     ]
 
 
-matrices = st.one_of(square(), low_rank())
-symmetric_matrices = st.one_of(square(symmetric=True), low_rank(symmetric=True))
+matrices = st.one_of(square(), square(entry=int_entries), low_rank())
+symmetric_matrices = st.one_of(
+    square(symmetric=True), square(symmetric=True, entry=int_entries), low_rank(symmetric=True)
+)
 
 
 @settings(max_examples=300, deadline=None)

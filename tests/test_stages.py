@@ -181,3 +181,27 @@ def test_inverse_apply_runs_only_the_stages_read(monkeypatch):
     assert targets == []
     g.coeff(0).approx(30)
     assert targets == [31]
+
+
+def test_inverse_apply_reuses_a_finer_run(monkeypatch):
+    # a run at target 43 is within 2^-40 already, so stage 40 reads it
+    import framecert.frames as frames_module
+
+    CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
+    f = VectorName.from_finite(FiniteVector.parse("0:2 1:1/3"))
+    targets: list[int] = []
+    run = frames_module._richardson
+
+    def logged(CF, f, g, J, target):
+        targets.append(target)
+        return run(CF, f, g, J, target)
+
+    monkeypatch.setattr(frames_module, "_richardson", logged)
+    g = inverse_apply(CF, f)
+    g.coeff(0).approx(42)
+    assert targets == [43]
+    got = g.coeff(1).approx(39).as_fraction()
+    assert targets == [43]
+    fresh = inverse_apply(CF, f).coeff(1).approx(39).as_fraction()
+    assert targets == [43, 40]
+    assert abs(got - fresh) <= Fraction(2, 1 << 39)
