@@ -5,8 +5,9 @@ precision, and prints certified decimals: every value carries an
 explicit "+/- 2^-p" annotation, and output is deterministic for fixed
 spec, flags, and build.
 
-Exit codes: 0 ok, 1 suite failure, 2 parse error, 3 invalid frame,
-4 missing certificate.
+Exit codes: 0 ok, 1 suite failure, 2 parse error, 3 invalid frame
+(including a false ``adjoint_rows``, outside ``verify``), 4 missing
+certificate.
 """
 
 from __future__ import annotations
@@ -230,6 +231,9 @@ def main(argv=None) -> int:
         if args.precision < 0:
             print("error: precision must be nonnegative", file=sys.stderr)
             return EXIT_PARSE
+        # the verify suites are what must catch a false adjoint
+        if spec.false_adjoint is not None and args.command != "verify":
+            raise InvalidFrameError(spec.false_adjoint)
         return handlers[args.command](spec, args, out)
     except SpecFileError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -113,42 +113,25 @@ class CertifiedFrame:
         return self.frame.upper
 
 
-class FrameCoeffName:
-    """Frame-coefficient name: oracle k -> <f, S^-1 f_k> plus the energy."""
+class FrameCoeffName(VectorName):
+    """Frame-coefficient name: the l2 name of k -> <f, S^-1 f_k>.
 
-    __slots__ = ("_coeff", "energy", "_vector")
+    It is a :class:`VectorName`; its energy is norm * norm.
+    """
 
-    def __init__(
-        self,
-        coeff: Callable[[int], RealName],
-        energy: RealName,
-        _vector: Optional[VectorName] = None,
-    ):
-        object.__setattr__(self, "_coeff", _memoized(coeff))
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "_vector", _vector)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameCoeffName is immutable")
-
-    def coeff(self, k: int) -> RealName:
-        if k < 0:
-            raise ValueError("negative coefficient index")
-        return self._coeff(k)
+    @property
+    def energy(self) -> RealName:
+        return lift_arith("mul", self.norm, self.norm)
 
     def as_vector_name(self) -> VectorName:
-        """The coefficient sequence as a full l2 name (norm = sqrt(energy))."""
-        if self._vector is not None:
-            return self._vector
-        from .realnames import sqrt_name
-
-        return VectorName(self.coeff, sqrt_name(self.energy))
+        """The coefficient sequence as a full l2 name: the name itself."""
+        return self
 
     @staticmethod
     def from_vector_name(v: VectorName) -> "FrameCoeffName":
-        return FrameCoeffName(
-            v.coeff, lift_arith("mul", v.norm, v.norm), _vector=v
-        )
+        return FrameCoeffName(v._coeff, v._norm, v.finite, v.support_bound, v.stage)
 
 
 # -- constructors ----------------------------------------------------
@@ -501,7 +484,7 @@ def frame_name_of(CF: CertifiedFrame, f: VectorName) -> FrameCoeffName:
 
 def reconstruct(CF: CertifiedFrame, c: FrameCoeffName) -> VectorName:
     """Decode a frame-coefficient name: f = sum_k c_k f_k."""
-    return synthesis(CF.frame, c.as_vector_name())
+    return synthesis(CF.frame, c)
 
 
 def frame_from_analysis(

@@ -40,8 +40,8 @@ class SequenceGen:
     norm_name (a name of the l2 norm of (a_i)) is present only for
     instances whose norm is actually computable.  sq_tail(N), when
     given, bounds the tail sum of a_i^2 over i >= N: it gives the
-    sequence's names a Cauchy stage, and with it alone the upper-row
-    frame gets a closed-form application of its frame operator.
+    sequence's names a Cauchy stage cheaper than the one certified
+    through the norm.
     """
 
     __slots__ = ("_a", "sq_sum_upper", "norm_name", "sq_tail")
@@ -178,21 +178,21 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
         return row if n == 0 else VectorName.basis(n)
 
     analysis_op = banded_adjoint(rows, Fraction(3))
-    s_action = None if g.sq_tail is None else _upper_row_s_action(row)
     return CertifiedFrame(
-        Frame(U.col, lower, upper), analysis_op, s_action=s_action
+        Frame(U.col, lower, upper), analysis_op, s_action=_upper_row_s_action(row)
     )
 
 
 def _sequence_name(g: SequenceGen, start: int) -> VectorName:
     """(0, ..., 0, a_0, a_1, ...) with a_0 at index start; norm g.norm_name.
 
-    With a tail certificate sq_tail it carries a Cauchy stage: stage k is
-    (a_0, ..., a_{N-1}) for the smallest N with sq_tail(N) <= 4^-k, so it
-    is within 2^-k.  That reads every a_i it keeps exactly; when one of
-    them has no exact value, stage k instead cuts at sq_tail(N) <= 4^-(k+1)
-    and rounds each a_i within 2^-(k+1) / sqrt(N), which costs 2^-(k+1)
-    for the tail plus 2^-(k+1) for the rounding.
+    With a tail certificate sq_tail, stage k is (a_0, ..., a_{N-1}) for
+    the smallest N with sq_tail(N) <= 4^-k, so it is within 2^-k.  That
+    reads every a_i it keeps exactly; when one of them has no exact
+    value, stage k instead cuts at sq_tail(N) <= 4^-(k+1) and rounds each
+    a_i within 2^-(k+1) / sqrt(N), which costs 2^-(k+1) for the tail
+    plus 2^-(k+1) for the rounding.  Without sq_tail the constructor's
+    stage certifies the tail through the norm.
     """
 
     def coeff(n: int) -> RealName:

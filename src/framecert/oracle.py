@@ -1,6 +1,6 @@
 """Exact rational ground truth for finitely many frame vectors in Q^d.
 
-The frame operator, its inverse, the canonical dual, Gram/projection
+The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures by bisection are exact: Fractions
 go in and come out, and in between a matrix's denominators are cleared
 once and one fraction-free (Bareiss) elimination runs on integers.  Its
@@ -69,16 +69,15 @@ class ExactFrame:
 
 
 class FrameSolution:
-    """Exact S, S^-1 (as ``inverse`` = (R, c): S^-1 = c R, R integer),
-    canonical dual, and rational frame-bound enclosure."""
+    """Exact S, S^-1 (as ``inverse`` = (R, c): S^-1 = c R, R integer)
+    and rational frame-bound enclosure."""
 
-    __slots__ = ("frame", "S", "inverse", "dual", "bounds_enclosure")
+    __slots__ = ("frame", "S", "inverse", "bounds_enclosure")
 
     def __init__(self, frame, S, inverse, bounds_enclosure):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "dual", [self.solve(v) for v in frame.vectors])
         object.__setattr__(self, "bounds_enclosure", bounds_enclosure)
 
     def __setattr__(self, name, value):
@@ -209,17 +208,7 @@ def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
     )
 
 
-def char_poly_at(S: Matrix, lam: Fraction) -> Fraction:
-    """det(lam*I - S), evaluated exactly."""
-    return (-1) ** len(S) * determinant(shift(S, lam))
-
-
 # -- the oracle ------------------------------------------------------
-
-
-def frame_operator_matrix(F: ExactFrame) -> Matrix:
-    """S = sum_k f_k f_k^T = V^T V for the rows V of F."""
-    return F.S
 
 
 # Width of each bisected enclosure of eigenvalue_enclosures.
@@ -269,11 +258,18 @@ def projection_matrix(F: ExactFrame) -> Matrix:
 
 
 def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
-    """u[l][k] = <phi_l, S^-1 f_k> for the cross-frame coefficient operator."""
+    """u[l][k] = <phi_l, S^-1 f_k> for the cross-frame coefficient operator.
+
+    With S^-1 = c R, F = N / D and Phi = P / E on integers, u[l][k] is
+    c (P_l . R N_k) / (D E): integer products, then one Fraction per entry.
+    """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
-    dual = exact_frame_solve(F).dual
-    return [[sum(map(mul, phi, g)) for g in dual] for phi in Phi.vectors]
+    R, c = exact_frame_solve(F).inverse
+    (N, D), (P, E) = _cleared(F.vectors), _cleared(Phi.vectors)
+    dual = [[sum(map(mul, row, n)) for row in R] for n in N]
+    num, den = c.numerator, c.denominator * D * E
+    return [[Fraction(num * sum(map(mul, p, g)), den) for g in dual] for p in P]
 
 
 def embed(F: ExactFrame):

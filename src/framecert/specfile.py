@@ -35,17 +35,20 @@ class LoadedSpec:
 
     ``certified`` is None exactly when no analysis certificate can be
     built (norm-free gallery instances); ``section`` is the exact
-    rational ground truth for finite kinds.
+    rational ground truth for finite kinds.  ``false_adjoint`` says why
+    the spec's ``adjoint_rows`` is not its matrix's adjoint, or is None:
+    the spec still loads with it, so that the verify suites can catch it.
     """
 
-    __slots__ = ("kind", "frame", "certified", "section", "declared_bounds")
+    __slots__ = ("kind", "frame", "certified", "section", "declared_bounds", "false_adjoint")
 
-    def __init__(self, kind, frame, certified, section, declared_bounds):
+    def __init__(self, kind, frame, certified, section, declared_bounds, false_adjoint=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "certified", certified)
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "declared_bounds", declared_bounds)
+        object.__setattr__(self, "false_adjoint", false_adjoint)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoadedSpec is immutable")
@@ -133,13 +136,15 @@ def _load_operator(doc) -> LoadedSpec:
             f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
         )
 
-    # the adjoint's column n is row n of the matrix, unless supplied
+    # adjoint_rows[n] is T* e_n, which is row n of the matrix: the only
+    # true value is the matrix itself, compared exactly (shape included)
     adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
+    false_adjoint = None if adj == matrix else "adjoint_rows: row n must be T* e_n, row n of matrix"
     frame = Frame(finite_columns([FiniteVector.from_dense(c) for c in zip(*matrix)]), A, B)
     analysis_col = finite_columns([FiniteVector.from_dense(row) for row in adj])
     analysis_op = OperatorName(analysis_col, sqrt_upper(B), support_bound=len(matrix[0]))
     CF = CertifiedFrame(frame, analysis_op)
-    return LoadedSpec("operator", frame, CF, None, (A, B))
+    return LoadedSpec("operator", frame, CF, None, (A, B), false_adjoint)
 
 
 def _load_gallery(doc) -> LoadedSpec:

@@ -1,18 +1,19 @@
-"""Names of points of l2: Cauchy stages, coefficient oracles and a norm name.
+"""Names of points of l2: one representation, a Cauchy name with its coefficients and norm.
 
-A vector name gives the basis coefficients together with a real name of
-the norm.  The norm component is what makes tail bounds -- and hence
-every infinite sum in the frame calculus -- computable.  An equivalent
-name is a Cauchy name: for each k a finite rational vector ``stage(k)``
-within 2^-k of the point.  Finite vectors are exact, and every other
+Every :class:`VectorName` carries a Cauchy stage: for each k a finite
+rational vector ``stage(k)`` within 2^-k of the point, together with
+coefficient names and a real name of the norm.  The norm is what makes
+tail bounds -- and hence every infinite sum in the frame calculus --
+computable, and a name given as coefficients plus a norm is computably
+equivalent to a Cauchy name.  Finite vectors are exact, and every other
 vector computed here (finite linear combinations, operator images,
 limits, S^-1 f) is built from its stage by :meth:`VectorName.from_stage`,
-which reads the coefficients and the norm from it; :func:`truncate`
-reads the stage directly.  Only names that arrive as coefficients plus a
-norm -- caller or gallery oracles, :func:`strengthen` -- are truncated
-through the norm, by certifying the tail sqrt(||x||^2 - sum_{i<N} x_i^2);
-that costs about twice the bits asked for at every nesting level, where
-a stage costs a constant.
+which reads the coefficients and the norm from it.  A name that arrives
+as coefficients plus a norm -- caller or gallery oracles,
+:func:`strengthen` -- is converted once, by the constructor: its stage k
+cuts where the certified tail sqrt(||x||^2 - sum_{i<N} x_i^2) is at most
+2^-(k+1) and rounds the coordinates before the cut.  :func:`truncate`
+reads a stage, so there is one truncation mechanism.
 
 A :class:`WeakVectorName` deliberately lacks a norm: it models
 coefficientwise data whose norm carries no certificate, and nothing
@@ -22,6 +23,7 @@ here will synthesize against one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
@@ -142,20 +144,19 @@ class FiniteVector:
 
 
 class VectorName:
-    """Full l2 name: coefficient oracle plus a name of the norm.
+    """Full l2 name: a Cauchy stage, a coefficient oracle and a norm name.
 
-    ``stage``, when present, is a Cauchy name of the same point:
     ``stage(k)`` is a finite rational vector with ||x - stage(k)|| <= 2^-k
-    for every k >= 0.  :func:`truncate` reads it in place of a tail bound,
-    so its builder passes it memoized.  A computed name is built by
-    :meth:`from_stage` and its coefficients and norm are read from the
-    stage; the constructor itself serves names given as coefficients
-    plus a norm.
-    ``finite`` is an optional exact payload: when present the vector is
-    exactly that finite rational vector, every stage is the payload, and
-    operations may shortcut.  A finite name may be built with ``norm``
-    None; its norm is then computed on first read.  ``support_bound``,
-    when set, promises coefficient i = 0 for every i >= support_bound.
+    for every k >= 0, and :func:`truncate` reads it.  A computed name is
+    built by :meth:`from_stage` and its coefficients and norm are read
+    from the stage.  A name given as coefficients plus a norm, without a
+    stage, gets one from the constructor (:func:`_oracle_stage`,
+    memoized).  ``finite`` is an optional exact payload: when present the
+    vector is exactly that finite rational vector, every stage is the
+    payload, and operations may shortcut.  A finite name may be built
+    with ``norm`` None; its norm is then computed on first read.
+    ``support_bound``, when set, promises coefficient i = 0 for every
+    i >= support_bound.
     """
 
     __slots__ = ("_coeff", "_norm", "finite", "support_bound", "stage")
@@ -177,6 +178,7 @@ class VectorName:
             stage = lambda k: finite
             if support_bound is None:
                 support_bound = finite.support
+        stage = stage or _memoized(partial(_oracle_stage, self))
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "support_bound", support_bound)
 
@@ -304,44 +306,31 @@ def tail_norm(x: VectorName, N: int) -> RealName:
     return sqrt_name(sq)
 
 
-def truncate(x: VectorName, eps: Fraction) -> tuple[FiniteVector, int]:
-    """Exact finite v and N with ||x - v|| <= eps; terminates for valid names.
+def _oracle_stage(x: VectorName, k: int) -> FiniteVector:
+    """Stage k of a name given as coefficients plus a norm.
 
-    A staged name answers with stage(clog2(1/eps)).  A name without a
-    stage is cut where its certified tail norm drops below eps/2, and the
-    coordinates before the cut are rounded within the other eps/2.
+    It cuts at the support bound when there is one, and otherwise at the
+    first N = 1, 2, 4, ... where the certified tail norm is at most
+    2^-(k+1); the coordinates before the cut are rounded within the rest
+    of 2^-k.
     """
+    N, budget = x.support_bound, Fraction(1, 1 << k)
+    if N is None:
+        N, budget = 1, budget / 2
+        while tail_norm(x, N).approx(k + 3).as_fraction() + Fraction(1, 1 << (k + 3)) > budget:
+            N *= 2
+    # per-coordinate error e with sqrt(N) * e <= budget
+    pc = max(0, clog2(2 * Fraction(isqrt(N) + 1) / budget))
+    return FiniteVector([(i, x.coeff(i).approx(pc).as_fraction()) for i in range(N)])
+
+
+def truncate(x: VectorName, eps: Fraction) -> tuple[FiniteVector, int]:
+    """Exact finite v and its support N with ||x - v|| <= eps: stage clog2(1/eps) of x."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if x.stage is not None:
-        v = x.stage(max(0, clog2(1 / eps)))
-        return v, v.support
-
-    if x.support_bound is not None:
-        N = x.support_bound
-        tail_budget = Fraction(0)
-    else:
-        p = max(0, clog2(8 / eps))
-        N = 1
-        while True:
-            t = tail_norm(x, N).approx(p)
-            if t.as_fraction() + Fraction(1, 1 << p) <= eps / 2:
-                break
-            N *= 2
-        tail_budget = eps / 2
-
-    coord_budget = eps - tail_budget
-    if N == 0:
-        return FiniteVector(), 0
-    # per-coordinate error e with sqrt(N) * e <= coord_budget
-    pc = max(0, clog2(2 * Fraction(isqrt(N) + 1) / coord_budget))
-    entries = []
-    for i in range(N):
-        d = x.coeff(i).approx(pc)
-        if d.mantissa != 0:
-            entries.append((i, d.as_fraction()))
-    return FiniteVector(entries), N
+    v = x.stage(max(0, clog2(1 / eps)))
+    return v, v.support
 
 
 def inner(x: VectorName, y: VectorName) -> RealName:
@@ -391,7 +380,7 @@ def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
         )
     bounds = [v.support_bound for _, v in terms]
     return VectorName.from_stage(
-        lambda j: finite_stage(terms, j),
+        partial(finite_stage, terms),
         sum((s.mag * v.norm.mag for s, v in terms), Fraction(0)),
         None if None in bounds else max(bounds),
     )

@@ -1,11 +1,14 @@
 import argparse
 import io
 import json
-from contextlib import redirect_stdout
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecert.cli import EXIT_SUITE_FAILURE, cmd_reconstruct, main
 from framecert.frames import CertifiedFrame, Frame
@@ -294,6 +297,23 @@ class TestCliCommands:
             == 4
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds",),
+            ("dual", "-p", "20"),
+            ("analyze", "--vector", "0:1 1:1"),
+            ("reconstruct", "--vector", "0:1"),
+        ],
+    )
+    def test_false_adjoint_rows_exit_3(self, argv):
+        # outside verify, a false adjoint_rows is rejected before any output
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv[0], str(FIXTURES / "corrupted_dual.json"), *argv[1:])
+        assert (code, out) == (3, "")
+        assert "adjoint_rows" in err.getvalue()
+
     def test_gallery_listing(self):
         code, out = run_cli("gallery")
         assert code == 0
@@ -303,3 +323,60 @@ class TestCliCommands:
         a = run_cli("dual", str(FIXTURES / "mercedes.json"), "-p", "25")
         b = run_cli("dual", str(FIXTURES / "mercedes.json"), "-p", "25")
         assert a == b
+
+
+# -- adjoint_rows against the exact analysis coefficients -----------------
+
+
+@st.composite
+def operator_specs(draw):
+    """A spanning 2 x 3 matrix with exact bounds, and its adjoint_rows choice.
+
+    For S = M M^T with eigenvalues l1 <= l2: l2 <= trace and l1 = det/l2 >=
+    det/trace, so [det/trace, trace] are true bounds.
+    """
+    entry = st.integers(min_value=-2, max_value=2)
+    M = draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=2, max_size=2))
+    S = [[sum(a * b for a, b in zip(u, v)) for v in M] for u in M]
+    det, trace = S[0][0] * S[1][1] - S[0][1] ** 2, S[0][0] + S[1][1]
+    if det == 0:
+        M, det, trace = [[1, 0, 1], [0, 1, 1]], 3, 4
+    adjoint = draw(st.sampled_from(["absent", "matrix", "transpose", "changed"]))
+    adj = [row[:] for row in M]
+    if adjoint == "transpose":
+        adj = [list(col) for col in zip(*M)]
+    elif adjoint == "changed":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+        adj[i][j] += draw(st.sampled_from([-1, 1]))
+    doc = {"kind": "operator", "matrix": M, "bounds": [str(Fraction(det, trace)), str(trace)]}
+    if adjoint != "absent":
+        doc["adjoint_rows"] = adj
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    operator_specs(),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=2, max_size=2),
+    st.integers(min_value=1, max_value=40),
+)
+def test_analyze_exits_3_exactly_on_a_false_adjoint(doc, f, p):
+    M = doc["matrix"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.json"
+        path.write_text(json.dumps(doc))
+        vector = " ".join(f"{i}:{q}" for i, q in enumerate(f))
+        with redirect_stderr(io.StringIO()):
+            code, out = run_cli("analyze", str(path), "--vector", vector, "-p", str(p))
+    false = doc.get("adjoint_rows", M) != M
+    assert code == (3 if false else 0)
+    if false:
+        return
+    # coefficient k is <f, f_k> with f_k column k of M, and 0 beyond
+    want = [sum(f[i] * M[i][k] for i in range(2)) for k in range(3)]
+    printed = re.findall(r"^  (\d+): (\S+) ± 2\^-(\d+)$", out, re.M)
+    assert len(printed) == max((i + 1 for i, q in enumerate(f) if q), default=0) + 4
+    for k, value, bits in printed:
+        exact = want[int(k)] if int(k) < 3 else 0
+        assert int(bits) == p
+        assert abs(_decimal_fraction(value) - exact) <= Fraction(1, 1 << p)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from framecert.frames import (
 from framecert.operators import OperatorName, banded_adjoint, from_finite_matrix
 from framecert.oracle import ExactFrame, embed, exact_frame_solve, mat_vec
 from framecert.realnames import RealName
+from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, sqrt_of_fraction
 
 
@@ -189,6 +191,16 @@ class TestPseudoInverse:
         for n in (10, 18):
             assert abs(approx(back.coeff(0), n) - 1) <= 8 * tol(n)
             assert abs(approx(back.coeff(1), n) - 2) <= 8 * tol(n)
+
+    def test_is_a_vector_name_with_energy_norm_squared(self):
+        shear = load_spec(str(Path(__file__).resolve().parent.parent / "fixtures" / "riesz_shear.json"))
+        for CF, f in ((mercedes(), vec("0:1 1:2")), (shear.certified, vec("0:1 1:-1/2"))):
+            c = pseudo_inverse(CF, f)
+            assert isinstance(c, VectorName) and c.as_vector_name() is c
+            for n in (10, 30):
+                # |a^2 - b| <= tol(n + 10) (2 |a| + 1) + 2^-n for a within 2^-(n+10) of ||c||
+                a = approx(c.norm, n + 10)
+                assert abs(approx(c.energy, n) - a * a) <= tol(n) + tol(n + 10) * (2 * abs(a) + 1)
 
     def test_coeff_name_from_vector(self):
         c = FrameCoeffName.from_vector_name(vec("0:3 1:4"))

@@ -119,6 +119,56 @@ def test_truncate_of_staged_name_is_within_eps(frame, ops, qs, k):
     assert err_sq <= Fraction(1, 1 << (2 * k))
 
 
+@st.composite
+def oracle_names(draw):
+    """A name given as coefficients plus a norm, every exact value hidden.
+
+    Returns the name, a function i -> its exact coefficient, its exact
+    tail energy sum_{i >= M} x_i^2 as a function of M, and the list that
+    records the precision of every coefficient query.  The vector is a
+    finite list (with or without a support bound) or c 4^-i.
+    """
+    asked: list[int] = []
+    if draw(st.booleans()):
+        q = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=9), max_size=5))
+        exact = lambda i: q[i] if i < len(q) else Fraction(0)
+        tail = lambda M: sum((c * c for c in q[M:]), Fraction(0))
+        bound = draw(st.sampled_from([None, len(q), len(q) + 2]))
+    else:
+        c = draw(st.fractions(min_value=-2, max_value=2, max_denominator=9))
+        exact = lambda i: c / 4**i
+        tail = lambda M: c * c * Fraction(16, 15) / 16**M
+        bound = None
+    sq = tail(0)
+
+    def coeff(i: int) -> RealName:
+        def fn(n: int) -> Dyadic:
+            asked.append(n)
+            return round_fraction(exact(i), n)
+
+        return RealName(fn, abs(exact(i)))
+
+    def norm(n: int) -> Dyadic:
+        return Dyadic(isqrt(sq.numerator * (1 << (2 * n)) // sq.denominator), -n)
+
+    x = VectorName(coeff, RealName(norm, isqrt(int(sq)) + 1), support_bound=bound)
+    return x, exact, tail, asked
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_names(), st.integers(min_value=0, max_value=40))
+def test_oracle_name_stages_are_within_precision(name, k):
+    x, exact, tail, asked = name
+    eps = Fraction(1, 1 << k)
+    v, n = truncate(x, eps)
+    assert n == v.support and v is x.stage(k)
+    err_sq = sum(((v.coefficient(i) - exact(i)) ** 2 for i in range(n)), Fraction(0)) + tail(n)
+    assert err_sq <= eps * eps
+    before = len(asked)
+    assert truncate(x, eps) == (v, n)
+    assert len(asked) == before
+
+
 def test_finite_norm_is_lazy_and_unchanged():
     v = FiniteVector.parse("0:1 1:1")
     x = VectorName.from_finite(v)

@@ -4,7 +4,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecert.realnames import RealName, lift_arith
+from framecert.dyadic import round_fraction
+from framecert.realnames import RealName, lift_arith, sqrt_name
 from framecert.vectors import (
     FiniteVector,
     VectorName,
@@ -93,6 +94,25 @@ class TestTruncate:
         for i in range(max(n, v.support) + 60):
             diff_sq += (Fraction(1, 2 ** (i + 1)) - v.coefficient(i)) ** 2
         assert diff_sq <= eps * eps
+
+
+def test_deep_chain_over_an_oracle_leaf_answers():
+    # 200 nested combinations over a name given as coefficients plus a
+    # norm: every level reads a stage of the one below, so the chain's
+    # depth is bounded by the recursion limit, not by the leaf's stage
+    def coeff(i):
+        q = Fraction(1, 2 ** (i + 1)) if i < 2 else Fraction(0)
+        return RealName(lambda n: round_fraction(q, n), q)
+
+    x = VectorName(coeff, sqrt_of_fraction(Fraction(5, 16)))
+    h = sqrt_name(RealName.from_fraction(Fraction(1, 2)))
+    for _ in range(200):
+        x = linear_combo([(h, x), (RealName.from_fraction(1), VectorName.basis(1))])
+    # x_0 = 2^-101 and x_1 = 2^-102 + sum_{j<200} 2^-(j/2)
+    assert abs(approx(x.coeff(0), 20)) <= tol(20)
+    r = sqrt_oracle(Fraction(1, 2))
+    x1 = (1 - r**200) / (1 - r)
+    assert abs(approx(x.coeff(1), 20) - x1) <= tol(20) + tol(40)
 
 
 class TestInner:
