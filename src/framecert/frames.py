@@ -7,30 +7,22 @@ coefficientwise analysis is available (a :class:`WeakVectorName`): the
 type system encodes the boundary between what is and is not computable
 from frame data alone.
 
-The frame operator is inverted by relaxed Richardson iteration with
-relaxation 2/(A+B), which converges at the explicit geometric rate
-(B-A)/(B+A); the rational bounds turn directly into a modulus of
-convergence, which is exactly what a name of S^-1 f needs.  One driver
-serves :func:`frame_algorithm` (one cold start) and :func:`inverse_apply`
-(every precision, warm-started); a tight frame is its case r = 0 and
-takes one step.  The driver runs in fixed point: the iterate is integer
-mantissas on one grid 2^-G, GUARD_BITS finer than the step budget, and
-Fractions appear only at its input and output.  It applies S through one
-contract, (m, G, budget) -> mantissas on 2^-G within budget: the frame's
-closed-form ``s_action`` when it has one, and otherwise the columns of
-:func:`frame_operator` (:func:`_columns`), kept as integers over one
-common denominator so that a step is one sparse integer mat-vec and one
-rounding.  A finite column (finite sections, Riesz and operator specs)
-is read exactly; any other column is read at a Cauchy stage fine enough
-for the step budget.  A finite vector on a finite section is solved
-exactly.
+S^-1 f is certified a posteriori: since S >= A I, an iterate g is within
+||f - S g|| / A of S^-1 f, and that residual is checked exactly on an
+integer grid.  Conjugate gradients in fixed point produce the iterate
+(:func:`_conjugate_gradients`, behind :func:`frame_algorithm` and every
+stage of :func:`inverse_apply`); relaxed Richardson iteration, with its
+a-priori geometric rate (B-A)/(B+A), is the fallback.  Both apply S one
+way, through the columns of :func:`frame_operator` (:func:`_columns`):
+finite columns exactly, any other at a Cauchy stage.  A finite vector on
+a finite section is solved exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Optional
 
 from .dyadic import _smallest, clog2, div_nearest, sqrt_upper
@@ -73,30 +65,15 @@ class CertifiedFrame:
     ``finite_section`` optionally carries the exact rational vectors of
     an embedded finite-dimensional frame: :func:`inverse_apply` solves
     finite vectors on it exactly, and the verify suites compare with its
-    exact projection.  It does not select how the frame algorithm
-    applies S.  ``s_action`` optionally supplies a closed form of S for
-    frames that have one; without it the frame algorithm reads S from
-    the columns of :func:`frame_operator`, through :func:`_columns`.
-    Both keep one contract: a callable (m, G, budget) -> y taking
-    integer mantissas m of x = m 2^-G (a dict index -> int) to mantissas
-    y on the same grid with ||y 2^-G - S x|| <= budget in l2.  Callers
-    keep G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid
-    fits in the budget.
+    exact projection.
     """
 
-    __slots__ = ("frame", "analysis_op", "finite_section", "s_action")
+    __slots__ = ("frame", "analysis_op", "finite_section")
 
-    def __init__(
-        self,
-        frame: Frame,
-        analysis_op: OperatorName,
-        finite_section=None,
-        s_action=None,
-    ):
+    def __init__(self, frame: Frame, analysis_op: OperatorName, finite_section=None):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
-        object.__setattr__(self, "s_action", s_action)
 
     def __setattr__(self, name, value):
         raise AttributeError("CertifiedFrame is immutable")
@@ -250,15 +227,13 @@ class FrameAlgorithmResult:
         raise AttributeError("FrameAlgorithmResult is immutable")
 
 
-# Guard bits of the Richardson grid beyond the step budget b: with
+# Guard bits of the drivers' grid beyond the step budget b: with
 # 2^-G <= b 2^-GUARD_BITS, rounding n <= 2^64 coordinates to the nearest
 # multiples of 2^-G costs at most sqrt(n) 2^-(G+1) <= 2^-(G-31) <= b/4.
 GUARD_BITS = 33
 
 
-def iteration_budget(
-    A: Fraction, B: Fraction, f_mag: Fraction, target: int
-) -> int:
+def iteration_budget(A: Fraction, B: Fraction, f_mag: Fraction, target: int) -> int:
     """Smallest J >= 1 with r^J * ||f||/A <= 2^-(target+2), r = (B-A)/(B+A)."""
     return _step_count((B - A) / (B + A), max(f_mag, Fraction(1)) / A, target)
 
@@ -272,78 +247,155 @@ def _step_count(r: Fraction, err: Fraction, target: int) -> int:
     return _smallest(lambda J: r**J * err <= goal)
 
 
-def frame_algorithm(
-    CF: CertifiedFrame, f: VectorName, target: int
-) -> FrameAlgorithmResult:
-    """Approximate S^-1 f within 2^-target by relaxed Richardson iteration.
+def frame_algorithm(CF: CertifiedFrame, f: VectorName, target: int) -> FrameAlgorithmResult:
+    """Approximate S^-1 f within 2^-target from g_0 = 0.
 
-    g_{j+1} = g_j + (2/(A+B)) (f - S g_j) from g_0 = 0, for the
-    :func:`iteration_budget` number of steps: one when A = B, where the
-    contraction r is 0.
+    One run of :func:`_conjugate_gradients`; ``iterations`` counts its
+    steps, including any Richardson steps it falls back to.
+    ``relaxation`` and ``contraction`` are those of the fallback.
     """
     if target < 0:
         raise ValueError("target precision must be nonnegative")
     A, B = CF.lower, CF.upper
-    J = iteration_budget(A, B, f.norm.mag, target)
-    g = _richardson(CF, f, {}, J, target)
+    g, steps = _conjugate_gradients(CF, f, {}, target)
     vec = VectorName.from_finite(FiniteVector(sorted(g.items())))
-    return FrameAlgorithmResult(vec, J, Fraction(2) / (A + B), (B - A) / (B + A), target)
+    return FrameAlgorithmResult(vec, steps, Fraction(2) / (A + B), (B - A) / (B + A), target)
+
+
+# Conjugate-gradient steps before a run falls back to Richardson.
+CG_STEPS = 64
+
+
+def _conjugate_gradients(
+    CF: CertifiedFrame, f: VectorName, g: dict[int, Fraction], target: int
+) -> tuple[dict[int, Fraction], int]:
+    """S^-1 f within 2^-target, from g: (iterate, steps including any fallback).
+
+    Conjugate gradients (Hestenes-Stiefel) in fixed point on the grid of
+    :func:`_setup`, with its step budget b = A 2^-(target+3): the iterate
+    x, the residual r and the direction p are integer mantissas, and each
+    coordinate update is one integer ``div_nearest`` by p.q or r.r, where
+    q is S p from the S contract.  The steps only steer; the answer is
+    certified a posteriori.
+
+    Certificate.  Let f' be f without the coordinates whose analysis
+    column is exactly zero.  Hypothesis: S is self-adjoint with S >= A I
+    on a space holding f' and every iterate (combinations of f_G and
+    images under S).  Then ||S^-1 f' - x|| <= ||f' - S x|| / A.  f_G is
+    within b/2 + b/4 = 3b/4 of f', and y = S x from the contract is
+    within b of S x, so ||f' - S x|| <= ||f_G - y|| + 7b/4.  The run
+    returns x once the integer N = ||m(f_G) - m(y)||^2 satisfies
+    N <= ((A 2^-(target+1) - 7b/4) 2^G)^2, decided exactly; x is then
+    within 2^-(target+1) of S^-1 f'.  The check costs one application of
+    S, so it runs only once the recursive residual r.r passes the same
+    test; a failed check replaces r by m(f_G) - m(y) and restarts the
+    directions.  A warm start's first residual is such a check.
+
+    Fallback.  After CG_STEPS steps without a certificate, or at
+    p.q <= 0, the run continues with :func:`_richardson` from x, whose
+    proof needs only err >= ||S^-1 f' - x||: the certified
+    err = (ceil(sqrt(N)) 2^-G + 7b/4) / A sets its step count.  With true
+    bounds, A p.p - s <= p.q <= B p.p + s for the slack
+    s = ceil(sqrt(p.p)) (b 2^G + 1) of q's error; a step outside that
+    range proves the declared bounds false, and the run is then the cold
+    Richardson run of :func:`iteration_budget` steps.
+    """
+    A, B = CF.lower, CF.upper
+    b, G, apply_s, residual = _setup(CF, f, target)
+    bound = (A / (1 << (target + 1)) - 7 * b / 4) * (1 << G)
+    num, den = bound.numerator**2, bound.denominator**2
+    x = _to_grid(g.items(), G)
+    r = p = residual(x)
+    rr, checked, steps = _dot(r, r), True, 0
+    while steps < CG_STEPS:
+        if rr * den <= num:
+            if checked:
+                return _from_grid(x, G), steps
+            r = p = residual(x)
+            rr, checked = _dot(r, r), True
+            continue
+        q = apply_s(p, G, b)
+        pp, pq = _dot(p, p), _dot(p, q)
+        slack = _ceil_sqrt(pp) * (b * (1 << G) + 1)
+        if not A * pp - slack <= pq <= B * pp + slack:
+            J = iteration_budget(A, B, f.norm.mag, target)
+            return _richardson(CF, f, {}, J, target), J
+        if pq <= 0:
+            break
+        x, r = _combine(x, p, rr, pq), _combine(r, q, -rr, pq)
+        rr, old = _dot(r, r), rr
+        p, checked, steps = _combine(r, p, rr, old), False, steps + 1
+    if not checked:
+        r = residual(x)
+        rr = _dot(r, r)
+    err = (Fraction(_ceil_sqrt(rr), 1 << G) + 7 * b / 4) / A
+    J = _step_count((B - A) / (B + A), err, target)
+    return _richardson(CF, f, _from_grid(x, G), J, target), steps + J
 
 
 def _richardson(
-    CF: CertifiedFrame,
-    f: VectorName,
-    g: dict[int, Fraction],
-    J: int,
-    target: int,
+    CF: CertifiedFrame, f: VectorName, g: dict[int, Fraction], J: int, target: int
 ) -> dict[int, Fraction]:
     """J steps of g <- g + w (f - S g), w = 2/(A+B), from g, aiming at 2^-target.
 
-    The iterate is held as integer mantissas m, g = m 2^-G, on one grid
-    fixed for the run: G = clog2(max(1, 1/w) / b) + GUARD_BITS for the
-    step budget b = A 2^-(target+3).  One step is
-    m_i <- m_i + round(w (f_i - y_i)) with y within b of S g.  Rounding
-    n <= 2^64 coordinates to the grid costs at most sqrt(n) 2^-(G+1)
-    <= min(1, w) b/4 in l2.  f is truncated within b/2 and rounded onto
-    the grid once.  So each step errs from the exact one by at most
-    w b (from f) + w b (from S) + w b/4 (rounding).  Iterating contracts
-    by r = (B-A)/(B+A) and 1/(1-r) = 1/(w A), so the errors add up to at
-    most (9/4) b/A < 2^-(target+1) on top of the geometric iteration
-    error r^J ||S^-1 f - g||, which the caller's J keeps below
-    2^-(target+2).  A warm start from a coarser run lies on a coarser
-    grid and converts exactly.  Coordinates n of f whose analysis column
-    T* e_n is exactly zero are dropped: e_n is orthogonal to every f_k,
-    so S e_n = 0 and each step would add them again.
+    On the grid of :func:`_setup`, one step is
+    m_i <- m_i + round(w (f_i - y_i)) with y within b of S g, and rounding
+    costs at most min(1, w) b/4 in l2.  So each step errs from the exact
+    one by at most w b (from f, within 3b/4) + w b (from S) + w b/4.
+    Iterating contracts by r = (B-A)/(B+A) and 1/(1-r) = 1/(w A), so the
+    errors add up to at most (9/4) b/A < 2^-(target+1) on top of the
+    geometric iteration error r^J ||S^-1 f - g||, which the caller's J
+    keeps below 2^-(target+2).  A start on a coarser grid converts exactly.
+    """
+    w = Fraction(2) / (CF.lower + CF.upper)
+    _, G, _, residual = _setup(CF, f, target)
+    m = _to_grid(g.items(), G)
+    for _ in range(J):
+        m = _combine(m, residual(m), w.numerator, w.denominator)
+    return _from_grid(m, G)
 
-    S g comes from the frame's ``s_action`` when it has one, and
-    otherwise from the columns of ``frame_operator(CF)``
-    (:func:`_columns`); both return mantissas on the grid within b.
+
+def _setup(CF: CertifiedFrame, f: VectorName, target: int):
+    """(b, G, S contract, residual) of one run: step budget b = A 2^-(target+3)
+    and grid 2^-G, G = clog2(max(1, (A+B)/2) / b) + GUARD_BITS, so rounding
+    onto it costs at most min(1, 2/(A+B)) b/4.  f_G is f truncated within
+    b/2 and rounded onto the grid, without the coordinates n whose analysis
+    column T* e_n is exactly zero: e_n is orthogonal to every f_k, so
+    S e_n = 0 and each step would add them again.  S is read from the
+    columns of ``frame_operator(CF)`` (:func:`_columns`), and residual(m) is
+    m(f_G) - m(y) for y within b of S (m 2^-G).
     """
     A, B = CF.lower, CF.upper
-    omega = Fraction(2) / (A + B)
-    step_budget = A * Fraction(1, 1 << (target + 3))
-    G = clog2(max(Fraction(1), 1 / omega) / step_budget) + GUARD_BITS
-    f_fin, _ = truncate(f, step_budget / 2)
+    b = A * Fraction(1, 1 << (target + 3))
+    G = clog2(max(Fraction(1), (A + B) / 2) / b) + GUARD_BITS
+    f_fin, _ = truncate(f, b / 2)
     fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
-    m = _to_grid(g.items(), G)
-    apply_s = CF.s_action or _columns(frame_operator(CF))
+    apply_s = _columns(frame_operator(CF))
 
-    # round(w (f_i - y_i)) = floor((a (f_i - y_i) + half) / den) for w = a/den,
-    # half = floor(den/2): off by at most 1/2, also for odd den
-    a, den = omega.numerator, omega.denominator
-    half = den // 2
-    fa = {i: a * v for i, v in fm.items()}
-    for _ in range(J):
-        y = apply_s(m, G, step_budget)
-        nxt = dict(m)
-        for i in fa.keys() | y.keys():
-            v = nxt.get(i, 0) + (fa.get(i, 0) - a * y.get(i, 0) + half) // den
-            if v:
-                nxt[i] = v
-            else:
-                nxt.pop(i, None)
-        m = nxt
-    return _from_grid(m, G)
+    def residual(m: dict[int, int]) -> dict[int, int]:
+        return _combine(fm, apply_s(m, G, b), -1, 1)
+
+    return b, G, apply_s, residual
+
+
+def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, int]:
+    """Nonzero entries of u + round(a v / c) for c > 0, rounded within 1/2."""
+    out = dict(u)
+    for i, w in v.items():
+        t = out.get(i, 0) + div_nearest(a * w, c)
+        if t:
+            out[i] = t
+        else:
+            out.pop(i, None)
+    return out
+
+
+def _ceil_sqrt(n: int) -> int:
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _dot(u: dict[int, int], v: dict[int, int]) -> int:
+    return sum(w * v.get(i, 0) for i, w in u.items())
 
 
 def _to_grid(entries, G: int) -> dict[int, int]:
@@ -367,12 +419,16 @@ def _outside_span(CF: CertifiedFrame, n: int) -> bool:
 
 
 def _columns(S: OperatorName):
-    """S as an ``s_action`` (see :class:`CertifiedFrame`), read from its columns.
+    """The one way to apply S in the drivers, read from its columns.
 
-    Column n of S is read on first use: exactly when it is a finite
-    vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with the
-    sum over the columns that are not finite, so their errors add up to
-    at most budget/2; it is read again at a finer stage when a later x
+    The contract is a callable (m, G, budget) -> y taking integer
+    mantissas m of x = m 2^-G (a dict index -> int) to mantissas y on the
+    same grid with ||y 2^-G - S x|| <= budget in l2; callers keep
+    G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
+    the budget.  Column n of S is read on first use: exactly when it is a
+    finite vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with
+    the sum over the columns that are not finite, so their errors add up
+    to at most budget/2; it is read again at a finer stage when a later x
     needs one.  All columns are kept as integers over one common
     denominator D, which grows when a column brings a new denominator.
     The integer combination y of them is S x D 2^G (up to the stages'
@@ -383,7 +439,7 @@ def _columns(S: OperatorName):
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
     D = 1
 
-    def s_action(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
+    def apply_s(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
         nonlocal D
         new = {}
         for n in x:
@@ -417,7 +473,7 @@ def _columns(S: OperatorName):
             y = {i: div_nearest(v, D) for i, v in y.items()}
         return y
 
-    return s_action
+    return apply_s
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
@@ -429,9 +485,8 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     (||S^-1 f|| <= ||f||/A bounds it beforehand), and coefficients and
     norm are read from the stages.  Stage k is the run at the smallest
     target t >= k already computed, being within 2^-t <= 2^-k; without
-    one, a run at target k warm-starts from the finest coarser run, so
-    the total iteration count across all queried precisions stays close
-    to a single run at the finest one.
+    one, a certified run at target k (:func:`_conjugate_gradients`)
+    starts from the finest run computed so far.
     """
     section = CF.finite_section
     if section is not None and f.finite is not None:
@@ -442,8 +497,6 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
             FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
         )
 
-    A, B = CF.lower, CF.upper
-    r = (B - A) / (B + A)
     cache: dict[int, dict[int, Fraction]] = {}
     lock = threading.Lock()
 
@@ -453,17 +506,12 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
             if finer:
                 k = min(finer)
             else:
-                warm = [t for t in cache if t < k]
-                if warm:
-                    t = max(warm)
-                    g, J = cache[t], _step_count(r, Fraction(1, 1 << t), k)
-                else:
-                    g, J = {}, iteration_budget(A, B, f.norm.mag, k)
-                cache[k] = _richardson(CF, f, g, J, k)
+                g = cache[max(cache)] if cache else {}
+                cache[k], _ = _conjugate_gradients(CF, f, g, k)
         return FiniteVector(sorted(cache[k].items()))
 
     return VectorName.from_stage(
-        stage, f.norm.mag / A, None if section is None else section.d
+        stage, f.norm.mag / CF.lower, None if section is None else section.d
     )
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Callable, Optional
 
-from .dyadic import Dyadic, _smallest, clog2, div_nearest, round_fraction, sqrt_upper
+from .dyadic import Dyadic, _smallest, clog2, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
 from .realnames import ZERO_NAME, RealName, _memoized, lift_arith
@@ -178,9 +178,7 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
         return row if n == 0 else VectorName.basis(n)
 
     analysis_op = banded_adjoint(rows, Fraction(3))
-    return CertifiedFrame(
-        Frame(U.col, lower, upper), analysis_op, s_action=_upper_row_s_action(row)
-    )
+    return CertifiedFrame(Frame(U.col, lower, upper), analysis_op)
 
 
 def _sequence_name(g: SequenceGen, start: int) -> VectorName:
@@ -209,59 +207,6 @@ def _sequence_name(g: SequenceGen, start: int) -> VectorName:
 
     staged = None if g.sq_tail is None else _memoized(stage)
     return VectorName(coeff, g.norm_name, stage=staged)
-
-
-def _upper_row_s_action(row: VectorName):
-    """Closed-form frame-operator application from the staged row 0 of U.
-
-    U = I + e_0 a'^T has row 0 a = (a_i), and S = U U*.  Stage k of the
-    row gives a finite â within 2^-k of a, and V, which is U with row 0
-    replaced by â, has (V V* x)_0 = x_0 sum_i â_i^2 + sum_{i>=1} â_i x_i
-    and (V V* x)_j = â_j x_0 + x_j for j >= 1.  ||U - V|| <= 2^-k,
-    ||U|| <= 1 + ||a'|| < 2 (a_0 = 1, square sum below 2) and
-    ||V|| < 2 + 2^-k, so ||S x - V V* x|| <= 5 2^-k sum |x_i|; k is the
-    smallest with that at most budget/2.  Inputs and outputs are
-    mantissas on the grid 2^-G (see :class:`CertifiedFrame`); the N
-    coordinates below the stage's support are rounded once each, at
-    most sqrt(N) 2^-(G+1) <= budget/2 in l2 when
-    G >= clog2(1/budget) + GUARD_BITS.  Each stage is read once into
-    integers (c, L, cq) with â_i = c[i] / L and cq = sum c_i^2, so a
-    step does integer arithmetic only.
-    """
-
-    def integers(k: int) -> tuple[list[int], int, int]:
-        stage = row.stage(k)
-        L = lcm(*(q.denominator for _, q in stage.entries))
-        c = [0] * stage.support
-        for i, q in stage.entries:
-            c[i] = q.numerator * (L // q.denominator)
-        return c, L, sum(v * v for v in c)
-
-    table = _memoized(integers)
-
-    def s_action(m: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
-        # smallest k >= 0 with 10 M 2^-G 2^-k <= budget, M = sum |m_i|:
-        # with M d <= e 2^k for d = 10 budget.denominator and
-        # e = budget.numerator 2^G, k is one of two values from bit lengths
-        Md = 10 * budget.denominator * sum(abs(v) for v in m.values())
-        e = budget.numerator << G
-        k = max(0, Md.bit_length() - e.bit_length())
-        if Md > e << k:
-            k += 1
-        c, L, cq = table(k)
-        N = len(c)
-        m0 = m.get(0, 0)
-        out = {i: v for i, v in m.items() if i >= 1}
-        head = m0 * cq + L * sum(v * c[i] for i, v in out.items() if i < N)
-        if m0:
-            # div_nearest(c[j] * m0, L), inlined: this loop is the hot one
-            m2, L2 = 2 * m0, 2 * L
-            for j in range(1, N):
-                out[j] = out.get(j, 0) + (c[j] * m2 + L) // L2
-        out[0] = div_nearest(head, L * L)
-        return {i: v for i, v in out.items() if v}
-
-    return s_action
 
 
 def lower_column_operator(g: SequenceGen) -> OperatorName:

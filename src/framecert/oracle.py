@@ -201,10 +201,17 @@ def is_positive_semidefinite(m: Matrix) -> bool:
 
 
 def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
-    """A*I <= M M^T <= B*I, decided exactly (M holds synthesis columns)."""
-    S = mat_mul(M, [list(col) for col in zip(*M)])
-    return is_positive_semidefinite(shift(S, A)) and is_positive_semidefinite(
-        shift([[-q for q in row] for row in S], -B)
+    """A*I <= M M^T <= B*I, decided exactly (M holds synthesis columns).
+
+    M = N / D is cleared once, so D^2 M M^T is the integer G = N N^T, and
+    a bound q = a/c holds on one side when +-(c G - a D^2 I) >= 0.
+    """
+    N, D = _cleared(M)
+    G = [[sum(map(mul, u, v)) for v in N] for u in N]
+    return all(
+        _bareiss([[s * (q.denominator * g - q.numerator * D * D * (i == j)) for j, g in enumerate(row)]
+                  for i, row in enumerate(G)], strict=False) > 0
+        for q, s in ((A, 1), (B, -1))
     )
 
 

@@ -145,7 +145,7 @@ def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
 
 
 def max_iterations(A: Fraction, B: Fraction, f_mag: Fraction, p: int) -> int:
-    """Ceiling bound on Richardson iterations at precision p."""
+    """Ceiling on frame-algorithm steps at precision p: the Richardson budget's."""
     if A == B:
         return 1
     ratio = float((B + A) / (B - A))

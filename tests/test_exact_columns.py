@@ -1,11 +1,11 @@
-"""One column reader for S in the Richardson driver.
+"""One column reader for S in the drivers.
 
-Without an ``s_action`` the driver reads the columns of
-``frame_operator(CF)``: exactly where they are finite vectors (finite
-sections, Riesz specs and operator specs), and through a Cauchy stage
-otherwise (the benign gallery frame's column 0, whose analysis column is
-the whole sequence).  Answers are checked against exact Fractions from
-``framecert.oracle`` and against the benign frame's ``s_action``.
+The drivers read the columns of ``frame_operator(CF)``: exactly where
+they are finite vectors (finite sections, Riesz specs and operator
+specs), and through a Cauchy stage otherwise (the benign gallery frame's
+column 0, whose analysis column is the whole sequence).  Answers are
+checked against exact Fractions from ``framecert.oracle`` and against
+closed forms.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert import frames, vectors
-from framecert.frames import CertifiedFrame, frame_algorithm, inverse_apply
+from framecert.frames import CertifiedFrame, frame_algorithm, inverse_apply, iteration_budget
 from framecert.gallery import (
     SequenceGen,
     benign_sequence,
@@ -31,6 +31,7 @@ from framecert.realnames import RealName, scale, sqrt_name
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
+from framecert.verify import max_iterations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LADDER = (32, 64, 96, 128)
@@ -114,6 +115,8 @@ def exact_cases(tmp_path):
 
 
 def test_exact_path_runs(tmp_path, monkeypatch):
+    # Richardson from 0 runs iteration_budget steps; the certified driver
+    # stays within the criterion-4 ceiling
     forbid_stages(monkeypatch)
     f = VectorName.from_finite(FiniteVector.parse("0:1 1:1"))
     for label, CF, S, iterations in exact_cases(tmp_path):
@@ -121,8 +124,11 @@ def test_exact_path_runs(tmp_path, monkeypatch):
         exact = mat_vec(mat_inv([[Fraction(q) for q in row] for row in S]),
                         [Fraction(1), Fraction(1)] + [Fraction(0)] * (d - 2))
         for p, J in zip((20, 40, 60), iterations):
+            assert iteration_budget(CF.lower, CF.upper, f.norm.mag, p) == J, label
+            g = frames._richardson(CF, f, {}, J, p)
+            assert err_sq(FiniteVector(sorted(g.items())), exact) <= Fraction(1, 1 << (2 * p)), label
             res = frame_algorithm(CF, f, p)
-            assert res.iterations == J, label
+            assert res.iterations <= max_iterations(CF.lower, CF.upper, f.norm.mag, p), label
             assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << (2 * p)), label
         x = inverse_apply(CF, f)
         for p in LADDER:
@@ -177,10 +183,11 @@ def test_benign_frame_without_s_action(monkeypatch, p):
     assert diff.norm_squared() <= Fraction(1, 1 << (2 * p - 2))
 
 
-def test_inexact_terms_keep_the_closed_form():
+def test_inexact_terms_over_generic_columns():
     # a_1 = 1/2 is exact and a_j = sqrt(2) 2^-(j+1) for j >= 2 is not:
-    # sq_tail is 31/24, 7/24, then (2/3) 4^-N.  The closed form reads the
-    # row through its stage, which rounds the inexact terms
+    # sq_tail is 31/24, 7/24, then (2/3) 4^-N.  Column 0 of S is read
+    # through the row's stage, which rounds the inexact terms.  From
+    # U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with h = f - e_0 (a'.f)
     root2 = sqrt_name(RealName.from_fraction(2))
     a = {0: RealName.from_fraction(1), 1: RealName.from_fraction(Fraction(1, 2))}
     g = SequenceGen(
@@ -190,14 +197,22 @@ def test_inexact_terms_keep_the_closed_form():
         sq_tail=lambda N: (Fraction(31, 24), Fraction(7, 24))[N] if N < 2 else Fraction(2, 3) / (1 << (2 * N)),
     )
     CF = upper_row_frame(g)
-    assert CF.s_action is not None
-    bare = CertifiedFrame(CF.frame, CF.analysis_op)
-    f = VectorName.from_finite(FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5"))
-    for p, J in ((20, 101), (64, 273)):
-        res, ref = frame_algorithm(CF, f, p), frame_algorithm(bare, f, p)
-        assert res.iterations == ref.iterations == J
-        diff = res.vector.finite.sub(ref.vector.finite)
-        assert diff.norm_squared() <= Fraction(1, 1 << (2 * p - 2))
+    f = FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5")
+    # s within 2^-400 of sqrt(2) moves the answer by less than 2^-390
+    s = root2.approx(400).as_fraction()
+
+    def a_(j: int) -> Fraction:
+        return Fraction(1, 2) if j == 1 else s / (1 << (j + 1))
+
+    h0 = f.coefficient(0) - sum(a_(j) * f.coefficient(j) for j in (1, 2, 3))
+    for p in (20, 64):
+        v = frame_algorithm(CF, VectorName.from_finite(f), p).vector.finite
+        N = max(v.support, 4)
+        head = (v.coefficient(0) - h0) ** 2 + sum(
+            (v.coefficient(j) - f.coefficient(j) + a_(j) * h0) ** 2 for j in range(1, N)
+        )
+        tail = h0 * h0 * Fraction(2, 3) / (1 << (2 * N))
+        assert head + tail <= (Fraction(1, 1 << p) - Fraction(1, 1 << 390)) ** 2
 
 
 SEQUENCE_NAMES = {

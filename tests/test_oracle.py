@@ -14,6 +14,7 @@ from framecert.oracle import (
     eigenvalue_enclosures,
     embed,
     exact_frame_solve,
+    frame_bounds_hold,
     is_positive_definite,
     is_positive_semidefinite,
     mat_inv,
@@ -311,3 +312,19 @@ def test_exact_frame_spans_iff_some_full_minor(vecs):
     else:
         with pytest.raises(NonSpanningError):
             ExactFrame(vecs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists(), st.data())
+def test_frame_bounds_hold_matches_shifted_frame_operator(vecs, data):
+    # M holds the vectors as columns; the bounds are drawn near S's
+    # diagonal, so both sides of each inequality occur
+    M = [list(row) for row in zip(*vecs)]
+    S = mat_mul(M, vecs)
+    near = st.sampled_from(sorted({S[i][i] for i in range(len(S))} | {Fraction(0)}))
+    A = data.draw(near) + data.draw(st.sampled_from([0, Fraction(-1, 4), Fraction(1, 3)]))
+    B = data.draw(near) + data.draw(st.sampled_from([0, Fraction(-1, 4), Fraction(1, 3), 8]))
+    expected = is_positive_semidefinite(shift(S, A)) and is_positive_semidefinite(
+        [[-q for q in row] for row in shift(S, B)]
+    )
+    assert frame_bounds_hold(M, A, B) == expected

@@ -219,13 +219,13 @@ def test_inverse_apply_runs_only_the_stages_read(monkeypatch):
 
     CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
     targets: list[int] = []
-    run = frames_module._richardson
+    run = frames_module._conjugate_gradients
 
-    def logged(CF, f, g, J, target):
+    def logged(CF, f, g, target):
         targets.append(target)
-        return run(CF, f, g, J, target)
+        return run(CF, f, g, target)
 
-    monkeypatch.setattr(frames_module, "_richardson", logged)
+    monkeypatch.setattr(frames_module, "_conjugate_gradients", logged)
     g = inverse_apply(CF, VectorName.from_finite(FiniteVector.parse("0:2 1:1/3")))
     analysis(CF, g)
     assert targets == []
@@ -240,13 +240,13 @@ def test_inverse_apply_reuses_a_finer_run(monkeypatch):
     CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
     f = VectorName.from_finite(FiniteVector.parse("0:2 1:1/3"))
     targets: list[int] = []
-    run = frames_module._richardson
+    run = frames_module._conjugate_gradients
 
-    def logged(CF, f, g, J, target):
+    def logged(CF, f, g, target):
         targets.append(target)
-        return run(CF, f, g, J, target)
+        return run(CF, f, g, target)
 
-    monkeypatch.setattr(frames_module, "_richardson", logged)
+    monkeypatch.setattr(frames_module, "_conjugate_gradients", logged)
     g = inverse_apply(CF, f)
     g.coeff(0).approx(42)
     assert targets == [43]
