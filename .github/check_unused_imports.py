@@ -1,4 +1,4 @@
-"""Fail on unused imports and unused definitions in a package.
+"""Fail on unused imports, definitions and module-level names in a package.
 
 Usage: python .github/check_unused_imports.py src/framecert src tests perfbench
 
@@ -8,9 +8,11 @@ re-export) is parsed with ``ast``.  A name bound by ``import`` or
 module.  A function, class or method defined in the package counts as
 used when some file under the directories given after the package
 names it -- as a variable, an attribute or an imported name -- apart
-from its own definition and the package's ``__init__.py``.  Dunder
-methods are exempt.  Prints one line per unused name and exits 1 if
-there is any.
+from its own definition and the package's ``__init__.py``.  A name
+bound by a module-level assignment counts as used when some such file
+reads it -- as a loaded variable, an attribute or an imported name.
+Dunder names are exempt.  Prints one line per unused name and exits 1
+if there is any.
 """
 
 import ast
@@ -39,15 +41,39 @@ def definitions(tree: ast.AST) -> list[tuple[int, str]]:
         (node.lineno, node.name)
         for node in ast.walk(tree)
         if isinstance(node, kinds)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _dunder(node.name)
     ]
 
 
-def named(tree: ast.AST) -> set[str]:
+def assignments(tree: ast.Module) -> list[tuple[int, str]]:
+    """Names bound by the module's top-level assignments."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            found += [
+                (node.lineno, n.id)
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and not _dunder(n.id)
+            ]
+    return found
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def named(tree: ast.AST, loaded_only: bool = False) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if not loaded_only or isinstance(node.ctx, ast.Load):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
@@ -63,11 +89,13 @@ def main(package: str, *search: str) -> int:
         if path.name != "__init__.py"
     }
     init = (pkg / "__init__.py").resolve()
-    used = set()
+    used, read = set(), set()
     for root in search:
         for path in Path(root).rglob("*.py"):
             if path.resolve() != init:
-                used |= named(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+                used |= named(tree)
+                read |= named(tree, loaded_only=True)
 
     found = False
     for path, tree in modules.items():
@@ -77,6 +105,10 @@ def main(package: str, *search: str) -> int:
         for line, name in definitions(tree):
             if name not in used:
                 print(f"{path}:{line}: {name} defined but never named")
+                found = True
+        for line, name in assignments(tree):
+            if name not in read:
+                print(f"{path}:{line}: {name} assigned but never read")
                 found = True
     return 1 if found else 0
 

@@ -6,8 +6,8 @@ explicit "+/- 2^-p" annotation, and output is deterministic for fixed
 spec, flags, and build.
 
 Exit codes: 0 ok, 1 suite failure, 2 parse error, 3 invalid frame
-(including a false ``adjoint_rows``, outside ``verify``), 4 missing
-certificate.
+(a false ``adjoint_rows`` outside ``verify``, or, under every command,
+declared bounds that a solver step refutes), 4 missing certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .dyadic import decimal_string, fraction_string
 from .duality import BesselSequence, canonical_dual, dual_from_bessel
-from .frames import analysis, pseudo_inverse, reconstruct
+from .frames import FalseBoundsError, analysis, pseudo_inverse, reconstruct
 from .operators import finite_columns
 from .oracle import frame_bounds_hold
 from .realnames import RealName
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     except SpecFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except InvalidFrameError as e:
+    except (InvalidFrameError, FalseBoundsError) as e:
         print(f"error: invalid frame: {e}", file=sys.stderr)
         return EXIT_INVALID_FRAME
     except MissingCertificateError as e:

@@ -119,7 +119,6 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 
 
 def round_fraction(q: Fraction, n: int) -> Dyadic:

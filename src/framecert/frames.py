@@ -7,15 +7,17 @@ coefficientwise analysis is available (a :class:`WeakVectorName`): the
 type system encodes the boundary between what is and is not computable
 from frame data alone.
 
-S^-1 f is certified a posteriori: since S >= A I, an iterate g is within
-||f - S g|| / A of S^-1 f, and that residual is checked exactly on an
-integer grid.  Conjugate gradients in fixed point produce the iterate
-(:func:`_conjugate_gradients`, behind :func:`frame_algorithm` and every
-stage of :func:`inverse_apply`); relaxed Richardson iteration, with its
-a-priori geometric rate (B-A)/(B+A), is the fallback.  Both apply S one
-way, through the columns of :func:`frame_operator` (:func:`_columns`):
-finite columns exactly, any other at a Cauchy stage.  A finite vector on
-a finite section is solved exactly.
+S^-1 f is computed by one driver, :func:`_conjugate_gradients`, behind
+:func:`frame_algorithm` and every stage of :func:`inverse_apply`.  It
+runs conjugate gradients in fixed point on one integer grid and returns
+an iterate once an exact residual certificate holds (S >= A I, so g is
+within ||f - S g|| / A of S^-1 f).  Otherwise it ends with Richardson
+steps on the same grid, whose count is set a priori by the geometric
+rate (B-A)/(B+A).  S is applied one way, through the columns of
+:func:`frame_operator` (:func:`_columns`): finite columns exactly, any
+other at a Cauchy stage.  A step that proves the declared bounds false
+raises :class:`FalseBoundsError`.  A finite vector on a finite section
+is solved exactly.
 """
 
 from __future__ import annotations
@@ -212,71 +214,63 @@ def frame_operator(CF: CertifiedFrame) -> OperatorName:
 
 
 class FrameAlgorithmResult:
-    """Outcome of one frame-algorithm run."""
+    """Outcome of one frame-algorithm run: the iterate and its step count."""
 
-    __slots__ = ("vector", "iterations", "relaxation", "contraction", "target")
+    __slots__ = ("vector", "iterations")
 
-    def __init__(self, vector, iterations, relaxation, contraction, target):
+    def __init__(self, vector, iterations):
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "relaxation", relaxation)
-        object.__setattr__(self, "contraction", contraction)
-        object.__setattr__(self, "target", target)
 
     def __setattr__(self, name, value):
         raise AttributeError("FrameAlgorithmResult is immutable")
 
 
-# Guard bits of the drivers' grid beyond the step budget b: with
+class FalseBoundsError(ValueError):
+    """A step of the driver proved the declared frame bounds false."""
+
+
+# Guard bits of the driver's grid beyond the step budget b: with
 # 2^-G <= b 2^-GUARD_BITS, rounding n <= 2^64 coordinates to the nearest
 # multiples of 2^-G costs at most sqrt(n) 2^-(G+1) <= 2^-(G-31) <= b/4.
 GUARD_BITS = 33
 
 
-def iteration_budget(A: Fraction, B: Fraction, f_mag: Fraction, target: int) -> int:
-    """Smallest J >= 1 with r^J * ||f||/A <= 2^-(target+2), r = (B-A)/(B+A)."""
-    return _step_count((B - A) / (B + A), max(f_mag, Fraction(1)) / A, target)
-
-
-def _step_count(r: Fraction, err: Fraction, target: int) -> int:
-    """Smallest J >= 1 with r^J * err <= 2^-(target+2); 1 when r = 0.
-
-    r^J * err decreases in J, so the search of :func:`_smallest` is exact.
-    """
-    goal = Fraction(1, 1 << (target + 2))
-    return _smallest(lambda J: r**J * err <= goal)
-
-
 def frame_algorithm(CF: CertifiedFrame, f: VectorName, target: int) -> FrameAlgorithmResult:
     """Approximate S^-1 f within 2^-target from g_0 = 0.
 
-    One run of :func:`_conjugate_gradients`; ``iterations`` counts its
-    steps, including any Richardson steps it falls back to.
-    ``relaxation`` and ``contraction`` are those of the fallback.
+    One run of :func:`_conjugate_gradients`; ``iterations`` counts all its steps.
     """
     if target < 0:
         raise ValueError("target precision must be nonnegative")
-    A, B = CF.lower, CF.upper
     g, steps = _conjugate_gradients(CF, f, {}, target)
     vec = VectorName.from_finite(FiniteVector(sorted(g.items())))
-    return FrameAlgorithmResult(vec, steps, Fraction(2) / (A + B), (B - A) / (B + A), target)
+    return FrameAlgorithmResult(vec, steps)
 
 
-# Conjugate-gradient steps before a run falls back to Richardson.
+# Conjugate-gradient steps before a run turns to its Richardson tail.
 CG_STEPS = 64
 
 
 def _conjugate_gradients(
     CF: CertifiedFrame, f: VectorName, g: dict[int, Fraction], target: int
 ) -> tuple[dict[int, Fraction], int]:
-    """S^-1 f within 2^-target, from g: (iterate, steps including any fallback).
+    """S^-1 f within 2^-target, from g: (iterate, steps).
 
-    Conjugate gradients (Hestenes-Stiefel) in fixed point on the grid of
-    :func:`_setup`, with its step budget b = A 2^-(target+3): the iterate
-    x, the residual r and the direction p are integer mantissas, and each
-    coordinate update is one integer ``div_nearest`` by p.q or r.r, where
-    q is S p from the S contract.  The steps only steer; the answer is
-    certified a posteriori.
+    Grid.  The step budget is b = A 2^-(target+3) and the grid 2^-G, with
+    G = clog2(max(1, (A+B)/2) / b) + GUARD_BITS, so rounding onto it costs
+    at most min(1, 2/(A+B)) b/4.  f_G is f truncated within b/2 and
+    rounded onto the grid, without the coordinates n whose analysis
+    column T* e_n is exactly zero: e_n is orthogonal to every f_k, so
+    S e_n = 0 and each step would add them again.  S is read from the
+    columns of ``frame_operator(CF)`` (:func:`_columns`), and residual(m)
+    is m(f_G) - m(y) for y within b of S (m 2^-G).
+
+    Conjugate gradients.  Hestenes-Stiefel steps in fixed point: the
+    iterate x, the residual r and the direction p are integer mantissas,
+    and each coordinate update is one integer ``div_nearest`` by p.q or
+    r.r, where q is S p from the S contract.  The steps only steer; the
+    answer is certified a posteriori.
 
     Certificate.  Let f' be f without the coordinates whose analysis
     column is exactly zero.  Hypothesis: S is self-adjoint with S >= A I
@@ -285,23 +279,39 @@ def _conjugate_gradients(
     within b/2 + b/4 = 3b/4 of f', and y = S x from the contract is
     within b of S x, so ||f' - S x|| <= ||f_G - y|| + 7b/4.  The run
     returns x once the integer N = ||m(f_G) - m(y)||^2 satisfies
-    N <= ((A 2^-(target+1) - 7b/4) 2^G)^2, decided exactly; x is then
-    within 2^-(target+1) of S^-1 f'.  The check costs one application of
-    S, so it runs only once the recursive residual r.r passes the same
-    test; a failed check replaces r by m(f_G) - m(y) and restarts the
-    directions.  A warm start's first residual is such a check.
+    N <= ((A 2^-(target+1) - 7b/4) 2^G)^2, that is ||f_G - y|| <= 9b/4,
+    decided exactly; x is then within 2^-(target+1) of S^-1 f'.  The
+    check costs one application of S, so it runs only once the recursive
+    residual r.r passes the same test; a failed check replaces r by
+    m(f_G) - m(y) and restarts the directions.  A warm start's first
+    residual is such a check.
 
-    Fallback.  After CG_STEPS steps without a certificate, or at
-    p.q <= 0, the run continues with :func:`_richardson` from x, whose
-    proof needs only err >= ||S^-1 f' - x||: the certified
-    err = (ceil(sqrt(N)) 2^-G + 7b/4) / A sets its step count.  With true
-    bounds, A p.p - s <= p.q <= B p.p + s for the slack
-    s = ceil(sqrt(p.p)) (b 2^G + 1) of q's error; a step outside that
-    range proves the declared bounds false, and the run is then the cold
-    Richardson run of :func:`iteration_budget` steps.
+    Refuted bounds.  With true bounds, A p.p - s <= p.q <= B p.p + s for
+    the slack s = ceil(sqrt(p.p)) (b 2^G + 1) of q's error; a step outside
+    that range raises :class:`FalseBoundsError`.
+
+    Richardson tail.  The certificate's 9b/4 lies below the computed
+    residual floor of a converged fixed-point iteration, about
+    (9/4) b (1 + B/A), so conjugate gradients alone need not stop.  After
+    CG_STEPS steps without a certificate, or at p.q <= 0, the run takes
+    J steps x <- x + w (f_G - y), w = 2/(A+B), on the same grid and
+    columns.  Each errs from the exact step by at most w b (from f_G) +
+    w b (from S) + w b/4 (rounding); they contract by r = (B-A)/(B+A) and
+    1/(1-r) = 1/(w A), so the errors add up to at most
+    (9/4) b/A < 2^-(target+1).  The certified
+    err = (ceil(sqrt(N)) 2^-G + 7b/4)/A bounds ||S^-1 f' - x||, and J is
+    the smallest with r^J err <= 2^-(target+2): x ends within 2^-target.
     """
     A, B = CF.lower, CF.upper
-    b, G, apply_s, residual = _setup(CF, f, target)
+    b = A * Fraction(1, 1 << (target + 3))
+    G = clog2(max(Fraction(1), (A + B) / 2) / b) + GUARD_BITS
+    f_fin, _ = truncate(f, b / 2)
+    fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
+    apply_s = _columns(frame_operator(CF))
+
+    def residual(m: dict[int, int]) -> dict[int, int]:
+        return _combine(fm, apply_s(m, G, b), -1, 1)
+
     bound = (A / (1 << (target + 1)) - 7 * b / 4) * (1 << G)
     num, den = bound.numerator**2, bound.denominator**2
     x = _to_grid(g.items(), G)
@@ -318,8 +328,10 @@ def _conjugate_gradients(
         pp, pq = _dot(p, p), _dot(p, q)
         slack = _ceil_sqrt(pp) * (b * (1 << G) + 1)
         if not A * pp - slack <= pq <= B * pp + slack:
-            J = iteration_budget(A, B, f.norm.mag, target)
-            return _richardson(CF, f, {}, J, target), J
+            raise FalseBoundsError(
+                f"declared frame bounds A = {A}, B = {B} are false: "
+                f"<p, S p> lies outside [A, B] ||p||^2 at step {steps + 1}"
+            )
         if pq <= 0:
             break
         x, r = _combine(x, p, rr, pq), _combine(r, q, -rr, pq)
@@ -329,53 +341,11 @@ def _conjugate_gradients(
         r = residual(x)
         rr = _dot(r, r)
     err = (Fraction(_ceil_sqrt(rr), 1 << G) + 7 * b / 4) / A
-    J = _step_count((B - A) / (B + A), err, target)
-    return _richardson(CF, f, _from_grid(x, G), J, target), steps + J
-
-
-def _richardson(
-    CF: CertifiedFrame, f: VectorName, g: dict[int, Fraction], J: int, target: int
-) -> dict[int, Fraction]:
-    """J steps of g <- g + w (f - S g), w = 2/(A+B), from g, aiming at 2^-target.
-
-    On the grid of :func:`_setup`, one step is
-    m_i <- m_i + round(w (f_i - y_i)) with y within b of S g, and rounding
-    costs at most min(1, w) b/4 in l2.  So each step errs from the exact
-    one by at most w b (from f, within 3b/4) + w b (from S) + w b/4.
-    Iterating contracts by r = (B-A)/(B+A) and 1/(1-r) = 1/(w A), so the
-    errors add up to at most (9/4) b/A < 2^-(target+1) on top of the
-    geometric iteration error r^J ||S^-1 f - g||, which the caller's J
-    keeps below 2^-(target+2).  A start on a coarser grid converts exactly.
-    """
-    w = Fraction(2) / (CF.lower + CF.upper)
-    _, G, _, residual = _setup(CF, f, target)
-    m = _to_grid(g.items(), G)
+    rate, w = (B - A) / (B + A), Fraction(2) / (A + B)
+    J = _smallest(lambda J: rate**J * err <= Fraction(1, 1 << (target + 2)))
     for _ in range(J):
-        m = _combine(m, residual(m), w.numerator, w.denominator)
-    return _from_grid(m, G)
-
-
-def _setup(CF: CertifiedFrame, f: VectorName, target: int):
-    """(b, G, S contract, residual) of one run: step budget b = A 2^-(target+3)
-    and grid 2^-G, G = clog2(max(1, (A+B)/2) / b) + GUARD_BITS, so rounding
-    onto it costs at most min(1, 2/(A+B)) b/4.  f_G is f truncated within
-    b/2 and rounded onto the grid, without the coordinates n whose analysis
-    column T* e_n is exactly zero: e_n is orthogonal to every f_k, so
-    S e_n = 0 and each step would add them again.  S is read from the
-    columns of ``frame_operator(CF)`` (:func:`_columns`), and residual(m) is
-    m(f_G) - m(y) for y within b of S (m 2^-G).
-    """
-    A, B = CF.lower, CF.upper
-    b = A * Fraction(1, 1 << (target + 3))
-    G = clog2(max(Fraction(1), (A + B) / 2) / b) + GUARD_BITS
-    f_fin, _ = truncate(f, b / 2)
-    fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
-    apply_s = _columns(frame_operator(CF))
-
-    def residual(m: dict[int, int]) -> dict[int, int]:
-        return _combine(fm, apply_s(m, G, b), -1, 1)
-
-    return b, G, apply_s, residual
+        x = _combine(x, residual(x), w.numerator, w.denominator)
+    return _from_grid(x, G), steps + J
 
 
 def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, int]:
@@ -419,7 +389,7 @@ def _outside_span(CF: CertifiedFrame, n: int) -> bool:
 
 
 def _columns(S: OperatorName):
-    """The one way to apply S in the drivers, read from its columns.
+    """The one way to apply S in the driver, read from its columns.
 
     The contract is a callable (m, G, budget) -> y taking integer
     mantissas m of x = m 2^-G (a dict index -> int) to mantissas y on the

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .dyadic import Dyadic, _smallest, clog2, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
-from .realnames import ZERO_NAME, RealName, _memoized, lift_arith
+from .realnames import ONE_NAME, ZERO_NAME, RealName, _memoized, lift_arith
 from .vectors import (
     FiniteVector,
     VectorName,
@@ -26,8 +26,6 @@ from .vectors import (
     linear_combo,
     sqrt_of_fraction,
 )
-
-ONE = RealName.from_fraction(1)
 
 
 class MissingNormCertificateError(ValueError):
@@ -93,7 +91,7 @@ def specker_sequence(enumerator: Callable[[int], int]) -> SequenceGen:
 
     def a(i: int) -> RealName:
         if i == 0:
-            return ONE
+            return ONE_NAME
         w = enumerator(i - 1)
         if w < 0:
             raise ValueError("enumerator must produce naturals")
@@ -127,7 +125,7 @@ def example_upper_row(g: SequenceGen) -> OperatorName:
         if i == 0:
             return VectorName.basis(0)
         return linear_combo(
-            [(g.a(i), VectorName.basis(0)), (ONE, VectorName.basis(i))]
+            [(g.a(i), VectorName.basis(0)), (ONE_NAME, VectorName.basis(i))]
         )
 
     return OperatorName(col, Fraction(3))
@@ -309,7 +307,7 @@ def toeplitz_dual_element(g: SequenceGen, i: int) -> VectorName:
     if i < 0:
         raise ValueError("negative index")
     terms = [(toeplitz_reciprocal(g, i - j), VectorName.basis(j)) for j in range(i)]
-    terms.append((ONE, VectorName.basis(i)))
+    terms.append((ONE_NAME, VectorName.basis(i)))
     return linear_combo(terms)
 
 

@@ -83,19 +83,6 @@ class FiniteVector:
             (q * lookup[i] for i, q in small.entries if i in lookup), Fraction(0)
         )
 
-    def add(self, other: "FiniteVector") -> "FiniteVector":
-        acc = dict(self.entries)
-        for i, q in other.entries:
-            acc[i] = acc.get(i, Fraction(0)) + q
-        return FiniteVector(sorted(acc.items()))
-
-    def scaled(self, c: Fraction) -> "FiniteVector":
-        c = Fraction(c)
-        return FiniteVector([(i, c * q) for i, q in self.entries])
-
-    def sub(self, other: "FiniteVector") -> "FiniteVector":
-        return self.add(other.scaled(Fraction(-1)))
-
     @staticmethod
     def combination(terms) -> "FiniteVector":
         """sum_k q_k v_k over (rational q_k, FiniteVector v_k) pairs, in one pass."""

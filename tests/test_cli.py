@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecert.cli import EXIT_SUITE_FAILURE, cmd_reconstruct, main
-from framecert.frames import CertifiedFrame, Frame
+from framecert.cli import cmd_reconstruct, main
+from framecert.frames import CertifiedFrame, FalseBoundsError, Frame
 from framecert.operators import OperatorName
 from framecert.specfile import (
     InvalidFrameError,
@@ -263,16 +263,26 @@ class TestCliCommands:
         assert "[FAIL] symmetric on e_0, e_1, e_2" in out
 
     def test_reconstruct_fails_on_false_bounds(self):
-        # bounds (1/2, 1/2) on the identity: relaxation 2 never converges
+        # bounds (1/2, 1/2) on the identity: the first solver step refutes them
         CF = CertifiedFrame(
             Frame(VectorName.basis, Fraction(1, 2), Fraction(1, 2)),
             OperatorName.identity(),
         )
         spec = LoadedSpec("onb", CF.frame, CF, None, None)
         args = argparse.Namespace(vector="0:1", precision=20)
-        out = io.StringIO()
-        assert cmd_reconstruct(spec, args, out) == EXIT_SUITE_FAILURE
-        assert "residual bound: " in out.getvalue()
+        with pytest.raises(FalseBoundsError):
+            cmd_reconstruct(spec, args, io.StringIO())
+
+    @pytest.mark.parametrize("suite", ["projection", "duality", "gram"])
+    def test_verify_refuted_bounds_exit_3(self, suite):
+        # a false adjoint_rows makes S = T T*_c, which a solver step proves
+        # is not within the declared bounds: one error line, no traceback
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli("verify", str(FIXTURES / "refuted_bounds.json"), "--suite", suite)
+        assert code == 3
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_duality_on_two_row_operator(self, tmp_path):
         # the test vector 0:1/3 1:1 2:-1/2 loses coordinate 2, outside the span

@@ -1,12 +1,12 @@
-"""The certified fixed-point driver, its Richardson fallback and the S contract.
+"""The certified fixed-point driver, its Richardson tail and the S contract.
 
 The driver runs conjugate gradients on integer mantissas on one grid
 2^-G and returns an iterate once an exact residual certificate holds.
 These tests check its answers against exact Fractions from
 ``framecert.oracle`` and from closed forms, on finite frames, on Riesz
 blocks whose columns beyond the block are read through stages, and on
-the benign gallery frame; the Richardson fallback from a CG iterate; the
-guard against false frame bounds; the column reader of the benign frame
+the benign gallery frame; the Richardson tail from a CG iterate; the
+error raised on refuted frame bounds; the column reader of the benign frame
 against its l2 budget; and the rounding of one step.
 """
 
@@ -20,6 +20,7 @@ from framecert.dyadic import clog2, round_fraction
 from framecert.frames import (
     GUARD_BITS,
     CertifiedFrame,
+    FalseBoundsError,
     Frame,
     _columns,
     frame_algorithm,
@@ -158,69 +159,45 @@ def test_inverse_apply_ladder_against_oracle(case):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_richardson_fallback_from_a_cg_iterate(data):
-    # with the CG cap at `cap` steps, the run continues with Richardson
-    # from the CG iterate, for the step count of its certified error
+    # with the CG cap at `cap` steps, the run continues with the Richardson
+    # tail from the CG iterate, for the step count of its certified error
     CF, section = data.draw(spanning_frames(max_d=4))
     assume(CF.upper <= 64 * CF.lower)
     f = signal(data.draw, section.d)
     exact = mat_vec(mat_inv(section.S), f)
     cap = data.draw(st.integers(min_value=0, max_value=2))
     p = data.draw(st.integers(min_value=1, max_value=64))
-    runs = []
-    run = frames._richardson
-
-    def logged(CF, f, g, J, target):
-        runs.append((bool(g), J))
-        return run(CF, f, g, J, target)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frames, "CG_STEPS", cap)
-        mp.setattr(frames, "_richardson", logged)
         res = frame_algorithm(CF, finite_name(f), p)
     assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << (2 * p))
-    # iterations counts the CG steps, at most cap, plus the fallback's J
-    J = sum(j for _, j in runs)
-    assert len(runs) <= 1 and res.iterations - J <= cap
 
 
 def test_fallback_warm_starts_from_the_cg_iterate(monkeypatch):
-    # the Mercedes frame needs two CG steps; after one, Richardson runs from
-    # that iterate (nonzero), and the answer is within 2^-40
+    # the Mercedes frame needs two CG steps; after one, the Richardson tail
+    # runs from that iterate and needs fewer steps than the tail from 0;
+    # both answers are within 2^-40
     CF = embed(ExactFrame([[1, 0], [0, 1], [1, 1]]))
-    runs = []
-    run = frames._richardson
-
-    def logged(CF, f, g, J, target):
-        runs.append((bool(g), J))
-        return run(CF, f, g, J, target)
-
-    monkeypatch.setattr(frames, "CG_STEPS", 1)
-    monkeypatch.setattr(frames, "_richardson", logged)
-    res = frame_algorithm(CF, VectorName.basis(0), 40)
-    (warm, J), = runs
-    assert warm and res.iterations == 1 + J
-    assert err_sq(res.vector.finite, [Fraction(2, 3), Fraction(-1, 3)]) <= Fraction(1, 1 << 80)
+    exact = [Fraction(2, 3), Fraction(-1, 3)]
+    tails = []
+    for cap in (1, 0):
+        monkeypatch.setattr(frames, "CG_STEPS", cap)
+        res = frame_algorithm(CF, VectorName.basis(0), 40)
+        assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << 80)
+        tails.append(res.iterations - cap)
+    warm, cold = tails
+    assert 0 < warm < cold
 
 
-def test_false_bounds_run_cold_richardson(monkeypatch):
+def test_false_bounds_raise():
     # bounds (1/2, 1/2) on the identity: p.q = p.p lies above B p.p = p.p/2
-    # by far more than the slack, so the run is the parent's cold Richardson
-    # run: one step of relaxation 2, g = 2 f
+    # by far more than the slack, so the first step refutes the bounds
     CF = CertifiedFrame(
         Frame(VectorName.basis, Fraction(1, 2), Fraction(1, 2)), OperatorName.identity()
     )
-    runs = []
-    run = frames._richardson
-
-    def logged(CF, f, g, J, target):
-        runs.append((g, J, target))
-        return run(CF, f, g, J, target)
-
-    monkeypatch.setattr(frames, "_richardson", logged)
-    res = frame_algorithm(CF, VectorName.from_finite(FiniteVector.parse("0:1 1:-1/4")), 20)
-    assert runs == [({}, 1, 20)]
-    assert res.iterations == 1
-    assert res.vector.finite == FiniteVector.parse("0:2 1:-1/2")
+    f = VectorName.from_finite(FiniteVector.parse("0:1 1:-1/4"))
+    with pytest.raises(FalseBoundsError, match="step 1"):
+        frame_algorithm(CF, f, 20)
 
 
 # -- the benign frame's columns ----------------------------------------

@@ -202,7 +202,7 @@ def test_from_stage_reads_coefficients_and_norm_within_precision(v, j, l, s):
 
     def stage(k: int) -> FiniteVector:
         delta = FiniteVector(sorted((i, s * w / (1 << k)) for i, w in weights.items()))
-        return exact.add(delta)
+        return FiniteVector.combination([(1, exact), (1, delta)])
 
     x = VectorName.from_stage(stage, sum(abs(q) for q in v))
     for n in (0, 1, 5, 17, 40):
