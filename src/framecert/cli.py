@@ -57,10 +57,7 @@ def _vector_from_flag(text: str) -> VectorName:
 
 def cmd_bounds(spec, args, out) -> int:
     if spec.section is not None:
-        from .oracle import exact_frame_solve
-
-        sol = exact_frame_solve(spec.section)
-        am, ap, bm, bp = sol.bounds_enclosure
+        am, ap, bm, bp = spec.section.bounds_enclosure
         print(f"A in [{am}, {ap}] (width <= 2^-20)", file=out)
         print(f"B in [{bm}, {bp}] (width <= 2^-20)", file=out)
     elif spec.declared_bounds is not None:

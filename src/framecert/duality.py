@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dyadic import clog2, sqrt_upper
+from .dyadic import Immutable, clog2, sqrt_upper
 from .frames import (
     CertifiedFrame,
     Frame,
@@ -32,7 +32,7 @@ class DualityVerificationError(ValueError):
     """A claimed duality property failed on a built-in test vector."""
 
 
-class BesselSequence:
+class BesselSequence(Immutable):
     """Sequence oracle with a rational Bessel bound certificate."""
 
     __slots__ = ("_elem", "bessel_bound")
@@ -42,9 +42,6 @@ class BesselSequence:
         object.__setattr__(self, "bessel_bound", Fraction(bessel_bound))
         if self.bessel_bound < 0:
             raise ValueError("Bessel bound must be nonnegative")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BesselSequence is immutable")
 
     def elem(self, k: int) -> VectorName:
         if k < 0:
@@ -56,7 +53,7 @@ class BesselSequence:
         return BesselSequence(lambda k: VectorName.zero(), Fraction(0))
 
 
-class DualPair:
+class DualPair(Immutable):
     """A frame together with one of its dual frames."""
 
     __slots__ = ("primal", "dual")
@@ -65,11 +62,8 @@ class DualPair:
         object.__setattr__(self, "primal", primal)
         object.__setattr__(self, "dual", dual)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DualPair is immutable")
 
-
-class DualityReport:
+class DualityReport(Immutable):
     """Residual bounds of f - sum_k <f, g_k> f_k over a test set."""
 
     __slots__ = ("passed", "residual_bounds", "worst", "tolerance")
@@ -79,9 +73,6 @@ class DualityReport:
         object.__setattr__(self, "residual_bounds", tuple(residual_bounds))
         object.__setattr__(self, "worst", worst)
         object.__setattr__(self, "tolerance", tolerance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualityReport is immutable")
 
 
 def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:

@@ -12,7 +12,17 @@ from math import isqrt
 from typing import Callable
 
 
-class Dyadic:
+class Immutable:
+    """Base of the package's value types: attributes are set once, in
+    ``__init__`` (or on a lazy first read) through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Dyadic(Immutable):
     """Immutable dyadic rational ``mantissa * 2**exponent``.
 
     Canonical form: the mantissa is odd or zero, and zero is stored as
@@ -33,9 +43,6 @@ class Dyadic:
             exponent += shift
         object.__setattr__(self, "mantissa", mantissa)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
 
     # -- conversions -------------------------------------------------
 

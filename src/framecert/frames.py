@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, Optional
 
-from .dyadic import _smallest, clog2, div_nearest, sqrt_upper
+from .dyadic import Immutable, _smallest, clog2, div_nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
 from .operators import OperatorName, apply
 from .vectors import (
@@ -40,7 +40,7 @@ from .vectors import (
 )
 
 
-class Frame:
+class Frame(Immutable):
     """Element oracle plus rational frame bounds 0 < A <= B."""
 
     __slots__ = ("_elem", "lower", "upper")
@@ -52,16 +52,13 @@ class Frame:
         if not 0 < self.lower <= self.upper:
             raise ValueError("frame bounds must satisfy 0 < A <= B")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Frame is immutable")
-
     def elem(self, i: int) -> VectorName:
         if i < 0:
             raise ValueError("negative frame index")
         return self._elem(i)
 
 
-class CertifiedFrame:
+class CertifiedFrame(Immutable):
     """Frame plus an operator name for its analysis operator T*.
 
     ``finite_section`` optionally carries the exact rational vectors of
@@ -76,9 +73,6 @@ class CertifiedFrame:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CertifiedFrame is immutable")
 
     def elem(self, i: int) -> VectorName:
         return self.frame.elem(i)
@@ -213,7 +207,7 @@ def frame_operator(CF: CertifiedFrame) -> OperatorName:
 # -- the frame algorithm ---------------------------------------------
 
 
-class FrameAlgorithmResult:
+class FrameAlgorithmResult(Immutable):
     """Outcome of one frame-algorithm run: the iterate and its step count."""
 
     __slots__ = ("vector", "iterations")
@@ -221,9 +215,6 @@ class FrameAlgorithmResult:
     def __init__(self, vector, iterations):
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "iterations", iterations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameAlgorithmResult is immutable")
 
 
 class FalseBoundsError(ValueError):
@@ -460,9 +451,7 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     """
     section = CF.finite_section
     if section is not None and f.finite is not None:
-        from .oracle import exact_frame_solve
-
-        y = exact_frame_solve(section).solve(f.finite.dense(section.d))
+        y = section.solve(f.finite.dense(section.d))
         return VectorName.from_finite(
             FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
         )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
-from .dyadic import Dyadic, _smallest, clog2, round_fraction, sqrt_upper
+from .dyadic import Dyadic, Immutable, _smallest, clog2, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, banded_adjoint
 from .realnames import ONE_NAME, ZERO_NAME, RealName, _memoized, lift_arith
@@ -32,7 +32,7 @@ class MissingNormCertificateError(ValueError):
     """The construction needs a norm name the generator does not carry."""
 
 
-class SequenceGen:
+class SequenceGen(Immutable):
     """Positive sequence (a_i), a_0 = 1, with square-sum certificate.
 
     norm_name (a name of the l2 norm of (a_i)) is present only for
@@ -57,9 +57,6 @@ class SequenceGen:
         object.__setattr__(self, "sq_tail", sq_tail)
         if not 0 < self.sq_sum_upper < 2:
             raise ValueError("square-sum bound must lie in (0, 2)")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SequenceGen is immutable")
 
     def a(self, i: int) -> RealName:
         if i < 0:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .dyadic import sqrt_upper
+from .dyadic import Immutable, sqrt_upper
 from .realnames import RealName, _memoized
 from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
 
 
-class OperatorName:
+class OperatorName(Immutable):
     """Column oracle ``k -> VectorName`` plus ``||U|| <= norm_bound``.
 
     ``support_bound``, when set, bounds the support of every column (and
@@ -38,9 +38,6 @@ class OperatorName:
         object.__setattr__(self, "support_bound", support_bound)
         if self.norm_bound < 0:
             raise ValueError("operator norm bound must be nonnegative")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorName is immutable")
 
     def col(self, k: int) -> VectorName:
         if k < 0:

@@ -10,17 +10,19 @@ definite), each bisection step, and checks of declared frame bounds.
 Its Gauss-Jordan mode with row pivoting gives determinants and
 adjugates.  The kernel is validated against this module, so nothing in
 it may rely on floating point.
+
+A frame's solution (bound enclosure, inverse) lives on its ExactFrame,
+computed on first read; nothing is cached across frames.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .dyadic import sqrt_upper
+from .dyadic import Immutable, sqrt_upper
 
 Matrix = list[list[Fraction]]
 
@@ -29,14 +31,14 @@ class NonSpanningError(ValueError):
     """The supplied vectors do not span Q^d."""
 
 
-class ExactFrame:
-    """Finite list of rational vectors in Q^d, required to span.
-
-    ``S`` is the exact frame operator V^T V, formed once here for the
-    span test and read by everything that needs it.
+class ExactFrame(Immutable):
+    """Rational vectors spanning Q^d, their exact frame operator ``S``
+    (formed for the span test) and, each on first read (two threads may
+    both compute it), ``bounds_enclosure`` (:func:`eigenvalue_enclosures`)
+    and ``inverse`` = (R, c) with S^-1 = c R, R integer.
     """
 
-    __slots__ = ("vectors", "d", "S")
+    __slots__ = ("vectors", "d", "S", "_bounds", "_inverse")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         vecs = tuple(tuple(Fraction(q) for q in v) for v in vectors)
@@ -51,37 +53,29 @@ class ExactFrame:
         cols = list(zip(*N))
         G = [[sum(map(mul, u, v)) for v in cols] for u in cols]
         object.__setattr__(self, "S", [[Fraction(g, D * D) for g in row] for row in G])
+        object.__setattr__(self, "_bounds", None)
+        object.__setattr__(self, "_inverse", None)
         # the vectors span Q^d exactly when S = sum v v^T is positive definite
         if not _bareiss(G, strict=True):
             raise NonSpanningError(f"vectors do not span Q^{d}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactFrame is immutable")
-
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactFrame) and self.vectors == other.vectors
+    @property
+    def bounds_enclosure(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        if self._bounds is None:
+            bounds = eigenvalue_enclosures(self.S)
+            if bounds[0] <= 0:
+                raise NonSpanningError("could not certify a positive lower frame bound")
+            object.__setattr__(self, "_bounds", bounds)
+        return self._bounds
 
-    def __hash__(self) -> int:
-        return hash(self.vectors)
-
-
-class FrameSolution:
-    """Exact S, S^-1 (as ``inverse`` = (R, c): S^-1 = c R, R integer)
-    and rational frame-bound enclosure."""
-
-    __slots__ = ("frame", "S", "inverse", "bounds_enclosure")
-
-    def __init__(self, frame, S, inverse, bounds_enclosure):
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "bounds_enclosure", bounds_enclosure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameSolution is immutable")
+    @property
+    def inverse(self) -> tuple[list[list[int]], Fraction]:
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", _inverse(self.S))
+        return self._inverse
 
     @property
     def lower(self) -> Fraction:
@@ -251,12 +245,10 @@ def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Frac
     return bracket(1) + bracket(-1)
 
 
-@lru_cache(maxsize=128)
-def exact_frame_solve(F: ExactFrame) -> FrameSolution:
-    bounds = eigenvalue_enclosures(F.S)
-    if bounds[0] <= 0:
-        raise NonSpanningError("could not certify a positive lower frame bound")
-    return FrameSolution(F, F.S, _inverse(F.S), bounds)
+def exact_frame_solve(F: ExactFrame) -> ExactFrame:
+    """F, with its bound enclosure and inverse computed."""
+    F.bounds_enclosure, F.inverse
+    return F
 
 
 def projection_matrix(F: ExactFrame) -> Matrix:
@@ -272,7 +264,7 @@ def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
     """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
-    R, c = exact_frame_solve(F).inverse
+    R, c = F.inverse
     (N, D), (P, E) = _cleared(F.vectors), _cleared(Phi.vectors)
     dual = [[sum(map(mul, row, n)) for row in R] for n in N]
     num, den = c.numerator, c.denominator * D * E
@@ -285,11 +277,10 @@ def embed(F: ExactFrame):
     from .operators import OperatorName, finite_columns
     from .vectors import FiniteVector
 
-    sol = exact_frame_solve(F)
     elem = finite_columns([FiniteVector.from_dense(v) for v in F.vectors])
     analysis_col = finite_columns([FiniteVector.from_dense(c) for c in zip(*F.vectors)])
     analysis_op = OperatorName(
-        analysis_col, sqrt_upper(sol.upper), support_bound=len(F)
+        analysis_col, sqrt_upper(F.upper), support_bound=len(F)
     )
-    frame = Frame(elem, sol.lower, sol.upper)
+    frame = Frame(elem, F.lower, F.upper)
     return CertifiedFrame(frame, analysis_op, finite_section=F)

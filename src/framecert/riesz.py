@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from .dyadic import Immutable
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, apply, from_finite_matrix
 from .oracle import identity, mat_mul
@@ -20,7 +21,7 @@ from .realnames import RealName
 from .vectors import FiniteVector, VectorName, _memoized
 
 
-class RieszBasisName:
+class RieszBasisName(Immutable):
     """Basis (x_n) = (T e_n) with its inverse and the rows of T.
 
     T_adjoint_rows(n) is T*(e_n) (row n of T) as a full l2 name; it is
@@ -38,9 +39,6 @@ class RieszBasisName:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "T_inv", T_inv)
         object.__setattr__(self, "_T_adjoint_rows", _memoized(T_adjoint_rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RieszBasisName is immutable")
 
     def elem(self, n: int) -> VectorName:
         if n < 0:
@@ -68,7 +66,7 @@ def riesz_as_frame(R: RieszBasisName) -> CertifiedFrame:
     return CertifiedFrame(Frame(R.elem, lower, upper), analysis_op)
 
 
-class RenormedVectorName:
+class RenormedVectorName(Immutable):
     """A point of the renormed space: coefficients with |||x||| = ||T x||.
 
     The image T x is kept internally: the pair (coefficients, |||x|||)
@@ -87,9 +85,6 @@ class RenormedVectorName:
         object.__setattr__(self, "_coeff", _memoized(coeff))
         object.__setattr__(self, "tripled_norm", tripled_norm)
         object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RenormedVectorName is immutable")
 
     def coeff(self, i: int) -> RealName:
         if i < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dyadic import sqrt_upper
+from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame, frame_from_onb
 from .operators import OperatorName, finite_columns
 from .oracle import ExactFrame, NonSpanningError, embed, frame_bounds_hold
@@ -30,7 +30,7 @@ class MissingCertificateError(ValueError):
     """The requested operation needs an analysis certificate the spec lacks."""
 
 
-class LoadedSpec:
+class LoadedSpec(Immutable):
     """A parsed spec: always a plain frame, optionally certified.
 
     ``certified`` is None exactly when no analysis certificate can be
@@ -49,9 +49,6 @@ class LoadedSpec:
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "declared_bounds", declared_bounds)
         object.__setattr__(self, "false_adjoint", false_adjoint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LoadedSpec is immutable")
 
     def require_certified(self) -> CertifiedFrame:
         if self.certified is None:

@@ -27,7 +27,7 @@ from functools import partial
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import Dyadic, clog2, round_fraction
+from .dyadic import Dyadic, Immutable, clog2, round_fraction
 from .realnames import (
     RealName,
     ZERO_NAME,
@@ -38,7 +38,7 @@ from .realnames import (
 )
 
 
-class FiniteVector:
+class FiniteVector(Immutable):
     """Exact finitely supported vector: ascending (index, rational) pairs."""
 
     __slots__ = ("entries",)
@@ -56,9 +56,6 @@ class FiniteVector:
             if q != 0:
                 cleaned.append((i, q))
         object.__setattr__(self, "entries", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteVector is immutable")
 
     def coefficient(self, i: int) -> Fraction:
         for j, q in self.entries:
@@ -130,7 +127,7 @@ class FiniteVector:
         return out
 
 
-class VectorName:
+class VectorName(Immutable):
     """Full l2 name: a Cauchy stage, a coefficient oracle and a norm name.
 
     ``stage(k)`` is a finite rational vector with ||x - stage(k)|| <= 2^-k
@@ -168,9 +165,6 @@ class VectorName:
         stage = stage or _memoized(partial(_oracle_stage, self))
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "support_bound", support_bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorName is immutable")
 
     @property
     def norm(self) -> RealName:
@@ -228,7 +222,7 @@ class VectorName:
         return f"VectorName(norm_mag={self.norm.mag})"
 
 
-class WeakVectorName:
+class WeakVectorName(Immutable):
     """Coefficient oracle with only a rational upper bound on the norm."""
 
     __slots__ = ("_coeff", "norm_upper")
@@ -236,9 +230,6 @@ class WeakVectorName:
     def __init__(self, coeff: Callable[[int], RealName], norm_upper: Fraction):
         object.__setattr__(self, "_coeff", _memoized(coeff))
         object.__setattr__(self, "norm_upper", Fraction(norm_upper))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeakVectorName is immutable")
 
     def coeff(self, i: int) -> RealName:
         if i < 0:

@@ -8,11 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from framecert.cli import cmd_reconstruct, main
 from framecert.frames import CertifiedFrame, FalseBoundsError, Frame
 from framecert.operators import OperatorName
+from framecert.oracle import eigenvalue_enclosures, is_positive_definite
 from framecert.specfile import (
     InvalidFrameError,
     LoadedSpec,
@@ -262,6 +263,14 @@ class TestCliCommands:
         assert code == 1
         assert "[FAIL] symmetric on e_0, e_1, e_2" in out
 
+    @pytest.mark.parametrize("name", ["false_adjoint_oblique", "false_adjoint_symmetric"])
+    def test_projection_detects_adjoint_wrong_in_last_column(self, name):
+        # adjoint_rows entry (2, 3) is 1 where the matrix has 0: P is
+        # symmetric on e_0..e_2 (and on all of l2 for the symmetric spec)
+        code, out = run_cli("verify", str(FIXTURES / f"{name}.json"), "--suite", "projection")
+        assert code == 1
+        assert "[FAIL] analysis certificate is the adjoint on e_0..e_3" in out
+
     def test_reconstruct_fails_on_false_bounds(self):
         # bounds (1/2, 1/2) on the identity: the first solver step refutes them
         CF = CertifiedFrame(
@@ -390,3 +399,33 @@ def test_analyze_exits_3_exactly_on_a_false_adjoint(doc, f, p):
         exact = want[int(k)] if int(k) < 3 else 0
         assert int(bits) == p
         assert abs(_decimal_fraction(value) - exact) <= Fraction(1, 1 << p)
+
+
+@st.composite
+def projection_specs(draw):
+    """A spanning 2 x 3 or 3 x 4 matrix with its enclosed bounds, and
+    adjoint_rows equal to it or with one entry off by +-1."""
+    d = draw(st.sampled_from([2, 3]))
+    entry = st.integers(min_value=-2, max_value=2)
+    M = draw(st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1), min_size=d, max_size=d))
+    S = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in M] for u in M]
+    assume(is_positive_definite(S))
+    A, _, _, B = eigenvalue_enclosures(S)
+    assume(A > 0)
+    adj = [row[:] for row in M]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d))
+        adj[i][j] += draw(st.sampled_from([-1, 1]))
+    return {"kind": "operator", "matrix": M, "bounds": [str(A), str(B)], "adjoint_rows": adj}
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_specs())
+def test_projection_suite_passes_exactly_on_a_true_adjoint(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stderr(io.StringIO()):
+            code, _ = run_cli("verify", str(path), "--suite", "projection")
+    # exit 3: a solver step refuted the bounds, which hold only for S = M M^T
+    assert code == 0 if doc["adjoint_rows"] == doc["matrix"] else code in (1, 3)

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from framecert.duality import BesselSequence, DualPair, canonical_dual, verify_duality
 from framecert.dyadic import (
     Dyadic,
+    Immutable,
     clog2,
     decimal_string,
     fraction_string,
@@ -13,6 +16,19 @@ from framecert.dyadic import (
     sqrt_lower,
     sqrt_upper,
 )
+from framecert.frames import (
+    FrameCoeffName,
+    analysis_coeffs,
+    frame_algorithm,
+    frame_from_onb,
+)
+from framecert.gallery import benign_sequence
+from framecert.operators import OperatorName
+from framecert.oracle import ExactFrame
+from framecert.riesz import renorm_to, riesz_from_matrix
+from framecert.specfile import load_spec
+from framecert.vectors import FiniteVector, VectorName
+from framecert.verify import SuiteReport
 
 
 def test_canonical_form():
@@ -89,3 +105,53 @@ def test_int_string_beyond_limit():
     assert int_string(n) == "1" + "0" * 8995 + "12345"
     assert fraction_string(Fraction(-n, 3)) == "-1" + "0" * 8995 + "12345/3"
     assert fraction_string(Fraction(5)) == "5"
+
+
+def _onb_pair() -> DualPair:
+    CF = frame_from_onb()
+    return DualPair(CF, canonical_dual(CF).frame)
+
+
+_IMMUTABLE = {
+    "Dyadic": lambda: Dyadic(3, -2),
+    "FiniteVector": lambda: FiniteVector.parse("0:1 2:-1/2"),
+    "VectorName": lambda: VectorName.basis(1),
+    "FrameCoeffName": lambda: FrameCoeffName.from_vector_name(VectorName.basis(1)),
+    "WeakVectorName": lambda: analysis_coeffs(frame_from_onb().frame, VectorName.basis(0)),
+    "OperatorName": OperatorName.identity,
+    "Frame": lambda: frame_from_onb().frame,
+    "CertifiedFrame": frame_from_onb,
+    "FrameAlgorithmResult": lambda: frame_algorithm(frame_from_onb(), VectorName.basis(0), 4),
+    "BesselSequence": lambda: BesselSequence(VectorName.basis, 1),
+    "DualPair": _onb_pair,
+    "DualityReport": lambda: verify_duality(_onb_pair(), [FiniteVector.parse("0:1")]),
+    "SequenceGen": benign_sequence,
+    "RieszBasisName": lambda: riesz_from_matrix([[1, 1], [0, 1]], [[1, -1], [0, 1]]),
+    "RenormedVectorName": lambda: renorm_to(
+        riesz_from_matrix([[1, 1], [0, 1]], [[1, -1], [0, 1]]), VectorName.basis(0)
+    ),
+    "LoadedSpec": lambda: load_spec(str(Path(__file__).parent.parent / "fixtures" / "mercedes.json")),
+    "SuiteReport": lambda: SuiteReport("rate", True, [], Fraction(0)),
+    "ExactFrame": lambda: ExactFrame([[1, 0], [0, 1], [1, 1]]),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_immutable_type_is_checked():
+    assert {c.__name__ for c in _subclasses(Immutable)} == set(_IMMUTABLE)
+
+
+@pytest.mark.parametrize("name", sorted(_IMMUTABLE))
+def test_assignment_raises(name):
+    obj = _IMMUTABLE[name]()
+    assert type(obj).__name__ == name
+    slots = [s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ())]
+    for attr in slots + ["extra"]:
+        before = getattr(obj, attr, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(obj, attr, before)

@@ -49,8 +49,8 @@ class TestFrameOperator:
 
     def test_formed_once(self):
         F = ExactFrame([[1, 0], [0, 1], [1, 1]])
-        sol = exact_frame_solve(F)  # cached per equal frame
-        assert sol.S is sol.frame.S
+        assert exact_frame_solve(F) is F  # the solution lives on the frame
+        assert F.inverse is F.inverse
 
 
 class TestSemidefinite:
