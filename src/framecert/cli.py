@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .dyadic import decimal_string, fraction_string
 from .duality import BesselSequence, canonical_dual, dual_from_bessel
@@ -172,6 +173,7 @@ def cmd_gallery(args, out) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process: building costs 20x a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framecert",

@@ -1,15 +1,17 @@
 """Exact rational ground truth for finitely many frame vectors in Q^d.
 
 The frame operator, its inverse (and so the canonical dual), Gram/projection
-matrices and frame-bound enclosures by bisection are exact: Fractions
-go in and come out, and in between a matrix's denominators are cleared
-once and one fraction-free (Bareiss) elimination runs on integers.  Its
-symmetric mode without pivoting decides (semi)definiteness: the span
-test of ExactFrame (the vectors span Q^d exactly when S is positive
-definite), each bisection step, and checks of declared frame bounds.
+matrices and frame-bound enclosures are exact: Fractions go in and come
+out, and in between a matrix's denominators are cleared once and one
+fraction-free (Bareiss) elimination runs on integers.  Its symmetric
+mode without pivoting decides (semi)definiteness: the span test of
+ExactFrame (the vectors span Q^d exactly when S is positive definite),
+each step of the enclosure search, and checks of declared frame bounds.
 Its Gauss-Jordan mode with row pivoting gives determinants and
-adjugates.  The kernel is validated against this module, so nothing in
-it may rely on floating point.
+adjugates.  The kernel is validated against this module, so every value
+it returns is decided exactly; floating point only picks the grid point
+where the enclosure search starts (a bad start costs tests, not
+correctness).
 
 A frame's solution (bound enclosure, inverse) lives on its ExactFrame,
 computed on first read; nothing is cached across frames.
@@ -18,11 +20,11 @@ computed on first read; nothing is cached across frames.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import copysign, hypot, lcm
 from operator import mul
 from typing import Sequence
 
-from .dyadic import Immutable, sqrt_upper
+from .dyadic import Immutable, _smallest, sqrt_upper
 
 Matrix = list[list[Fraction]]
 
@@ -65,7 +67,7 @@ class ExactFrame(Immutable):
     @property
     def bounds_enclosure(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self._bounds is None:
-            bounds = eigenvalue_enclosures(self.S)
+            bounds = _enclosures(*_cleared(self.S))  # S proven definite above
             if bounds[0] <= 0:
                 raise NonSpanningError("could not certify a positive lower frame bound")
             object.__setattr__(self, "_bounds", bounds)
@@ -212,37 +214,115 @@ def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
 # -- the oracle ------------------------------------------------------
 
 
-# Width of each bisected enclosure of eigenvalue_enclosures.
+# Width of each enclosure of eigenvalue_enclosures.
 ENCLOSURE_WIDTH = Fraction(1, 2**20)
 
 
 def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(A-, A+, B-, B+) with A- < lambda_min <= A+ and B- <= lambda_max < B+.
 
-    Bisection of [0, trace + 1] with the exact positive-definiteness
-    predicate; the outer endpoints are strictly outside the spectrum, so
-    char-poly signs at them are determined.  For S = N / D and trace + 1
-    = T / D, step e tests lam = a T / (D 2^e) on the integer matrix
-    +-(2^e N - a T I) = +-D 2^e (S - lam I).
+    The endpoints are neighbours on a grid of [0, trace + 1] of step at
+    most ENCLOSURE_WIDTH, each side decided by exact positive-definiteness
+    tests; the outer endpoints are strictly outside the spectrum, so
+    char-poly signs at them are determined.
     """
     N, D = _cleared(S)
     if not _bareiss([list(row) for row in N], strict=True):
         raise NonSpanningError("frame operator is not positive definite")
+    return _enclosures(N, D)
+
+
+def _enclosures(N: list[list[int]], D: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """eigenvalue_enclosures of S = N / D, for integer N positive definite.
+
+    For trace + 1 = T / D, level E is the first with step T / (D 2^E) <=
+    ENCLOSURE_WIDTH.  Index a stands for lam = a T / (D 2^E), tested on
+    the integer matrix +-(2^E N - a T I) = +-D 2^E (S - lam I).  Each side
+    returns the unique largest a with lam < lambda_min (resp. lam <=
+    lambda_max), so its enclosure is fixed by S alone; the search starts
+    from _estimate's index and finds a by doubling and then bisection.
+    """
     T = sum(N[i][i] for i in range(len(N))) + D
+    E = 0
+    while D << E < T << 20:
+        E += 1
 
-    def bracket(sign: int) -> tuple[Fraction, Fraction]:
-        a, e = 0, 0
-        while Fraction(T, D << e) > ENCLOSURE_WIDTH:
-            a, e = 2 * a, e + 1
-            c = (a + 1) * T
-            m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
-                 for i, r in enumerate(N)]
-            # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
-            if (_bareiss(m, strict=True) > 0) == (sign > 0):
-                a += 1
-        return Fraction(a * T, D << e), Fraction((a + 1) * T, D << e)
+    def below(a: int, sign: int) -> bool:
+        c = a * T
+        m = [[sign * ((q << E) - c * (i == j)) for j, q in enumerate(r)]
+             for i, r in enumerate(N)]
+        # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
+        return (_bareiss(m, strict=True) > 0) == (sign > 0)
 
-    return bracket(1) + bracket(-1)
+    try:
+        starts = [min(max(round(x), 0), (1 << E) - 1) for x in _estimate(N, T, E)]
+    except (ArithmeticError, ValueError):  # overflow, underflow to a zero divisor, NaN
+        starts = [0, 0]
+    out = ()
+    for sign, h in zip((1, -1), starts):
+        if below(h, sign):
+            a = h + _smallest(lambda k: not below(h + k, sign)) - 1
+        else:
+            a = h - _smallest(lambda k: below(h - k, sign))
+        out += (Fraction(a * T, D << E), Fraction((a + 1) * T, D << E))
+    return out
+
+
+def _estimate(N: list[list[int]], T: int, E: int) -> tuple[float, float]:
+    """Float estimates of lambda_min(N) and lambda_max(N) in units of T / 2^E.
+
+    N scaled by its largest entry is reduced to a tridiagonal matrix by
+    Householder reflections, whose extreme eigenvalues a Sturm count
+    brackets by bisection to a quarter unit.  The estimate only chooses
+    where the exact search of _enclosures starts.
+    """
+    n = len(N)
+    top = max(abs(q) for row in N for q in row)
+    a = [[q / top for q in row] for row in N]
+    diag, off2 = [], [0.0]
+    for k in range(n - 1):
+        x = [a[i][k] for i in range(k + 1, n)]
+        s = hypot(*x)
+        diag.append(a[k][k])
+        off2.append(s * s)
+        if k == n - 2 or s == 0:
+            continue
+        # H = I - v v^T / h maps x to -sign(x_0) s e_0; A <- H A H on rows/columns > k
+        v = [x[0] + copysign(s, x[0])] + x[1:]
+        h = s * (s + abs(x[0]))
+        rows = range(k + 1, n)
+        p = [sum(map(mul, a[i][k + 1:], v)) / h for i in rows]
+        K = sum(map(mul, v, p)) / (2 * h)
+        w = [pi - K * vi for pi, vi in zip(p, v)]
+        for i, vi, wi in zip(rows, v, w):
+            a[i][k + 1:] = [q - vi * wj - wi * vj for q, vj, wj in zip(a[i][k + 1:], v, w)]
+    diag.append(a[n - 1][n - 1])
+
+    def count(t: float) -> int:
+        """Eigenvalues below t: negative pivots of the tridiagonal minus t I."""
+        c, q = 0, 1.0
+        for dk, ek in zip(diag, off2):
+            q = dk - t - ek / q
+            if q < 0:
+                c += 1
+            elif q == 0:
+                q = 1e-300
+        return c
+
+    unit = (top << E) / T  # grid units per scaled unit
+
+    def eigenvalue(k: int) -> float:
+        """The k-th smallest, in grid units."""
+        lo, hi = 0.0, float(n)  # N / top is definite with entries in [-1, 1]
+        while (hi - lo) * unit > 0.25 and lo < (lo + hi) / 2 < hi:
+            mid = (lo + hi) / 2
+            if count(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2 * unit
+
+    return eigenvalue(0), eigenvalue(n - 1)
 
 
 def exact_frame_solve(F: ExactFrame) -> ExactFrame:

@@ -118,9 +118,11 @@ def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
     Row n of the dual Gram matrix, <f_m, S^-1 f_n>, is column P e_n of
     the range projection P; the diagonal entry p_n = <f_n, S^-1 f_n>
     determines the whole row energy in closed form.  Compare it against
-    the independently computed energy ||P e_n||^2, which equals p_n only
-    when P is the orthogonal projection (a true adjoint certificate),
-    and for finite frames also against the exact ground truth.
+    the independently computed energy ||P e_n||^2, which equals p_n
+    whenever P is an orthogonal projection, and for finite frames also
+    against the exact ground truth.  A false adjoint certificate whose
+    rows span the true row space still makes P one and passes here; only
+    the projection suite's certificate line catches such specs.
     """
     p = max(2, clog2(4 / tol))
     K, exact_M = 4, None

@@ -1,12 +1,16 @@
+import json
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from framecert import oracle
+from framecert.cli import main
 from framecert.oracle import (
+    ENCLOSURE_WIDTH,
     ExactFrame,
     NonSpanningError,
     cross_gram_matrix,
@@ -22,6 +26,7 @@ from framecert.oracle import (
     projection_matrix,
     shift,
 )
+from test_oracle_golden import seeded_S
 
 
 def mercedes():
@@ -328,3 +333,128 @@ def test_frame_bounds_hold_matches_shifted_frame_operator(vecs, data):
         [[-q for q in row] for row in shift(S, B)]
     )
     assert frame_bounds_hold(M, A, B) == expected
+
+
+# -- frame-bound enclosures against plain bisection --------------------
+
+
+def bisected_enclosures(S):
+    """The enclosures by bisection of [0, trace + 1] from scratch, one exact
+    test per level: the reference the started search must reproduce."""
+    N, D = oracle._cleared(S)
+    T = sum(N[i][i] for i in range(len(N))) + D
+
+    def bracket(sign):
+        a, e = 0, 0
+        while Fraction(T, D << e) > ENCLOSURE_WIDTH:
+            a, e = 2 * a, e + 1
+            c = (a + 1) * T
+            m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
+                 for i, r in enumerate(N)]
+            if (oracle._bareiss(m, strict=True) > 0) == (sign > 0):
+                a += 1
+        return Fraction(a * T, D << e), Fraction((a + 1) * T, D << e)
+
+    return bracket(1) + bracket(-1)
+
+
+@st.composite
+def spanning_frames(draw):
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["integer", "rational", "repeated", "tight", "doubled-onb"]))
+    if kind in ("tight", "doubled-onb"):
+        # c times copies of an orthonormal basis, rotated by a Pythagorean
+        # rotation in one coordinate plane for "tight": S = m c^2 I
+        c = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 4)]))
+        basis = [[c * (i == j) for j in range(d)] for i in range(d)]
+        if kind == "tight" and d > 1:
+            for v in basis:
+                v[0], v[1] = (3 * v[0] - 4 * v[1]) / 5, (4 * v[0] + 3 * v[1]) / 5
+        vecs = basis * (2 if kind == "doubled-onb" else draw(st.integers(1, 3)))
+    else:
+        entry = st.integers(-9, 9) if kind == "integer" else entries
+        vecs = [[draw(entry) for _ in range(d)] for _ in range(d + draw(st.integers(0, 3)))]
+        if kind == "repeated":
+            vecs += vecs[: draw(st.integers(1, len(vecs)))]
+    try:
+        return ExactFrame(vecs)
+    except NonSpanningError:
+        assume(False)
+
+
+@st.composite
+def diagonal_on_grid(draw):
+    # trace + 1 = 2^k, so the grid step is a power of two and every dyadic
+    # with a small denominator, each diagonal entry included, is a grid point
+    d = draw(st.integers(1, 8))
+    head = [Fraction(draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 4, 1024]))) for _ in range(d - 1)]
+    k = (math.ceil(sum(head)) + 1).bit_length() + draw(st.integers(0, 3))
+    diag = head + [2**k - 1 - sum(head)]
+    return [[diag[i] * (i == j) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_frames())
+def test_enclosures_match_bisection_on_frames(F):
+    expected = bisected_enclosures(F.S)
+    assert eigenvalue_enclosures(F.S) == expected
+    if expected[0] > 0:  # else bounds_enclosure refuses the frame
+        assert F.bounds_enclosure == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonal_on_grid())
+def test_enclosures_match_bisection_on_grid_points(S):
+    am, ap, bm, bp = expected = bisected_enclosures(S)
+    assert eigenvalue_enclosures(S) == expected
+    assert ap == min(S[i][i] for i in range(len(S)))  # lambda_min on the grid: A+ = lambda_min
+    assert bm == max(S[i][i] for i in range(len(S)))  # and B- = lambda_max
+
+
+HINT_MATRICES = [
+    [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]],
+    [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(6)]],  # trace + 1 = 8: both on the grid
+    seeded_S(8, rational=False),
+    seeded_S(6, rational=True),
+]
+
+# start indices as functions of the level E
+HINTS = {"0": lambda E: 0.0, "-1": lambda E: -1.0, "2^E-1": lambda E: float(2**E - 1),
+         "2^E": lambda E: float(2**E), "nan": lambda E: math.nan,
+         "inf": lambda E: math.inf, "-inf": lambda E: -math.inf,
+         "raises": lambda E: 1 / 0.0}
+
+
+@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("k", range(len(HINT_MATRICES)))
+def test_enclosures_do_not_depend_on_the_estimate(monkeypatch, hint, k):
+    S = HINT_MATRICES[k]
+    expected = eigenvalue_enclosures(S)
+    monkeypatch.setattr(oracle, "_estimate", lambda N, T, E: (HINTS[hint](E),) * 2)
+    assert eigenvalue_enclosures(S) == expected == bisected_enclosures(S)
+
+
+def test_enclosures_when_the_estimate_underflows(tmp_path, capsys):
+    # scaled by 10^170, S has the column tail (1e-170, 1e-170): the Householder
+    # step's divisor s (s + |x_0|) ~ 3e-340 rounds to 0, and the float estimate
+    # fails; the exact search then starts from 0
+    vectors = [[10**85, 0, 0], [1, 1, 0], [1, 0, 1]]
+    F = ExactFrame(vectors)
+    am, ap, bm, bp = expected = bisected_enclosures(F.S)
+    assert eigenvalue_enclosures(F.S) == expected
+    assert F.bounds_enclosure == expected
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "finite", "vectors": [[str(q) for q in v] for v in vectors]}))
+    assert main(["bounds", str(spec)]) == 0
+    assert capsys.readouterr().out == (f"A in [{am}, {ap}] (width <= 2^-20)\n"
+                                       f"B in [{bm}, {bp}] (width <= 2^-20)\n")
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_enclosures_take_few_eliminations(monkeypatch, d):
+    # plain bisection takes 65, 67 and 69 here
+    calls = []
+    bareiss = oracle._bareiss
+    monkeypatch.setattr(oracle, "_bareiss", lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    eigenvalue_enclosures(seeded_S(d, rational=False))
+    assert len(calls) <= 6
