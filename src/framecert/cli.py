@@ -125,7 +125,7 @@ def _load_bessel(path: str) -> BesselSequence:
     if not isinstance(elems, list):
         raise SpecFileError("elements: expected a list of vector strings")
     fins = [parse_vector_text(t, f"elements[{i}]") for i, t in enumerate(elems)]
-    coords = sorted({i for v in fins for i, _ in v.entries})
+    coords = sorted({i for v in fins for i in v.nums})
     H = [[v.coefficient(i) for v in fins] for i in coords]
     if not frame_bounds_hold(H, Fraction(0), bound):
         raise InvalidFrameError(f"Bessel bound {bound} is below ||sum_k h_k h_k^T||")

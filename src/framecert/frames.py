@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Callable, Optional
 
 from .dyadic import Immutable, _smallest, clog2, div_nearest, sqrt_upper
@@ -161,7 +161,7 @@ def restrict_to_span(CF: CertifiedFrame, v: FiniteVector) -> FiniteVector:
     d = span_dim(CF)
     if d is None:
         return v
-    return FiniteVector([(i, q) for i, q in v.entries if i < d])
+    return FiniteVector.over(((i, n) for i, n in v.nums.items() if i < d), v.den)
 
 
 # -- synthesis / analysis --------------------------------------------
@@ -234,9 +234,8 @@ def frame_algorithm(CF: CertifiedFrame, f: VectorName, target: int) -> FrameAlgo
     """
     if target < 0:
         raise ValueError("target precision must be nonnegative")
-    g, steps = _conjugate_gradients(CF, f, {}, target)
-    vec = VectorName.from_finite(FiniteVector(sorted(g.items())))
-    return FrameAlgorithmResult(vec, steps)
+    g, steps = _conjugate_gradients(CF, f, FiniteVector(), target)
+    return FrameAlgorithmResult(VectorName.from_finite(g), steps)
 
 
 # Conjugate-gradient steps before a run turns to its Richardson tail.
@@ -244,8 +243,8 @@ CG_STEPS = 64
 
 
 def _conjugate_gradients(
-    CF: CertifiedFrame, f: VectorName, g: dict[int, Fraction], target: int
-) -> tuple[dict[int, Fraction], int]:
+    CF: CertifiedFrame, f: VectorName, g: FiniteVector, target: int
+) -> tuple[FiniteVector, int]:
     """S^-1 f within 2^-target, from g: (iterate, steps).
 
     Grid.  The step budget is b = A 2^-(target+3) and the grid 2^-G, with
@@ -297,7 +296,7 @@ def _conjugate_gradients(
     b = A * Fraction(1, 1 << (target + 3))
     G = clog2(max(Fraction(1), (A + B) / 2) / b) + GUARD_BITS
     f_fin, _ = truncate(f, b / 2)
-    fm = _to_grid(((i, q) for i, q in f_fin.entries if not _outside_span(CF, i)), G)
+    fm = {i: m for i, m in _to_grid(f_fin, G).items() if not _outside_span(CF, i)}
     apply_s = _columns(frame_operator(CF))
 
     def residual(m: dict[int, int]) -> dict[int, int]:
@@ -305,13 +304,13 @@ def _conjugate_gradients(
 
     bound = (A / (1 << (target + 1)) - 7 * b / 4) * (1 << G)
     num, den = bound.numerator**2, bound.denominator**2
-    x = _to_grid(g.items(), G)
+    x = _to_grid(g, G)
     r = p = residual(x)
     rr, checked, steps = _dot(r, r), True, 0
     while steps < CG_STEPS:
         if rr * den <= num:
             if checked:
-                return _from_grid(x, G), steps
+                return FiniteVector.over(x.items(), 1 << G), steps
             r = p = residual(x)
             rr, checked = _dot(r, r), True
             continue
@@ -336,7 +335,7 @@ def _conjugate_gradients(
     J = _smallest(lambda J: rate**J * err <= Fraction(1, 1 << (target + 2)))
     for _ in range(J):
         x = _combine(x, residual(x), w.numerator, w.denominator)
-    return _from_grid(x, G), steps + J
+    return FiniteVector.over(x.items(), 1 << G), steps + J
 
 
 def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, int]:
@@ -359,24 +358,15 @@ def _dot(u: dict[int, int], v: dict[int, int]) -> int:
     return sum(w * v.get(i, 0) for i, w in u.items())
 
 
-def _to_grid(entries, G: int) -> dict[int, int]:
-    """Nonzero mantissas of the nearest multiples of 2^-G to rational entries."""
-    out = {}
-    for i, q in entries:
-        v = div_nearest(q.numerator << G, q.denominator)
-        if v:
-            out[i] = v
-    return out
-
-
-def _from_grid(m: dict[int, int], G: int) -> dict[int, Fraction]:
-    return {i: Fraction(v, 1 << G) for i, v in m.items()}
+def _to_grid(v: FiniteVector, G: int) -> dict[int, int]:
+    """Nonzero mantissas of the nearest multiples of 2^-G to v's entries."""
+    return {i: m for i, n in v.nums.items() if (m := div_nearest(n << G, v.den))}
 
 
 def _outside_span(CF: CertifiedFrame, n: int) -> bool:
     """Whether the analysis column T* e_n is exactly the zero vector."""
     col = CF.analysis_op.col(n).finite
-    return col is not None and not col.entries
+    return col is not None and not col.nums
 
 
 def _columns(S: OperatorName):
@@ -390,49 +380,30 @@ def _columns(S: OperatorName):
     finite vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with
     the sum over the columns that are not finite, so their errors add up
     to at most budget/2; it is read again at a finer stage when a later x
-    needs one.  All columns are kept as integers over one common
-    denominator D, which grows when a column brings a new denominator.
-    The integer combination y of them is S x D 2^G (up to the stages'
-    error), and y / D is rounded once onto the grid, which costs at most
-    budget/4 under the GUARD_BITS rule (nothing when D = 1).
+    needs one.  The combination sum_n m_n col_n is S x 2^G (up to the
+    stages' error) as integer numerators over one denominator, and it is
+    rounded once onto the grid, which costs at most budget/4 under the
+    GUARD_BITS rule (nothing when the denominator is 1).
     """
-    cols: dict[int, dict[int, int]] = {}
+    cols: dict[int, FiniteVector] = {}
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
-    D = 1
 
     def apply_s(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
-        nonlocal D
-        new = {}
         for n in x:
             if n not in cols and n not in staged:
                 c = S.col(n).finite
                 if c is None:
                     staged[n] = -1
                 else:
-                    new[n] = c
+                    cols[n] = c
         if staged:
             mass = sum(abs(x[n]) for n in staged if n in x)
             k = max(0, clog2(Fraction(2 * mass, 1 << G) / budget)) if mass else 0
             for n, held in staged.items():
                 if held < k and n in x:
-                    new[n], staged[n] = S.col(n).stage(k), k
-        if new:
-            L = lcm(D, *(q.denominator for c in new.values() for _, q in c.entries))
-            if L != D:
-                scale = L // D
-                for c in cols.values():
-                    for i in c:
-                        c[i] *= scale
-                D = L
-            for n, c in new.items():
-                cols[n] = {i: q.numerator * (D // q.denominator) for i, q in c.entries}
-        y: dict[int, int] = {}
-        for n, v in x.items():
-            for i, s in cols[n].items():
-                y[i] = y.get(i, 0) + s * v
-        if D > 1:
-            y = {i: div_nearest(v, D) for i, v in y.items()}
-        return y
+                    cols[n], staged[n] = S.col(n).stage(k), k
+        y = FiniteVector.combination((m, cols[n]) for n, m in x.items())
+        return {i: div_nearest(v, y.den) for i, v in y.nums.items()}
 
     return apply_s
 
@@ -451,12 +422,9 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     """
     section = CF.finite_section
     if section is not None and f.finite is not None:
-        y = section.solve(f.finite.dense(section.d))
-        return VectorName.from_finite(
-            FiniteVector([(i, q) for i, q in enumerate(y) if q != 0])
-        )
+        return VectorName.from_finite(section.solve(f.finite))
 
-    cache: dict[int, dict[int, Fraction]] = {}
+    cache: dict[int, FiniteVector] = {}
     lock = threading.Lock()
 
     def stage(k: int) -> FiniteVector:
@@ -465,9 +433,9 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
             if finer:
                 k = min(finer)
             else:
-                g = cache[max(cache)] if cache else {}
+                g = cache[max(cache)] if cache else FiniteVector()
                 cache[k], _ = _conjugate_gradients(CF, f, g, k)
-        return FiniteVector(sorted(cache[k].items()))
+        return cache[k]
 
     return VectorName.from_stage(
         stage, f.norm.mag / CF.lower, None if section is None else section.d

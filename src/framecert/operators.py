@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .dyadic import Immutable, sqrt_upper
+from .oracle import finite_rows
 from .realnames import RealName, _memoized
 from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
 
@@ -103,7 +104,7 @@ def from_finite_matrix(rows: Sequence[Sequence[Fraction]]) -> OperatorName:
     if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
     frob_sq = sum((q * q for row in matrix for q in row), Fraction(0))
-    col = finite_columns([FiniteVector.from_dense(c) for c in zip(*matrix)])
+    col = finite_columns(finite_rows(zip(*matrix)))
     return OperatorName(col, sqrt_upper(frob_sq), support_bound=len(matrix))
 
 

@@ -2,16 +2,16 @@
 
 The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures are exact: Fractions go in and come
-out, and in between a matrix's denominators are cleared once and one
-fraction-free (Bareiss) elimination runs on integers.  Its symmetric
-mode without pivoting decides (semi)definiteness: the span test of
-ExactFrame (the vectors span Q^d exactly when S is positive definite),
-each step of the enclosure search, and checks of declared frame bounds.
-Its Gauss-Jordan mode with row pivoting gives determinants and
-adjugates.  The kernel is validated against this module, so every value
-it returns is decided exactly; floating point only picks the grid point
-where the enclosure search starts (a bad start costs tests, not
-correctness).
+out (finite vectors for ``solve`` and ``finite_rows``), and in between a
+matrix's denominators are cleared once and one fraction-free (Bareiss)
+elimination runs on integers.  Its symmetric mode without pivoting
+decides (semi)definiteness: the span test of ExactFrame (the vectors
+span Q^d exactly when S is positive definite), each step of the
+enclosure search, and checks of declared frame bounds.  Its
+Gauss-Jordan mode with row pivoting gives determinants and adjugates.
+The kernel is validated against this module, so every value it returns
+is decided exactly; floating point only picks the grid point where the
+enclosure search starts (a bad start costs tests, not correctness).
 
 A frame's solution (bound enclosure, inverse) lives on its ExactFrame,
 computed on first read; nothing is cached across frames.
@@ -25,6 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .dyadic import Immutable, _smallest, sqrt_upper
+from .vectors import FiniteVector
 
 Matrix = list[list[Fraction]]
 
@@ -91,11 +92,12 @@ class ExactFrame(Immutable):
     def S_inv(self) -> Matrix:
         return _scaled(*self.inverse)
 
-    def solve(self, v: Sequence[Fraction]) -> list[Fraction]:
-        """S^-1 v: one integer product, then one Fraction per coordinate."""
+    def solve(self, v: FiniteVector) -> FiniteVector:
+        """S^-1 v, v's coordinates from d on dropped: one integer product."""
         R, c = self.inverse
-        (n,), d = _cleared([v])
-        return [Fraction(c.numerator * sum(map(mul, row, n)), c.denominator * d) for row in R]
+        n = [v.nums.get(i, 0) for i in range(self.d)]
+        m = [c.numerator * sum(map(mul, row, n)) for row in R]
+        return FiniteVector.over(enumerate(m), c.denominator * v.den)
 
 
 # -- exact linear algebra --------------------------------------------
@@ -125,6 +127,12 @@ def _cleared(m) -> tuple[list[list[int]], int]:
     """Integer rows N and the lcm D of the entries' denominators: m = N / D."""
     D = lcm(*(q.denominator for row in m for q in row))
     return [[q.numerator * (D // q.denominator) for q in row] for row in m], D
+
+
+def finite_rows(m) -> list[FiniteVector]:
+    """The rows of a rational matrix as finite vectors, cleared once."""
+    N, D = _cleared(list(m))
+    return [FiniteVector.over(enumerate(n), D) for n in N]
 
 
 def _bareiss(m: list[list[int]], strict: bool | None = None) -> int:
@@ -355,10 +363,9 @@ def embed(F: ExactFrame):
     """Bridge to the name world: a certified frame over the span of e_0..e_{d-1}."""
     from .frames import CertifiedFrame, Frame
     from .operators import OperatorName, finite_columns
-    from .vectors import FiniteVector
 
-    elem = finite_columns([FiniteVector.from_dense(v) for v in F.vectors])
-    analysis_col = finite_columns([FiniteVector.from_dense(c) for c in zip(*F.vectors)])
+    elem = finite_columns(finite_rows(F.vectors))
+    analysis_col = finite_columns(finite_rows(zip(*F.vectors)))
     analysis_op = OperatorName(
         analysis_col, sqrt_upper(F.upper), support_bound=len(F)
     )

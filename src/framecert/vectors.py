@@ -15,6 +15,12 @@ cuts where the certified tail sqrt(||x||^2 - sum_{i<N} x_i^2) is at most
 2^-(k+1) and rounds the coordinates before the cut.  :func:`truncate`
 reads a stage, so there is one truncation mechanism.
 
+A :class:`FiniteVector` -- every stage, and every exact vector -- is
+integer numerators over one common denominator in lowest terms.  Stages
+of inexact names are dyadic (denominators 2^k), so combining them is
+integer multiply-adds over one lcm with one gcd at the end, not a
+Fraction (and its gcd) per entry.
+
 A :class:`WeakVectorName` deliberately lacks a norm: it models
 coefficientwise data whose norm carries no certificate, and nothing
 here will synthesize against one.
@@ -23,9 +29,10 @@ here will synthesize against one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import isqrt
-from typing import Callable, Optional, Sequence
+from functools import partial, reduce
+from math import gcd, isqrt, lcm
+from operator import or_
+from typing import Callable, Iterable, Optional, Sequence
 
 from .dyadic import Dyadic, Immutable, clog2, round_fraction
 from .realnames import (
@@ -39,63 +46,95 @@ from .realnames import (
 
 
 class FiniteVector(Immutable):
-    """Exact finitely supported vector: ascending (index, rational) pairs."""
+    """Exact finitely supported vector: integer numerators over one denominator.
 
-    __slots__ = ("entries",)
+    Entry i is nums[i] / den: ``nums`` maps each nonzero entry's index,
+    ascending, to an integer, den > 0, and gcd(den, nums) = 1, so equal
+    vectors have equal nums and den, which ``==`` and ``hash`` compare.
+    The constructor's (index, rational) pairs and :attr:`entries` are the
+    boundary; :meth:`over` builds the integer form directly.
+    """
 
-    def __init__(self, entries: Sequence[tuple[int, Fraction]] = ()):
-        cleaned = []
-        last = -1
+    __slots__ = ("nums", "den")
+
+    def __init__(self, entries: Iterable[tuple[int, Fraction]] = ()):
+        pairs, last = [], -1
         for i, q in entries:
-            q = Fraction(q)
             if i < 0:
                 raise ValueError("negative index in finite vector")
             if i <= last:
                 raise ValueError("indices must be strictly ascending")
             last = i
-            if q != 0:
-                cleaned.append((i, q))
-        object.__setattr__(self, "entries", tuple(cleaned))
+            q = Fraction(q)
+            if q:
+                pairs.append((i, q))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        D = lcm(*(q.denominator for _, q in pairs))
+        object.__setattr__(self, "nums", {i: q.numerator * (D // q.denominator) for i, q in pairs})
+        object.__setattr__(self, "den", D)
+
+    @staticmethod
+    def over(pairs: Iterable[tuple[int, int]], den: int = 1) -> "FiniteVector":
+        """The vector with entry i = n / den for (index i, integer n) pairs,
+        indices distinct and den > 0, reduced to lowest terms."""
+        nums = {i: n for i, n in sorted(pairs) if n}
+        if den & (den - 1):
+            g = gcd(den, *nums.values())
+        else:  # den = 2^e: the gcd is the lowest bit set in den or a numerator
+            g = reduce(or_, nums.values(), den)
+            g &= -g
+        if g > 1:
+            nums, den = {i: n // g for i, n in nums.items()}, den // g
+        v = object.__new__(FiniteVector)
+        object.__setattr__(v, "nums", nums)
+        object.__setattr__(v, "den", den)
+        return v
+
+    @property
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        """Ascending (index, rational) pairs of the nonzero entries."""
+        return tuple((i, Fraction(n, self.den)) for i, n in self.nums.items())
 
     def coefficient(self, i: int) -> Fraction:
-        for j, q in self.entries:
-            if j == i:
-                return q
-        return Fraction(0)
+        return Fraction(self.nums.get(i, 0), self.den)
 
     @property
     def support(self) -> int:
         """One past the largest nonzero index (0 for the zero vector)."""
-        return self.entries[-1][0] + 1 if self.entries else 0
+        return next(reversed(self.nums)) + 1 if self.nums else 0
 
     def norm_squared(self) -> Fraction:
-        return sum((q * q for _, q in self.entries), Fraction(0))
+        return Fraction(sum(n * n for n in self.nums.values()), self.den**2)
 
     def dot(self, other: "FiniteVector") -> Fraction:
-        small, big = self, other
-        if len(big.entries) < len(small.entries):
-            small, big = big, small
-        lookup = dict(big.entries)
-        return sum(
-            (q * lookup[i] for i, q in small.entries if i in lookup), Fraction(0)
-        )
+        small, big = sorted((self.nums, other.nums), key=len)
+        total = sum(n * big[i] for i, n in small.items() if i in big)
+        return Fraction(total, self.den * other.den)
 
     @staticmethod
     def combination(terms) -> "FiniteVector":
-        """sum_k q_k v_k over (rational q_k, FiniteVector v_k) pairs, in one pass."""
-        acc: dict[int, Fraction] = {}
+        """sum_k q_k v_k over (rational q_k, FiniteVector v_k) pairs: integer
+        multiply-adds over the lcm L of the terms' denominators, reduced once."""
+        scaled, L = [], 1
         for q, v in terms:
-            for i, x in v.entries:
-                acc[i] = acc.get(i, 0) + q * x
-        return FiniteVector(sorted(acc.items()))
+            if q and v.nums:
+                d = q.denominator * v.den
+                L = lcm(L, d)
+                scaled.append((q.numerator, d, v.nums))
+        acc: dict[int, int] = {}
+        for a, d, nums in scaled:
+            f = a * (L // d)
+            for i, n in nums.items():
+                acc[i] = acc.get(i, 0) + f * n
+        return FiniteVector.over(acc.items(), L)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.den, tuple(self.nums.items())))
 
     def __repr__(self) -> str:
         return f"FiniteVector({list(self.entries)!r})"
@@ -114,17 +153,9 @@ class FiniteVector(Immutable):
             entries.append((int(head), Fraction(tail)))
         return FiniteVector(entries)
 
-    @staticmethod
-    def from_dense(values: Sequence[Fraction]) -> "FiniteVector":
-        return FiniteVector([(i, Fraction(q)) for i, q in enumerate(values)])
-
     def dense(self, length: Optional[int] = None) -> list[Fraction]:
         n = self.support if length is None else length
-        out = [Fraction(0)] * n
-        for i, q in self.entries:
-            if i < n:
-                out[i] = q
-        return out
+        return [self.coefficient(i) for i in range(n)]
 
 
 class VectorName(Immutable):
@@ -259,18 +290,10 @@ def sqrt_of_fraction(q: Fraction) -> RealName:
         raise ValueError("negative square norm")
     if q == 0:
         return ZERO_NAME
-    r = _exact_sqrt(q)
-    if r is not None:
-        return RealName.from_fraction(r)
-    return sqrt_name(RealName.from_fraction(q))
-
-
-def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+        return RealName.from_fraction(Fraction(rn, rd))
+    return sqrt_name(RealName.from_fraction(q))
 
 
 def tail_norm(x: VectorName, N: int) -> RealName:
@@ -299,7 +322,10 @@ def _oracle_stage(x: VectorName, k: int) -> FiniteVector:
             N *= 2
     # per-coordinate error e with sqrt(N) * e <= budget
     pc = max(0, clog2(2 * Fraction(isqrt(N) + 1) / budget))
-    return FiniteVector([(i, x.coeff(i).approx(pc).as_fraction()) for i in range(N)])
+    ds = [x.coeff(i).approx(pc) for i in range(N)]
+    e = min([0] + [d.exponent for d in ds])  # the stage's denominator is 2^-e
+    pairs = ((i, d.mantissa << (d.exponent - e)) for i, d in enumerate(ds))
+    return FiniteVector.over(pairs, 1 << -e)
 
 
 def truncate(x: VectorName, eps: Fraction) -> tuple[FiniteVector, int]:

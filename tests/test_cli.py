@@ -161,6 +161,13 @@ class TestCliCommands:
         assert code == 0
         assert "A = B = 1 (declared)" in out
 
+    def test_riesz_bounds_are_not_declared(self):
+        # a Riesz spec declares no bounds: they are computed from T and T_inv
+        assert load_spec(str(FIXTURES / "riesz_shear.json")).declared_bounds is None
+        code, out = run_cli("bounds", str(FIXTURES / "riesz_shear.json"))
+        assert code == 0
+        assert out.endswith("(certified)\n") and "(declared)" not in out
+
     def test_reconstruct_mercedes(self):
         code, out = run_cli(
             "reconstruct", str(FIXTURES / "mercedes.json"), "--vector", "0:1", "-p", "40"

@@ -26,6 +26,7 @@ from framecert.oracle import (
     projection_matrix,
     shift,
 )
+from framecert.vectors import FiniteVector
 from test_oracle_golden import seeded_S
 
 
@@ -107,7 +108,7 @@ class TestExactSolve:
         sol = exact_frame_solve(mercedes())
         third = Fraction(1, 3)
         assert sol.S_inv == [[2 * third, -third], [-third, 2 * third]]
-        assert [sol.solve(v) for v in mercedes().vectors] == [
+        assert [sol.solve(FiniteVector(enumerate(v))).dense(2) for v in mercedes().vectors] == [
             [2 * third, -third],
             [-third, 2 * third],
             [third, third],
@@ -121,7 +122,7 @@ class TestExactSolve:
         for x in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
             out = [Fraction(0), Fraction(0)]
             for v in F.vectors:
-                g = sol.solve(v)
+                g = sol.solve(FiniteVector(enumerate(v))).dense(2)
                 c = sum(x[i] * g[i] for i in range(2))
                 for i in range(2):
                     out[i] += c * v[i]
@@ -160,7 +161,7 @@ class TestCrossGram:
         # row l is just dual_k coordinate l
         for l in range(2):
             for k in range(3):
-                assert u[l][k] == sol.solve(F.vectors[k])[l]
+                assert u[l][k] == sol.solve(FiniteVector(enumerate(F.vectors[k]))).coefficient(l)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

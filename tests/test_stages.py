@@ -57,6 +57,32 @@ def test_precision_amplification_ceiling(fixture, p):
     assert max(asked) <= 2 * p + 64
 
 
+def staged_signal(asked: list[int]) -> VectorName:
+    """The same x_i = (3/2) 4^-i given by a Cauchy stage; every k asked lands in ``asked``.
+
+    Stage k keeps x_0..x_{N-1} exactly, N = k//2 + 1: the tail's norm
+    sqrt(12/5) 4^-N is at most 2^-k.
+    """
+
+    def stage(k: int) -> FiniteVector:
+        asked.append(k)
+        return FiniteVector([(i, Fraction(3, 2) / 4**i) for i in range(k // 2 + 1)])
+
+    return VectorName.from_stage(stage, Fraction(2))
+
+
+@pytest.mark.parametrize("fixture", ["riesz_shear.json", "gallery_ex37_benign.json"])
+@pytest.mark.parametrize("p", [16, 64, 256])
+def test_staged_input_amplification_is_additive(fixture, p):
+    # a staged input is asked for p + O(1) bits, not the 2p + O(1) that
+    # certifying a tail through the norm costs above
+    CF = load_spec(str(FIXTURES / fixture)).certified
+    asked: list[int] = []
+    got = pseudo_inverse(CF, staged_signal(asked)).coeff(1).approx(p)
+    assert abs(got.as_fraction() - Fraction(3, 8)) <= Fraction(1, 1 << p)
+    assert max(asked) <= p + 16
+
+
 # -- truncate on staged names against the exact oracle ---------------
 
 
@@ -198,7 +224,7 @@ def test_from_stage_reads_coefficients_and_norm_within_precision(v, j, l, s):
     # stage(k) = v + delta_k with delta_k = s 2^-k (3/5 e_j + 4/5 e_l) when
     # j != l, and s 2^-k e_j otherwise: ||delta_k|| <= 2^-k
     weights = {j: Fraction(3, 5), l: Fraction(4, 5)} if j != l else {j: Fraction(1)}
-    exact = FiniteVector.from_dense(v)
+    exact = FiniteVector(enumerate(v))
 
     def stage(k: int) -> FiniteVector:
         delta = FiniteVector(sorted((i, s * w / (1 << k)) for i, w in weights.items()))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +62,69 @@ class TestFiniteVector:
         assert v.dot(w) == 8
 
 
+# -- the integer representation against a dict[int, Fraction] model ----
+
+rationals = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(lambda m, e: Fraction(m, 1 << e), st.integers(-2**70, 2**70), st.integers(0, 80)),
+)
+models = st.dictionaries(st.integers(min_value=0, max_value=8), rationals, max_size=6)
+
+
+def from_model(model: dict) -> FiniteVector:
+    return FiniteVector(sorted(model.items()))
+
+
+def reduced(v: FiniteVector) -> bool:
+    return v.den > 0 and gcd(v.den, *v.nums.values()) == 1 and list(v.nums) == sorted(v.nums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models, models)
+def test_finite_vector_matches_the_fraction_model(a, b):
+    u, v = from_model(a), from_model(b)
+    assert reduced(u) and reduced(v)
+    assert u.entries == tuple((i, q) for i, q in sorted(a.items()) if q)
+    assert [u.coefficient(i) for i in range(10)] == [a.get(i, Fraction(0)) for i in range(10)]
+    assert u.dense(10) == [a.get(i, Fraction(0)) for i in range(10)]
+    assert u.support == max([i + 1 for i, q in a.items() if q], default=0)
+    assert u.norm_squared() == sum((q * q for q in a.values()), Fraction(0))
+    assert u.dot(v) == sum((q * b.get(i, 0) for i, q in a.items()), Fraction(0))
+    assert FiniteVector.parse(u.format()) == u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, models), max_size=5))
+def test_combination_matches_the_fraction_model(terms):
+    want: dict[int, Fraction] = {}
+    for q, m in terms:
+        for i, x in m.items():
+            want[i] = want.get(i, Fraction(0)) + q * x
+    got = FiniteVector.combination((q, from_model(m)) for q, m in terms)
+    assert reduced(got)
+    assert got == from_model(want) and hash(got) == hash(from_model(want))
+
+
+@settings(max_examples=50, deadline=None)
+@given(models, st.integers(min_value=1, max_value=2**40), st.integers(min_value=0, max_value=40))
+def test_equal_vectors_compare_and_hash_equal(model, k, e):
+    v = from_model(model)
+    for scale in (k, 1 << e):  # a general and a power-of-two common factor
+        w = FiniteVector.over(((i, n * scale) for i, n in v.nums.items()), v.den * scale)
+        assert w == v and hash(w) == hash(v) and reduced(w)
+    zero = FiniteVector.combination([(Fraction(1, 3), v), (Fraction(-1, 3), v)])
+    assert zero == FiniteVector() and hash(zero) == hash(FiniteVector())
+    assert FiniteVector.combination([(Fraction(1, 3), v), (Fraction(2, 3), v)]) == v
+
+
+def test_equal_inputs_give_one_vector():
+    half = FiniteVector([(0, Fraction(1, 2))])
+    for other in (FiniteVector([(0, Fraction(2, 4))]), FiniteVector.over([(0, 2)], 4),
+                  FiniteVector.over({0: 3}.items(), 6), FiniteVector.parse("0:4/8")):
+        assert other == half and hash(other) == hash(half)
+        assert (other.nums, other.den) == ({0: 1}, 2)
+
+
 class TestTailNorm:
     def test_basis_vector_tails(self):
         e0 = VectorName.basis(0)
@@ -112,6 +175,21 @@ def test_deep_chain_over_an_oracle_leaf_answers():
     assert abs(approx(x.coeff(0), 20)) <= tol(20)
     r = sqrt_oracle(Fraction(1, 2))
     x1 = (1 - r**200) / (1 - r)
+    assert abs(approx(x.coeff(1), 20) - x1) <= tol(20) + tol(40)
+
+
+def test_deep_chain_over_the_geometric_leaf():
+    # 150 nested combinations over x_i = 2^-(i+1), ||x||^2 = 1/3, given as
+    # coefficients plus a norm: every level rescales the stage below it,
+    # whose precision grows a few bits per level
+    x = geometric_vector()
+    h = sqrt_name(RealName.from_fraction(Fraction(1, 2)))
+    for _ in range(150):
+        x = linear_combo([(h, x), (RealName.from_fraction(1), VectorName.basis(1))])
+    # x_0 = 2^-75 / 2 and x_1 = 2^-75 / 4 + sum_{j<150} 2^-(j/2)
+    assert abs(approx(x.coeff(0), 20)) <= tol(20)
+    r = sqrt_oracle(Fraction(1, 2))
+    x1 = (1 - r**150) / (1 - r)
     assert abs(approx(x.coeff(1), 20) - x1) <= tol(20) + tol(40)
 
 
