@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .dyadic import Immutable, sqrt_upper
-from .oracle import finite_rows
 from .realnames import RealName, _memoized
 from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
 
@@ -104,7 +103,7 @@ def from_finite_matrix(rows: Sequence[Sequence[Fraction]]) -> OperatorName:
     if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
     frob_sq = sum((q * q for row in matrix for q in row), Fraction(0))
-    col = finite_columns(finite_rows(zip(*matrix)))
+    col = finite_columns([FiniteVector(enumerate(c)) for c in zip(*matrix)])
     return OperatorName(col, sqrt_upper(frob_sq), support_bound=len(matrix))
 
 

@@ -2,8 +2,8 @@
 
 The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures are exact: Fractions go in and come
-out (finite vectors for ``solve`` and ``finite_rows``), and in between a
-matrix's denominators are cleared once and one fraction-free (Bareiss)
+out (finite vectors for ``solve``), and in between a matrix's
+denominators are cleared once and one fraction-free (Bareiss)
 elimination runs on integers.  Its symmetric mode without pivoting
 decides (semi)definiteness: the span test of ExactFrame (the vectors
 span Q^d exactly when S is positive definite), each step of the
@@ -68,10 +68,8 @@ class ExactFrame(Immutable):
     @property
     def bounds_enclosure(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self._bounds is None:
-            bounds = _enclosures(*_cleared(self.S))  # S proven definite above
-            if bounds[0] <= 0:
-                raise NonSpanningError("could not certify a positive lower frame bound")
-            object.__setattr__(self, "_bounds", bounds)
+            # S proven definite above
+            object.__setattr__(self, "_bounds", _enclosures(*_cleared(self.S)))
         return self._bounds
 
     @property
@@ -127,12 +125,6 @@ def _cleared(m) -> tuple[list[list[int]], int]:
     """Integer rows N and the lcm D of the entries' denominators: m = N / D."""
     D = lcm(*(q.denominator for row in m for q in row))
     return [[q.numerator * (D // q.denominator) for q in row] for row in m], D
-
-
-def finite_rows(m) -> list[FiniteVector]:
-    """The rows of a rational matrix as finite vectors, cleared once."""
-    N, D = _cleared(list(m))
-    return [FiniteVector.over(enumerate(n), D) for n in N]
 
 
 def _bareiss(m: list[list[int]], strict: bool | None = None) -> int:
@@ -227,12 +219,13 @@ ENCLOSURE_WIDTH = Fraction(1, 2**20)
 
 
 def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(A-, A+, B-, B+) with A- < lambda_min <= A+ and B- <= lambda_max < B+.
+    """(A-, A+, B-, B+) with 0 < A- < lambda_min <= A+ and B- <= lambda_max < B+.
 
     The endpoints are neighbours on a grid of [0, trace + 1] of step at
     most ENCLOSURE_WIDTH, each side decided by exact positive-definiteness
     tests; the outer endpoints are strictly outside the spectrum, so
-    char-poly signs at them are determined.
+    char-poly signs at them are determined.  Where lambda_min is at most
+    one step, the lower pair is (s, 2 s), s the largest step / 2^k below it.
     """
     N, D = _cleared(S)
     if not _bareiss([list(row) for row in N], strict=True):
@@ -249,15 +242,17 @@ def _enclosures(N: list[list[int]], D: int) -> tuple[Fraction, Fraction, Fractio
     returns the unique largest a with lam < lambda_min (resp. lam <=
     lambda_max), so its enclosure is fixed by S alone; the search starts
     from _estimate's index and finds a by doubling and then bisection.
+    A lower a = 0 moves to the first finer level whose index 1 is below
+    lambda_min (levels found by doubling and bisection too), where a = 1.
     """
     T = sum(N[i][i] for i in range(len(N))) + D
     E = 0
     while D << E < T << 20:
         E += 1
 
-    def below(a: int, sign: int) -> bool:
+    def below(a: int, sign: int, e: int = E) -> bool:
         c = a * T
-        m = [[sign * ((q << E) - c * (i == j)) for j, q in enumerate(r)]
+        m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
              for i, r in enumerate(N)]
         # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
         return (_bareiss(m, strict=True) > 0) == (sign > 0)
@@ -273,6 +268,9 @@ def _enclosures(N: list[list[int]], D: int) -> tuple[Fraction, Fraction, Fractio
         else:
             a = h - _smallest(lambda k: below(h - k, sign))
         out += (Fraction(a * T, D << E), Fraction((a + 1) * T, D << E))
+    if not out[0]:  # lambda_min <= one step: index 1 of the first finer level below it
+        e = E + _smallest(lambda k: below(1, 1, E + k))
+        out = (Fraction(T, D << e), Fraction(2 * T, D << e)) + out[2:]
     return out
 
 
@@ -364,8 +362,8 @@ def embed(F: ExactFrame):
     from .frames import CertifiedFrame, Frame
     from .operators import OperatorName, finite_columns
 
-    elem = finite_columns(finite_rows(F.vectors))
-    analysis_col = finite_columns(finite_rows(zip(*F.vectors)))
+    elem = finite_columns([FiniteVector(enumerate(v)) for v in F.vectors])
+    analysis_col = finite_columns([FiniteVector(enumerate(c)) for c in zip(*F.vectors)])
     analysis_op = OperatorName(
         analysis_col, sqrt_upper(F.upper), support_bound=len(F)
     )

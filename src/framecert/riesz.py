@@ -16,9 +16,9 @@ from typing import Callable
 from .dyadic import Immutable
 from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, apply, from_finite_matrix
-from .oracle import finite_rows, identity, mat_mul
+from .oracle import identity, mat_mul
 from .realnames import RealName
-from .vectors import VectorName, _memoized
+from .vectors import FiniteVector, VectorName, _memoized
 
 
 class RieszBasisName(Immutable):
@@ -131,7 +131,7 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
 
     T = block_operator(M)
     T_inv = block_operator(M_inv)
-    M_rows = [VectorName.from_finite(v) for v in finite_rows(M)]
+    M_rows = [VectorName.from_finite(FiniteVector(enumerate(r))) for r in M]
 
     def rows(n: int) -> VectorName:
         return M_rows[n] if n < d else VectorName.basis(n)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame, frame_from_onb
 from .operators import OperatorName, finite_columns
-from .oracle import ExactFrame, NonSpanningError, embed, finite_rows, frame_bounds_hold
+from .oracle import ExactFrame, NonSpanningError, embed, frame_bounds_hold
 from .vectors import FiniteVector
 
 
@@ -137,8 +137,8 @@ def _load_operator(doc) -> LoadedSpec:
     # true value is the matrix itself, compared exactly (shape included)
     adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
     false_adjoint = None if adj == matrix else "adjoint_rows: row n must be T* e_n, row n of matrix"
-    frame = Frame(finite_columns(finite_rows(zip(*matrix))), A, B)
-    analysis_col = finite_columns(finite_rows(adj))
+    frame = Frame(finite_columns([FiniteVector(enumerate(c)) for c in zip(*matrix)]), A, B)
+    analysis_col = finite_columns([FiniteVector(enumerate(r)) for r in adj])
     analysis_op = OperatorName(analysis_col, sqrt_upper(B), support_bound=len(matrix[0]))
     CF = CertifiedFrame(frame, analysis_op)
     return LoadedSpec("operator", frame, CF, None, (A, B), false_adjoint)

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from math import gcd, isqrt, lcm
 from operator import or_
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 from .dyadic import Dyadic, Immutable, clog2, round_fraction
@@ -48,9 +49,10 @@ from .realnames import (
 class FiniteVector(Immutable):
     """Exact finitely supported vector: integer numerators over one denominator.
 
-    Entry i is nums[i] / den: ``nums`` maps each nonzero entry's index,
-    ascending, to an integer, den > 0, and gcd(den, nums) = 1, so equal
-    vectors have equal nums and den, which ``==`` and ``hash`` compare.
+    Entry i is nums[i] / den: ``nums`` is a read-only mapping from each
+    nonzero entry's index, ascending, to an integer, den > 0, and
+    gcd(den, nums) = 1, so equal vectors have equal nums and den, which
+    ``==`` and ``hash`` compare.
     The constructor's (index, rational) pairs and :attr:`entries` are the
     boundary; :meth:`over` builds the integer form directly.
     """
@@ -70,7 +72,8 @@ class FiniteVector(Immutable):
                 pairs.append((i, q))
         # the lcm of reduced denominators leaves the numerators coprime to it
         D = lcm(*(q.denominator for _, q in pairs))
-        object.__setattr__(self, "nums", {i: q.numerator * (D // q.denominator) for i, q in pairs})
+        nums = {i: q.numerator * (D // q.denominator) for i, q in pairs}
+        object.__setattr__(self, "nums", MappingProxyType(nums))
         object.__setattr__(self, "den", D)
 
     @staticmethod
@@ -80,13 +83,14 @@ class FiniteVector(Immutable):
         nums = {i: n for i, n in sorted(pairs) if n}
         if den & (den - 1):
             g = gcd(den, *nums.values())
-        else:  # den = 2^e: the gcd is the lowest bit set in den or a numerator
+        else:  # den = 2^e: g is the lowest bit set in den or a numerator, found
+            # in one linear pass (a gcd of big integers is quadratic)
             g = reduce(or_, nums.values(), den)
             g &= -g
         if g > 1:
             nums, den = {i: n // g for i, n in nums.items()}, den // g
         v = object.__new__(FiniteVector)
-        object.__setattr__(v, "nums", nums)
+        object.__setattr__(v, "nums", MappingProxyType(nums))
         object.__setattr__(v, "den", den)
         return v
 

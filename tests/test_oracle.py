@@ -341,13 +341,14 @@ def test_frame_bounds_hold_matches_shifted_frame_operator(vecs, data):
 
 def bisected_enclosures(S):
     """The enclosures by bisection of [0, trace + 1] from scratch, one exact
-    test per level: the reference the started search must reproduce."""
+    test per level, the lower side on until A- > 0: the reference the
+    started search must reproduce."""
     N, D = oracle._cleared(S)
     T = sum(N[i][i] for i in range(len(N))) + D
 
     def bracket(sign):
         a, e = 0, 0
-        while Fraction(T, D << e) > ENCLOSURE_WIDTH:
+        while Fraction(T, D << e) > ENCLOSURE_WIDTH or (sign > 0 and a == 0):
             a, e = 2 * a, e + 1
             c = (a + 1) * T
             m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
@@ -398,9 +399,8 @@ def diagonal_on_grid(draw):
 @given(spanning_frames())
 def test_enclosures_match_bisection_on_frames(F):
     expected = bisected_enclosures(F.S)
-    assert eigenvalue_enclosures(F.S) == expected
-    if expected[0] > 0:  # else bounds_enclosure refuses the frame
-        assert F.bounds_enclosure == expected
+    assert eigenvalue_enclosures(F.S) == expected == F.bounds_enclosure
+    assert expected[0] > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -449,6 +449,24 @@ def test_enclosures_when_the_estimate_underflows(tmp_path, capsys):
     assert main(["bounds", str(spec)]) == 0
     assert capsys.readouterr().out == (f"A in [{am}, {ap}] (width <= 2^-20)\n"
                                        f"B in [{bm}, {bp}] (width <= 2^-20)\n")
+
+
+@pytest.mark.parametrize("small", [Fraction(1, 2000), Fraction(1, 10**6), Fraction(1, 2**40)])
+def test_lambda_min_below_one_grid_step_is_certified(tmp_path, capsys, small):
+    # lambda_min = small^2 is below the 2^-20 grid step: the lower side
+    # moves to the first finer level whose index 1 lies below it
+    vectors = [[1, 0], [0, small]]
+    F = ExactFrame(vectors)
+    am, ap, bm, bp = expected = bisected_enclosures(F.S)
+    assert eigenvalue_enclosures(F.S) == expected == F.bounds_enclosure
+    assert 0 < am < small**2 <= ap == 2 * am
+    assert bm <= 1 < bp
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "finite", "vectors": [[str(q) for q in v] for v in vectors]}))
+    assert main(["bounds", str(spec)]) == 0
+    assert capsys.readouterr().out.startswith(f"A in [{am}, {ap}] (width <= 2^-20)\n")
+    assert main(["dual", str(spec)]) == 0
+    assert f"g_1: (0 ± 2^-30, {1 / small} ± 2^-30" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", [8, 12, 16])

@@ -125,6 +125,13 @@ def test_equal_inputs_give_one_vector():
         assert (other.nums, other.den) == ({0: 1}, 2)
 
 
+def test_numerators_are_read_only():
+    for v in (FiniteVector([(0, Fraction(1, 2))]), FiniteVector.over([(0, 1)], 2)):
+        with pytest.raises(TypeError):
+            v.nums[0] = 3
+        assert v == FiniteVector.parse("0:1/2")
+
+
 class TestTailNorm:
     def test_basis_vector_tails(self):
         e0 = VectorName.basis(0)
