@@ -15,9 +15,10 @@ within ||f - S g|| / A of S^-1 f).  Otherwise it ends with Richardson
 steps on the same grid, whose count is set a priori by the geometric
 rate (B-A)/(B+A).  S is applied one way, through the columns of
 :func:`frame_operator` (:func:`_columns`): finite columns exactly, any
-other at a Cauchy stage.  A step that proves the declared bounds false
-raises :class:`FalseBoundsError`.  A finite vector on a finite section
-is solved exactly.
+other at a Cauchy stage; the frame keeps S, so every run on it shares
+them.  A step that proves the declared bounds false raises
+:class:`FalseBoundsError`.  A finite vector on a finite section is
+solved exactly.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ class CertifiedFrame(Immutable):
     ``finite_section`` optionally carries the exact rational vectors of
     an embedded finite-dimensional frame: :func:`inverse_apply` solves
     finite vectors on it exactly, and the verify suites compare with its
-    exact projection.
+    exact projection.  The frame keeps S once :func:`frame_operator`
+    builds it, so every solver run on it shares S's columns and stages.
     """
 
-    __slots__ = ("frame", "analysis_op", "finite_section")
+    __slots__ = ("frame", "analysis_op", "finite_section", "_S")
 
     def __init__(self, frame: Frame, analysis_op: OperatorName, finite_section=None):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
+        object.__setattr__(self, "_S", None)
 
     def elem(self, i: int) -> VectorName:
         return self.frame.elem(i)
@@ -140,27 +143,21 @@ def frame_from_operator(
     return CertifiedFrame(frame, analysis_op)
 
 
-def span_dim(CF: CertifiedFrame) -> Optional[int]:
-    """Span dimension: the largest support bound of the frame's elements.
+def restrict_to_span(CF: CertifiedFrame, v: FiniteVector) -> FiniteVector:
+    """v without its coordinates at or past the span dimension d, when known.
 
-    Known when the analysis operator's support bound says there are
-    finitely many elements and each element's support bound is set (for
-    an embedded finite frame, the dimension of its section); else None.
+    d is the largest support bound of the frame's elements, known when the
+    analysis operator's support bound says there are finitely many and
+    each element's support bound is set (for an embedded finite frame,
+    the dimension of its section).
     """
     K = CF.analysis_op.support_bound
     if K is None:
-        return None
-    bounds = [CF.elem(k).support_bound for k in range(K)]
-    if any(b is None for b in bounds):
-        return None
-    return max(bounds, default=0)
-
-
-def restrict_to_span(CF: CertifiedFrame, v: FiniteVector) -> FiniteVector:
-    """v without its coordinates at or past :func:`span_dim`, when known."""
-    d = span_dim(CF)
-    if d is None:
         return v
+    bounds = [CF.elem(k).support_bound for k in range(K)]
+    if None in bounds:
+        return v
+    d = max(bounds, default=0)
     return FiniteVector.over(((i, n) for i, n in v.nums.items() if i < d), v.den)
 
 
@@ -199,9 +196,16 @@ def analysis(CF: CertifiedFrame, f: VectorName) -> VectorName:
 
 
 def frame_operator(CF: CertifiedFrame) -> OperatorName:
-    """S = T T* with norm bound B: column n is T applied to T* e_n."""
-    T = synthesis_operator(CF.frame)
-    return OperatorName(lambda n: apply(T, CF.analysis_op.col(n)), CF.upper)
+    """S = T T* with norm bound B: column n is T applied to T* e_n.
+
+    Built on first read and kept on CF (two threads may both build it),
+    so each column and each of its stages is computed once per frame.
+    The columns hold T and T*, not CF: no cycle keeps a dropped frame.
+    """
+    if CF._S is None:
+        T, Tstar = synthesis_operator(CF.frame), CF.analysis_op
+        object.__setattr__(CF, "_S", OperatorName(lambda n: apply(T, Tstar.col(n)), CF.upper))
+    return CF._S
 
 
 # -- the frame algorithm ---------------------------------------------
@@ -383,7 +387,8 @@ def _columns(S: OperatorName):
     needs one.  The combination sum_n m_n col_n is S x 2^G (up to the
     stages' error) as integer numerators over one denominator, and it is
     rounded once onto the grid, which costs at most budget/4 under the
-    GUARD_BITS rule (nothing when the denominator is 1).
+    GUARD_BITS rule (nothing when the denominator is 1).  The table is
+    per run; S memoizes the columns and stages for every run on its frame.
     """
     cols: dict[int, FiniteVector] = {}
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite

@@ -155,7 +155,7 @@ def _load_gallery(doc) -> LoadedSpec:
 
     if name == "doubled-onb":
         CF = gal.doubled_onb()
-        return LoadedSpec("gallery", CF.frame, CF, None, (Fraction(2), Fraction(2)))
+        return LoadedSpec("gallery", CF.frame, CF, None, None)
 
     if name not in ("ex3.7", "ex3.14", "ex3.20", "ex3.27"):
         raise SpecFileError(f"gallery.name: unknown instance {name!r}")
@@ -212,7 +212,7 @@ def load_spec(path: str) -> LoadedSpec:
     kind = doc.get("kind")
     if kind == "onb":
         CF = frame_from_onb()
-        return LoadedSpec("onb", CF.frame, CF, None, (Fraction(1), Fraction(1)))
+        return LoadedSpec("onb", CF.frame, CF, None, None)
     if kind == "finite":
         return _load_finite(doc.get("vectors"))
     if kind == "operator":

@@ -29,13 +29,12 @@ here will synthesize against one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import gcd, isqrt, lcm
-from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyadic import Dyadic, Immutable, clog2, round_fraction
+from .dyadic import Dyadic, Immutable, clog2, div_nearest, round_fraction
 from .realnames import (
     RealName,
     ZERO_NAME,
@@ -81,12 +80,7 @@ class FiniteVector(Immutable):
         """The vector with entry i = n / den for (index i, integer n) pairs,
         indices distinct and den > 0, reduced to lowest terms."""
         nums = {i: n for i, n in sorted(pairs) if n}
-        if den & (den - 1):
-            g = gcd(den, *nums.values())
-        else:  # den = 2^e: g is the lowest bit set in den or a numerator, found
-            # in one linear pass (a gcd of big integers is quadratic)
-            g = reduce(or_, nums.values(), den)
-            g &= -g
+        g = gcd(den, *nums.values())
         if g > 1:
             nums, den = {i: n // g for i, n in nums.items()}, den // g
         v = object.__new__(FiniteVector)
@@ -359,9 +353,12 @@ def inner(x: VectorName, y: VectorName) -> RealName:
 def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> FiniteVector:
     """Finite vector within 2^-j of sum_k scalar_k * vector_k.
 
-    Each term gets budget 2^-j / len(terms): an exact scalar is used as
-    is, and any other is rounded so that |s - sd| (||v|| + e) + |s| e
-    stays within it, for a truncation of v within e.
+    Each term gets budget (3/4) 2^-j / len(terms): an exact scalar is
+    used as is, and any other is rounded so that |s - sd| (||v|| + e) +
+    |s| e stays within it, for a truncation of v within e.  A combination
+    with N nonzero entries and a denominator above 2^g, g = j + 1 +
+    clog2(isqrt(N) + 2), is rounded onto 2^-g, within sqrt(N) 2^-(g+1) <
+    2^-j / 4, so nested stages do not pile up their scalars' bits.
     """
     if not terms:
         return FiniteVector()
@@ -372,7 +369,11 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
         if sd is None:
             sd = s.approx(max(0, clog2(2 * (v.norm.mag + 1) / half))).as_fraction()
         parts.append((sd, truncate(v, half / (s.mag + 1))[0]))
-    return FiniteVector.combination(parts)
+    v = FiniteVector.combination(parts)
+    g = j + 1 + clog2(isqrt(len(v.nums)) + 2)
+    if v.den <= 1 << g:
+        return v
+    return FiniteVector.over(((i, div_nearest(n << g, v.den)) for i, n in v.nums.items()), 1 << g)
 
 
 def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:

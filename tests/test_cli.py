@@ -71,7 +71,7 @@ class TestSpecParsing:
         assert spec.certified is not None
 
     def test_onb_and_riesz_kinds(self):
-        assert load_spec(str(FIXTURES / "onb.json")).declared_bounds == (1, 1)
+        assert load_spec(str(FIXTURES / "onb.json")).declared_bounds is None
         spec = load_spec(str(FIXTURES / "riesz_shear.json"))
         assert spec.kind == "riesz"
         assert spec.certified is not None
@@ -156,10 +156,15 @@ class TestCliCommands:
         assert code == 0
         assert "A in [" in out and "B in [" in out
 
-    def test_bounds_declared(self):
+    def test_bounds_declared(self, tmp_path):
+        # only bounds a spec states are declared; the ONB's are known exactly
         code, out = run_cli("bounds", str(FIXTURES / "onb.json"))
         assert code == 0
-        assert "A = B = 1 (declared)" in out
+        assert out == "A = 1, B = 1 (certified)\n"
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "operator", "matrix": [["1", "0"], ["0", "1"]],
+                                    "bounds": ["1", "1"]}))
+        assert run_cli("bounds", str(spec)) == (0, "A = B = 1 (declared)\n")
 
     def test_riesz_bounds_are_not_declared(self):
         # a Riesz spec declares no bounds: they are computed from T and T_inv

@@ -8,6 +8,7 @@ checked against exact Fractions from ``framecert.oracle`` and against
 closed forms.
 """
 
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from framecert import frames, vectors
+from framecert import frames, operators, vectors
 from framecert.frames import frame_algorithm, inverse_apply
 from framecert.gallery import (
     SequenceGen,
@@ -266,3 +267,58 @@ def test_sequence_stage_rounds_inexact_terms():
         # each approximation is within 2^-(2k+40) of a_i
         slack = N * Fraction(1, 1 << (2 * k + 38))
         assert head + slack + g.sq_tail(N) <= Fraction(1, 1 << (2 * k))
+
+
+# -- one frame operator per frame ------------------------------------
+
+
+SHARED = {
+    "mercedes": lambda: load_spec(str(FIXTURES / "mercedes.json")).certified,
+    "riesz-shear": lambda: load_spec(str(FIXTURES / "riesz_shear.json")).certified,
+    "benign": lambda: upper_row_frame(benign_sequence()),
+}
+
+
+def staged_signal() -> VectorName:
+    """(1, -1/3) given by its stage alone, so the driver runs on a finite section too."""
+    v = FiniteVector.parse("0:1 1:-1/3")
+    return VectorName.from_stage(lambda k: v, Fraction(4, 3))
+
+
+def solve_and_ladder(CF, f):
+    res = frame_algorithm(CF, f, LADDER[-1])
+    x0 = inverse_apply(CF, f).coeff(0)
+    return res.vector.finite, res.iterations, [x0.approx(p).as_fraction() for p in LADDER]
+
+
+@pytest.mark.parametrize("label", sorted(SHARED))
+def test_runs_share_the_frame_operator(label, monkeypatch):
+    # the frame keeps S: a second solve and a second ladder read every
+    # column, and every stage of a column that is not finite, from the
+    # first ones, and see the same values
+    CF = SHARED[label]()
+    assert frames.frame_operator(CF) is frames.frame_operator(CF)
+    f = staged_signal()
+    first = solve_and_ladder(CF, f)
+    built = []
+    apply, finite_stage = frames.apply, operators.finite_stage
+    monkeypatch.setattr(frames, "apply", lambda U, x: built.append(x) or apply(U, x))
+    monkeypatch.setattr(operators, "finite_stage", lambda t, j: built.append(j) or finite_stage(t, j))
+    assert solve_and_ladder(CF, f) == first
+    assert built == []
+
+
+@pytest.mark.parametrize("label", sorted(SHARED))
+def test_dropped_frame_needs_no_cycle_collector(label):
+    # S's column oracle holds T and T*, not the frame, so reference
+    # counting alone frees a frame the driver ran on
+    f = staged_signal()
+    gc.collect()
+    gc.disable()
+    try:
+        CF = SHARED[label]()
+        solve_and_ladder(CF, f)
+        del CF
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -200,6 +200,20 @@ def test_deep_chain_over_the_geometric_leaf():
     assert abs(approx(x.coeff(1), 20) - x1) <= tol(20) + tol(40)
 
 
+def test_nested_stages_stay_on_their_grid():
+    # a combined stage j with N < 2^10 entries is rounded onto 2^-g, g =
+    # j + 1 + clog2(isqrt(N) + 2) <= j + 7, so its denominator does not
+    # carry the bits of every inexact scalar below it; the chain tests
+    # above check its value
+    x = geometric_vector()
+    h = sqrt_name(RealName.from_fraction(Fraction(1, 2)))
+    for _ in range(40):
+        x = linear_combo([(h, x), (RealName.from_fraction(1), VectorName.basis(1))])
+    for j in (0, 20, 60):
+        v = x.stage(j)
+        assert len(v.nums) < 1 << 10 and v.den <= 1 << (j + 7)
+
+
 class TestInner:
     def test_onb_cases(self):
         assert inner(VectorName.basis(2), VectorName.basis(2)).exact == 1
