@@ -3,8 +3,10 @@
 ``oracle_golden.json`` was written by the Fraction-elimination oracle
 that preceded the integer Bareiss kernel: the frame-bound enclosures of
 every finite fixture and of seeded frames, and the stdout of two CLI
-commands on the Mercedes frame.  A faster kernel must reproduce them
-exactly.
+commands on the Mercedes frame.  The entries of ``scaled_frame.json``, a
+frame with a common denominator 6, were added later by the integer
+kernel, before ExactFrame kept its integer form.  A faster kernel must
+reproduce them exactly.
 """
 
 import io
