@@ -3,12 +3,13 @@
 The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures are exact: Fractions go in and come
 out (finite vectors for ``solve``), and in between a matrix's
-denominators are cleared once and one fraction-free (Bareiss)
-elimination runs on integers.  Its symmetric mode without pivoting
-decides (semi)definiteness: the span test of ExactFrame (the vectors
-span Q^d exactly when S is positive definite), each step of the
-enclosure search, and checks of declared frame bounds.  Its
-Gauss-Jordan mode with row pivoting gives determinants and adjugates.
+denominators are cleared once (an ExactFrame's at construction, kept as
+its integer form) and one fraction-free (Bareiss) elimination runs on
+integers.  Its symmetric mode without pivoting decides (semi)definiteness:
+the span test of ExactFrame (the vectors span Q^d exactly when S is
+positive definite), each step of the enclosure search, and checks of
+declared frame bounds.  Its Gauss-Jordan mode with row pivoting gives
+determinants and adjugates.
 The kernel is validated against this module, so every value it returns
 is decided exactly; floating point only picks the grid point where the
 enclosure search starts (a bad start costs tests, not correctness).
@@ -20,7 +21,7 @@ computed on first read; nothing is cached across frames.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, hypot, lcm
+from math import copysign, gcd, hypot, lcm
 from operator import mul
 from typing import Sequence
 
@@ -35,47 +36,55 @@ class NonSpanningError(ValueError):
 
 
 class ExactFrame(Immutable):
-    """Rational vectors spanning Q^d, their exact frame operator ``S``
-    (formed for the span test) and, each on first read (two threads may
-    both compute it), ``bounds_enclosure`` (:func:`eigenvalue_enclosures`)
-    and ``inverse`` = (R, c) with S^-1 = c R, R integer.
+    """Rational (int or Fraction) vectors spanning Q^d, cleared once into
+    the integers every reader uses: the rows of ``N`` over ``D``, and S =
+    N^T N / D^2 as ``G`` over ``E`` (cut by their gcd, which nothing read
+    depends on).  ``bounds_enclosure`` and ``inverse`` = (R, c), S^-1 = c R
+    with R integer, are computed on first read (two threads may both compute it).
     """
 
-    __slots__ = ("vectors", "d", "S", "_bounds", "_inverse")
+    __slots__ = ("N", "D", "d", "G", "E", "_bounds", "_inverse")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
-        vecs = tuple(tuple(Fraction(q) for q in v) for v in vectors)
-        if not vecs:
+        N, D = _cleared(vectors)
+        if not N:
             raise ValueError("frame needs at least one vector")
-        d = len(vecs[0])
-        if d == 0 or any(len(v) != d for v in vecs):
+        d = len(N[0])
+        if d == 0 or any(len(v) != d for v in N):
             raise ValueError("vectors must share a positive dimension")
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "d", d)
-        N, D = _cleared(vecs)
         cols = list(zip(*N))
         G = [[sum(map(mul, u, v)) for v in cols] for u in cols]
-        object.__setattr__(self, "S", [[Fraction(g, D * D) for g in row] for row in G])
-        object.__setattr__(self, "_bounds", None)
-        object.__setattr__(self, "_inverse", None)
         # the vectors span Q^d exactly when S = sum v v^T is positive definite
-        if not _bareiss(G, strict=True):
+        if not _bareiss([list(row) for row in G], strict=True):
             raise NonSpanningError(f"vectors do not span Q^{d}")
+        g = gcd(D * D, *(x for row in G for x in row))
+        G = tuple(tuple(x // g for x in row) for row in G)
+        for k, v in (("N", tuple(map(tuple, N))), ("D", D), ("d", d), ("G", G), ("E", D * D // g),
+                     ("_bounds", None), ("_inverse", None)):
+            object.__setattr__(self, k, v)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.N)
+
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(n, self.D) for n in row) for row in self.N)
+
+    @property
+    def S(self) -> Matrix:
+        return [[Fraction(x, self.E) for x in row] for row in self.G]
 
     @property
     def bounds_enclosure(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self._bounds is None:
             # S proven definite above
-            object.__setattr__(self, "_bounds", _enclosures(*_cleared(self.S)))
+            object.__setattr__(self, "_bounds", _enclosures(self.G, self.E))
         return self._bounds
 
     @property
     def inverse(self) -> tuple[list[list[int]], Fraction]:
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", _inverse(self.S))
+            object.__setattr__(self, "_inverse", _inverse(self.G, self.E))
         return self._inverse
 
     @property
@@ -162,11 +171,10 @@ def _bareiss(m: list[list[int]], strict: bool | None = None) -> int:
     return prev
 
 
-def _inverse(m: Matrix) -> tuple[list[list[int]], Fraction]:
-    """(R, c) with R integer and m^-1 = c R: R = adj N and c = D / det N for m = N / D."""
-    n = len(m)
-    N, D = _cleared(m)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
+def _inverse(N: Sequence[Sequence[int]], D: int) -> tuple[list[list[int]], Fraction]:
+    """(R, c) with R integer and (N / D)^-1 = c R: R = adj N and c = D / det N."""
+    n = len(N)
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(N)]
     det = _bareiss(rows)
     if det == 0:
         raise NonSpanningError("singular matrix")
@@ -178,7 +186,7 @@ def _scaled(R: list[list[int]], c: Fraction) -> Matrix:
 
 
 def mat_inv(m: Matrix) -> Matrix:
-    return _scaled(*_inverse(m))
+    return _scaled(*_inverse(*_cleared(m)))
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -233,7 +241,7 @@ def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Frac
     return _enclosures(N, D)
 
 
-def _enclosures(N: list[list[int]], D: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def _enclosures(N: Sequence[Sequence[int]], D: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """eigenvalue_enclosures of S = N / D, for integer N positive definite.
 
     For trace + 1 = T / D, level E is the first with step T / (D 2^E) <=
@@ -274,7 +282,7 @@ def _enclosures(N: list[list[int]], D: int) -> tuple[Fraction, Fraction, Fractio
     return out
 
 
-def _estimate(N: list[list[int]], T: int, E: int) -> tuple[float, float]:
+def _estimate(N: Sequence[Sequence[int]], T: int, E: int) -> tuple[float, float]:
     """Float estimates of lambda_min(N) and lambda_max(N) in units of T / 2^E.
 
     N scaled by its largest entry is reduced to a tridiagonal matrix by
@@ -345,16 +353,15 @@ def projection_matrix(F: ExactFrame) -> Matrix:
 def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
     """u[l][k] = <phi_l, S^-1 f_k> for the cross-frame coefficient operator.
 
-    With S^-1 = c R, F = N / D and Phi = P / E on integers, u[l][k] is
-    c (P_l . R N_k) / (D E): integer products, then one Fraction per entry.
+    With S^-1 = c R and the frames' integer forms N / D and P / E, u[l][k]
+    is c (P_l . R N_k) / (D E): integer products, then one Fraction per entry.
     """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
     R, c = F.inverse
-    (N, D), (P, E) = _cleared(F.vectors), _cleared(Phi.vectors)
-    dual = [[sum(map(mul, row, n)) for row in R] for n in N]
-    num, den = c.numerator, c.denominator * D * E
-    return [[Fraction(num * sum(map(mul, p, g)), den) for g in dual] for p in P]
+    dual = [[sum(map(mul, row, n)) for row in R] for n in F.N]
+    num, den = c.numerator, c.denominator * F.D * Phi.D
+    return [[Fraction(num * sum(map(mul, p, g)), den) for g in dual] for p in Phi.N]
 
 
 def embed(F: ExactFrame):
@@ -362,10 +369,7 @@ def embed(F: ExactFrame):
     from .frames import CertifiedFrame, Frame
     from .operators import OperatorName, finite_columns
 
-    elem = finite_columns([FiniteVector(enumerate(v)) for v in F.vectors])
-    analysis_col = finite_columns([FiniteVector(enumerate(c)) for c in zip(*F.vectors)])
-    analysis_op = OperatorName(
-        analysis_col, sqrt_upper(F.upper), support_bound=len(F)
-    )
-    frame = Frame(elem, F.lower, F.upper)
-    return CertifiedFrame(frame, analysis_op, finite_section=F)
+    elem = finite_columns([FiniteVector.over(enumerate(v), F.D) for v in F.N])
+    analysis_col = finite_columns([FiniteVector.over(enumerate(c), F.D) for c in zip(*F.N)])
+    analysis_op = OperatorName(analysis_col, sqrt_upper(F.upper), support_bound=len(F))
+    return CertifiedFrame(Frame(elem, F.lower, F.upper), analysis_op, finite_section=F)

@@ -38,8 +38,8 @@ class RealName:
         exact: Optional[RationalLike] = None,
     ):
         self._fn = fn
-        self.mag = Fraction(mag)
-        self.exact = None if exact is None else Fraction(exact)
+        self.mag = mag if isinstance(mag, Fraction) else Fraction(mag)
+        self.exact = exact if exact is None or isinstance(exact, Fraction) else Fraction(exact)
         if self.mag < 0:
             raise ValueError("magnitude bound must be nonnegative")
         if self.exact is not None and abs(self.exact) > self.mag:
@@ -68,8 +68,11 @@ class RealName:
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "RealName":
-        q = Fraction(q)
-        return RealName(None, abs(q), exact=q)
+        """The exact name of q, built directly (mag = |q|: nothing to check)."""
+        x = object.__new__(RealName)
+        x.exact = q if isinstance(q, Fraction) else Fraction(q)
+        x._fn, x.mag, x._cache, x._lock = None, abs(x.exact), {}, threading.Lock()
+        return x
 
     # -- operator sugar (lift_arith under the hood) -------------------
 

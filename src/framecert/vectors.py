@@ -66,7 +66,7 @@ class FiniteVector(Immutable):
             if i <= last:
                 raise ValueError("indices must be strictly ascending")
             last = i
-            q = Fraction(q)
+            q = q if isinstance(q, Fraction) else Fraction(q)
             if q:
                 pairs.append((i, q))
         # the lcm of reduced denominators leaves the numerators coprime to it

@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -441,3 +444,12 @@ def test_projection_suite_passes_exactly_on_a_true_adjoint(doc):
             code, _ = run_cli("verify", str(path), "--suite", "projection")
     # exit 3: a solver step refuted the bounds, which hold only for S = M M^T
     assert code == 0 if doc["adjoint_rows"] == doc["matrix"] else code in (1, 3)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "framecert", "gallery"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("gallery instances:")

@@ -27,6 +27,7 @@ from framecert.oracle import (
     shift,
 )
 from framecert.vectors import FiniteVector
+from test_cli_golden import COMMANDS, run
 from test_oracle_golden import seeded_S
 
 
@@ -361,7 +362,7 @@ def bisected_enclosures(S):
 
 
 @st.composite
-def spanning_frames(draw):
+def spanning_vectors(draw):
     d = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["integer", "rational", "repeated", "tight", "doubled-onb"]))
     if kind in ("tight", "doubled-onb"):
@@ -379,9 +380,14 @@ def spanning_frames(draw):
         if kind == "repeated":
             vecs += vecs[: draw(st.integers(1, len(vecs)))]
     try:
-        return ExactFrame(vecs)
+        ExactFrame(vecs)
     except NonSpanningError:
         assume(False)
+    return vecs
+
+
+def spanning_frames():
+    return spanning_vectors().map(ExactFrame)
 
 
 @st.composite
@@ -477,3 +483,40 @@ def test_enclosures_take_few_eliminations(monkeypatch, d):
     monkeypatch.setattr(oracle, "_bareiss", lambda *a, **k: calls.append(1) or bareiss(*a, **k))
     eigenvalue_enclosures(seeded_S(d, rational=False))
     assert len(calls) <= 6
+
+
+# -- the integer form: a frame is cleared once, and its readers agree ----
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_vectors())
+def test_integer_form_matches_fractions(vecs):
+    # every reader of the kept integers against the same value from Fractions
+    F = ExactFrame(vecs)
+    d = len(vecs[0])
+    S = [[sum((Fraction(v[i]) * v[j] for v in vecs), Fraction(0)) for j in range(d)] for i in range(d)]
+    assert F.S == S
+    assert F.vectors == tuple(tuple(Fraction(q) for q in v) for v in vecs)
+    assert F.bounds_enclosure == eigenvalue_enclosures(S)
+    assert F.S_inv == mat_inv(S)
+    CF = embed(F)
+    assert [CF.elem(k).finite for k in range(len(vecs))] == [FiniteVector(enumerate(v)) for v in vecs]
+    assert [CF.analysis_op.col(i).finite for i in range(d)] == [
+        FiniteVector(enumerate(c)) for c in zip(*vecs)]
+
+
+@pytest.mark.parametrize("fixture", ["mercedes.json", "scaled_frame.json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_each_command_clears_the_frame_once(monkeypatch, fixture, command):
+    cleared, calls = oracle._cleared, []
+    monkeypatch.setattr(oracle, "_cleared", lambda m: calls.append(m) or cleared(m))
+    run([command[0], f"fixtures/{fixture}", *command[1:]])
+    assert len(calls) == 1
+
+
+def test_shared_factor_is_divided_out():
+    # D = 6 and N^T N = [[22, 0], [0, 18]]: gcd(36, 22, 18) = 2
+    F = ExactFrame([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)], [Fraction(1, 3), 0]])
+    assert (F.N, F.D) == (((3, 3), (3, -3), (2, 0)), 6)
+    assert (F.G, F.E) == (((11, 0), (0, 9)), 18)
+    assert F.S == [[Fraction(11, 18), 0], [0, Fraction(1, 2)]]

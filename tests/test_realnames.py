@@ -193,3 +193,12 @@ def test_pairwise_consistency(p, q):
 def test_scale():
     x = scale(Fraction(3, 2), RealName.from_fraction(4))
     assert x.exact == 6
+
+
+@pytest.mark.parametrize("q", [0, 5, -7, Fraction(0), Fraction(-22, 7), Fraction(1, 3), Fraction(5, 2**40)])
+def test_from_fraction_is_the_checked_exact_name(q):
+    direct, checked = RealName.from_fraction(q), RealName(None, abs(q), exact=q)
+    assert type(direct.mag) is Fraction and type(direct.exact) is Fraction
+    assert (direct.mag, direct.exact) == (checked.mag, checked.exact)
+    for n in (0, 1, 7, 30, 64):
+        assert direct.approx(n) == checked.approx(n)
