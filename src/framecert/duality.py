@@ -103,18 +103,14 @@ _BUILTIN_TESTS = (
 )
 
 
-def dual_from_left_inverse(
-    CF: CertifiedFrame,
-    V: OperatorName,
-    tol: Fraction = Fraction(1, 2**30),
-) -> DualPair:
+def dual_from_left_inverse(CF: CertifiedFrame, V: OperatorName) -> DualPair:
     """Dual (V delta_k) from a certified left inverse V of the analysis operator.
 
-    Left-inverse-ness is undecidable; V T* = I is checked on built-in
-    test vectors and a failure raises DualityVerificationError.
+    Left-inverse-ness is undecidable; V T* = I is checked within 2^-30 on
+    built-in test vectors and a failure raises DualityVerificationError.
     """
-    tol = Fraction(tol)
-    p = max(2, clog2(4 / tol))
+    tol = Fraction(1, 2**30)
+    p = clog2(4 / tol)
     for t in [restrict_to_span(CF, u) for u in _BUILTIN_TESTS]:
         f = VectorName.from_finite(t)
         bound = distance_bound(f, apply(V, analysis(CF, f)), p)

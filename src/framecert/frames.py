@@ -294,7 +294,8 @@ def _conjugate_gradients(
     1/(1-r) = 1/(w A), so the errors add up to at most
     (9/4) b/A < 2^-(target+1).  The certified
     err = (ceil(sqrt(N)) 2^-G + 7b/4)/A bounds ||S^-1 f' - x||, and J is
-    the smallest with r^J err <= 2^-(target+2): x ends within 2^-target.
+    the smallest with r^J err <= 2^-(target+2) (:func:`richardson_steps`):
+    x ends within 2^-target.
     """
     A, B = CF.lower, CF.upper
     b = A * Fraction(1, 1 << (target + 3))
@@ -335,11 +336,37 @@ def _conjugate_gradients(
         r = residual(x)
         rr = _dot(r, r)
     err = (Fraction(_ceil_sqrt(rr), 1 << G) + 7 * b / 4) / A
-    rate, w = (B - A) / (B + A), Fraction(2) / (A + B)
-    J = _smallest(lambda J: rate**J * err <= Fraction(1, 1 << (target + 2)))
+    J, w = richardson_steps(A, B, err * (1 << (target + 2))), Fraction(2) / (A + B)
     for _ in range(J):
         x = _combine(x, residual(x), w.numerator, w.denominator)
     return FiniteVector.over(x.items(), 1 << G), steps + J
+
+
+def richardson_steps(A: Fraction, B: Fraction, goal: Fraction) -> int:
+    """The smallest J >= 1 with ((B+A)/(B-A))^J >= goal, and 1 when A = B.
+
+    Each test is exact, without forming the power (J times the ratio's
+    bits; J passes 10^6 at B/A = 4*10^4) unless its roundings down and up
+    on 2^-q, q doubling, never put goal on one side."""
+    if A == B:
+        return 1
+    r = (B + A) / (B - A)
+    n, d = r.numerator, r.denominator
+
+    def at_least(J: int) -> bool:
+        q = 64
+        while q < J * n.bit_length():
+            lo = hi = 1 << q
+            for bit in bin(J)[2:]:
+                lo, hi = lo * lo >> q, -(-hi * hi >> q)
+                if bit == "1":
+                    lo, hi = lo * n // d, -(-hi * n // d)
+            if lo >= goal * (1 << q) or hi < goal * (1 << q):
+                return lo >= goal * (1 << q)
+            q *= 2
+        return r**J >= goal
+
+    return _smallest(at_least)
 
 
 def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, int]:

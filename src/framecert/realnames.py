@@ -24,26 +24,20 @@ RationalLike = Fraction | int
 class RealName:
     """Oracle ``n -> Dyadic`` within 2^-n of a real, plus ``|x| <= mag``.
 
-    ``exact`` optionally records that the represented real is a known
-    rational; arithmetic propagates it so that finite computations over
-    rational data stay exact end to end.
+    ``exact`` records that the represented real is a known rational: it
+    is set by :meth:`from_fraction` and None otherwise; arithmetic
+    propagates it so that finite computations over rational data stay
+    exact end to end.
     """
 
     __slots__ = ("_fn", "mag", "exact", "_cache", "_lock")
 
-    def __init__(
-        self,
-        fn: Optional[Callable[[int], Dyadic]],
-        mag: RationalLike,
-        exact: Optional[RationalLike] = None,
-    ):
+    def __init__(self, fn: Callable[[int], Dyadic], mag: RationalLike):
         self._fn = fn
         self.mag = mag if isinstance(mag, Fraction) else Fraction(mag)
-        self.exact = exact if exact is None or isinstance(exact, Fraction) else Fraction(exact)
+        self.exact = None
         if self.mag < 0:
             raise ValueError("magnitude bound must be nonnegative")
-        if self.exact is not None and abs(self.exact) > self.mag:
-            raise ValueError("magnitude bound contradicts exact value")
         self._cache: dict[int, Dyadic] = {}
         self._lock = threading.Lock()
 

@@ -18,7 +18,7 @@ from .frames import CertifiedFrame, Frame
 from .operators import OperatorName, apply, from_finite_matrix
 from .oracle import identity, mat_mul
 from .realnames import RealName
-from .vectors import FiniteVector, VectorName, _memoized
+from .vectors import VectorName, _memoized
 
 
 class RieszBasisName(Immutable):
@@ -129,11 +129,6 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
         # ||M (+) I|| <= max(||M||, 1); Frobenius bounds the block norm
         return OperatorName(col, max(base.norm_bound, Fraction(1)))
 
-    T = block_operator(M)
-    T_inv = block_operator(M_inv)
-    M_rows = [VectorName.from_finite(FiniteVector(enumerate(r))) for r in M]
-
-    def rows(n: int) -> VectorName:
-        return M_rows[n] if n < d else VectorName.basis(n)
-
-    return RieszBasisName(T, T_inv, rows)
+    # row n of T is column n of M^T (+) I
+    rows = block_operator(list(zip(*M))).col
+    return RieszBasisName(block_operator(M), block_operator(M_inv), rows)

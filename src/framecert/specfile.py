@@ -1,9 +1,11 @@
-"""JSON frame descriptions for the command-line front end.
+"""The input formats of the command-line front end, read in one place.
 
 A spec file declares one frame: an orthonormal one, a finite rational
 one (with exact ground truth available), a finite matrix of synthesis
-columns, a gallery instance, or a Riesz basis.  Rationals travel as
-strings "p/q"; parse errors carry the offending field.
+columns, a gallery instance, or a Riesz basis; a Bessel file, a bound
+and finite vectors.  Rationals travel as strings "p/q", and vectors (the
+``--vector`` flag too) as "i:p/q" text.  Parse errors carry the
+offending field, or the file and the line.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .duality import BesselSequence
 from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame, frame_from_onb
 from .operators import OperatorName, finite_columns
@@ -86,27 +89,36 @@ def parse_matrix(value, field: str):
     return rows
 
 
-def parse_vector_text(text: str, field: str = "vector") -> FiniteVector:
-    """Finite vector from "i:p/q,j:p/q" (comma or space separated)."""
+def parse_vector_text(text, field: str = "vector") -> FiniteVector:
+    """Finite vector from "i:p/q" text, as :meth:`FiniteVector.parse` reads it."""
     if not isinstance(text, str):
         raise SpecFileError(f"{field}: expected a vector string, got {text!r}")
-    text = text.strip()
-    if not text:
-        return FiniteVector()
-    entries = {}
-    for part in text.replace(",", " ").split():
-        if ":" not in part:
-            raise SpecFileError(f"{field}: bad entry {part!r}, expected i:p/q")
-        idx, _, val = part.partition(":")
-        try:
-            i = int(idx)
-        except ValueError:
-            raise SpecFileError(f"{field}: bad index in {part!r}") from None
-        if i < 0:
-            raise SpecFileError(f"{field}: negative index in {part!r}")
-        q = parse_rational(val, field)
-        entries[i] = entries.get(i, Fraction(0)) + q
-    return FiniteVector(sorted(entries.items()))
+    try:
+        return FiniteVector.parse(text)
+    except ValueError as e:
+        raise SpecFileError(f"{field}: {e}") from None
+
+
+def load_bessel(path: str) -> BesselSequence:
+    """Bessel sequence from a JSON file, its bound checked exactly.
+
+    The elements are finite vectors, so sum_k |<f, h_k>|^2 <= bound ||f||^2
+    holds exactly when bound*I - H H^T >= 0 for the matrix H of their
+    coordinates.
+    """
+    doc = _read_json(path)
+    bound = parse_rational(doc.get("bound", "1"), "bound")
+    if bound < 0:
+        raise SpecFileError(f"bound: expected a nonnegative rational, got {bound}")
+    elems = doc.get("elements", [])
+    if not isinstance(elems, list):
+        raise SpecFileError("elements: expected a list of vector strings")
+    fins = [parse_vector_text(t, f"elements[{i}]") for i, t in enumerate(elems)]
+    coords = sorted({i for v in fins for i in v.nums})
+    H = [[v.coefficient(i) for v in fins] for i in coords]
+    if not frame_bounds_hold(H, Fraction(0), bound):
+        raise InvalidFrameError(f"Bessel bound {bound} is below ||sum_k h_k h_k^T||")
+    return BesselSequence(finite_columns(fins), bound)
 
 
 def _load_finite(vectors) -> LoadedSpec:
@@ -199,7 +211,8 @@ def _load_riesz(doc) -> LoadedSpec:
     return LoadedSpec("riesz", CF.frame, CF, None, None)
 
 
-def load_spec(path: str) -> LoadedSpec:
+def _read_json(path: str) -> dict:
+    """The top-level object of a JSON file; errors name the file, and the line."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -209,6 +222,11 @@ def load_spec(path: str) -> LoadedSpec:
         raise SpecFileError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise SpecFileError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_spec(path: str) -> LoadedSpec:
+    doc = _read_json(path)
     kind = doc.get("kind")
     if kind == "onb":
         CF = frame_from_onb()

@@ -143,13 +143,20 @@ class FiniteVector(Immutable):
 
     @staticmethod
     def parse(text: str) -> "FiniteVector":
-        entries = []
-        for tok in text.split():
-            head, sep, tail = tok.partition(":")
-            if not sep:
-                raise ValueError(f"bad finite-vector token {tok!r}")
-            entries.append((int(head), Fraction(tail)))
-        return FiniteVector(entries)
+        """The vector of "i:p/q" tokens, separated by spaces or commas, in any
+        order; the entries of a repeated index add up.  A malformed token
+        raises ValueError naming it."""
+        acc: dict[int, Fraction] = {}
+        for tok in text.replace(",", " ").split():
+            head, _, tail = tok.partition(":")
+            try:
+                i, q = int(head), Fraction(tail)
+            except (ValueError, ZeroDivisionError):
+                i = -1
+            if i < 0:
+                raise ValueError(f"bad entry {tok!r}, expected i:p/q with i >= 0")
+            acc[i] = acc.get(i, 0) + q
+        return FiniteVector(sorted(acc.items()))
 
     def dense(self, length: Optional[int] = None) -> list[Fraction]:
         n = self.support if length is None else length

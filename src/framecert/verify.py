@@ -1,16 +1,17 @@
 """Property suites run against a loaded frame: duality, projection,
 Gram completion, and iteration-rate checks.
 
-Each suite produces a deterministic report of labelled residual bounds;
-finite frames are additionally checked against the exact rational
-ground truth.
+Each suite produces a deterministic report of labelled lines: residual
+bounds held to the one tolerance :data:`TOL`, or, in the rate suite,
+iteration counts held to their cap.  Finite frames are additionally
+checked against the exact rational ground truth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import Immutable, _smallest, clog2
+from .dyadic import Immutable, clog2
 from .duality import DualPair, canonical_dual, verify_duality
 from .frames import (
     CertifiedFrame,
@@ -19,15 +20,17 @@ from .frames import (
     frame_algorithm,
     range_projection,
     restrict_to_span,
+    richardson_steps,
 )
 from .operators import apply
 from .vectors import FiniteVector, VectorName, distance_bound, inner
 
-DEFAULT_TOL = Fraction(1, 2**30)
+TOL = Fraction(1, 2**30)
 
 
 class SuiteReport(Immutable):
-    """Outcome of one suite: labelled residual bounds and a verdict."""
+    """Outcome of one suite: (label, residual bound, ok) lines and a verdict;
+    a rate line has no bound (None), and ``worst`` is None without one."""
 
     __slots__ = ("suite", "passed", "lines", "worst")
 
@@ -39,7 +42,7 @@ class SuiteReport(Immutable):
 
 
 def _report(suite, lines):
-    worst = max((r for _, r, _ in lines), default=Fraction(0))
+    worst = max((r for _, r, _ in lines if r is not None), default=None)
     return SuiteReport(suite, all(ok for _, _, ok in lines), lines, worst)
 
 
@@ -49,23 +52,23 @@ def _test_vectors(CF: CertifiedFrame) -> list[FiniteVector]:
     return [restrict_to_span(CF, FiniteVector.parse(text)) for text in base]
 
 
-def duality_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
+def duality_suite(CF: CertifiedFrame) -> SuiteReport:
     """Canonical-dual reconstruction residuals on the built-in test set."""
     pair = DualPair(CF, canonical_dual(CF).frame)
     tests = _test_vectors(CF)
-    rep = verify_duality(pair, tests, tol)
+    rep = verify_duality(pair, tests, TOL)
     lines = [
-        (f"reconstruct {t.format() or '0'}", r, r <= tol)
+        (f"reconstruct {t.format() or '0'}", r, r <= TOL)
         for t, r in zip(tests, rep.residual_bounds)
     ]
     return _report("duality", lines)
 
 
-def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
+def projection_suite(CF: CertifiedFrame) -> SuiteReport:
     """P idempotent, symmetric (against exact ground truth when present,
     else entrywise on e_0..e_{K-1}, K <= 10, with the analysis certificate
     checked there as the adjoint), and identity on analysis images."""
-    p = max(2, clog2(4 / tol))
+    p = max(2, clog2(4 / TOL))
     P = range_projection(CF)
     lines = []
 
@@ -74,7 +77,7 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
         c = VectorName.from_finite(FiniteVector.parse(text))
         Pc = apply(P, c)
         r = distance_bound(apply(P, Pc), Pc, p)
-        lines.append((f"idempotent on {text}", r, r <= tol))
+        lines.append((f"idempotent on {text}", r, r <= TOL))
 
     if CF.finite_section is not None:
         from .oracle import projection_matrix
@@ -88,7 +91,7 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
                 got = col.coeff(l).approx(p).as_fraction()
                 worst = max(worst, abs(got - M[l][k]) - Fraction(1, 1 << p))
         worst = max(worst, Fraction(0))
-        lines.append(("matches exact symmetric projection", worst, worst <= tol))
+        lines.append(("matches exact symmetric projection", worst, worst <= TOL))
     else:
         K = min(CF.analysis_op.support_bound or 3, 10)
 
@@ -99,20 +102,20 @@ def projection_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteRe
         # coefficient k of the analysis image T* e_n must be <e_n, f_k>
         worst = gap((CF.analysis_op.col(n).coeff(k), CF.elem(k).coeff(n))
                     for n in range(K) for k in range(K))
-        lines.append((f"analysis certificate is the adjoint on e_0..e_{K - 1}", worst, worst <= tol))
+        lines.append((f"analysis certificate is the adjoint on e_0..e_{K - 1}", worst, worst <= TOL))
         worst = gap((P.col(m).coeff(n), P.col(n).coeff(m)) for n in range(K) for m in range(n))
-        lines.append((f"symmetric on {', '.join(f'e_{n}' for n in range(K))}", worst, worst <= tol))
+        lines.append((f"symmetric on {', '.join(f'e_{n}' for n in range(K))}", worst, worst <= TOL))
 
     for text in ("0:1", "0:2 1:-1"):
         f = VectorName.from_finite(restrict_to_span(CF, FiniteVector.parse(text)))
         cf = analysis(CF, f)
         r = distance_bound(apply(P, cf), cf, p)
-        lines.append((f"fixes analysis image of {text}", r, r <= tol))
+        lines.append((f"fixes analysis image of {text}", r, r <= TOL))
 
     return _report("projection", lines)
 
 
-def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
+def gram_suite(CF: CertifiedFrame) -> SuiteReport:
     """Row energy of the dual Gram matrix equals its diagonal entry.
 
     Row n of the dual Gram matrix, <f_m, S^-1 f_n>, is column P e_n of
@@ -124,7 +127,7 @@ def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
     rows span the true row space still makes P one and passes here; only
     the projection suite's certificate line catches such specs.
     """
-    p = max(2, clog2(4 / tol))
+    p = max(2, clog2(4 / TOL))
     K, exact_M = 4, None
     if CF.finite_section is not None:
         from .oracle import projection_matrix
@@ -140,41 +143,20 @@ def gram_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
         if exact_M is not None:
             want = sum(q * q for q in exact_M[n])
             r = max(abs(got - want) - Fraction(1, 1 << p), Fraction(0))
-            lines.append((f"row {n} energy vs exact", r, r <= tol))
+            lines.append((f"row {n} energy vs exact", r, r <= TOL))
         energy = inner(Pe, Pe).approx(p).as_fraction()
         r = max(abs(got - energy) - Fraction(1, 1 << (p - 1)), Fraction(0))
-        lines.append((f"row {n} energy equals diagonal", r, r <= tol))
+        lines.append((f"row {n} energy equals diagonal", r, r <= TOL))
     return _report("gram", lines)
-
-
-def _power_at_least(r: Fraction, J: int, goal: Fraction) -> bool:
-    """r^J >= goal for r >= 1, exactly, without forming r^J (J times the
-    bits of r; the cap passes 10^6 at B/A = 4*10^4) unless its powers on
-    2^-q rounded down and up, q doubling, never put goal on one side."""
-    n, d, q = r.numerator, r.denominator, 64
-    while q < J * n.bit_length():
-        lo = hi = 1 << q
-        for bit in bin(J)[2:]:
-            lo, hi = lo * lo >> q, -(-hi * hi >> q)
-            if bit == "1":
-                lo, hi = lo * n // d, -(-hi * n // d)
-        if lo >= goal * (1 << q) or hi < goal * (1 << q):
-            return lo >= goal * (1 << q)
-        q *= 2
-    return r**J >= goal
 
 
 def max_iterations(A: Fraction, B: Fraction, f_mag: Fraction, p: int) -> int:
     """Ceiling on frame-algorithm steps at precision p, the Richardson budget's:
     the smallest J >= 1 with r^J >= 2^(p+4) max(||f||, 1) / A, r = (B+A)/(B-A)."""
-    if A == B:
-        return 1
-    ratio = (B + A) / (B - A)
-    goal = max(f_mag, Fraction(1)) / A * 2 ** (p + 4)
-    return _smallest(lambda J: _power_at_least(ratio, J, goal))
+    return richardson_steps(A, B, max(f_mag, Fraction(1)) / A * 2 ** (p + 4))
 
 
-def rate_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
+def rate_suite(CF: CertifiedFrame) -> SuiteReport:
     """Iteration counts stay within the geometric-rate budget."""
     lines = []
     f = VectorName.from_finite(restrict_to_span(CF, FiniteVector.parse("0:1 1:1")))
@@ -184,10 +166,7 @@ def rate_suite(CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
         ok = res.iterations <= cap
         if CF.lower == CF.upper:
             ok = ok and res.iterations == 1
-        lines.append(
-            (f"p={p}: {res.iterations} iterations (cap {cap})",
-             Fraction(res.iterations), ok)
-        )
+        lines.append((f"p={p}: {res.iterations} iterations (cap {cap})", None, ok))
     return _report("rate", lines)
 
 
@@ -199,7 +178,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, CF: CertifiedFrame, tol: Fraction = DEFAULT_TOL) -> SuiteReport:
+def run_suite(name: str, CF: CertifiedFrame) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](CF, tol)
+    return SUITES[name](CF)

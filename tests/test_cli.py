@@ -67,6 +67,25 @@ class TestSpecParsing:
         with pytest.raises(SpecFileError):
             parse_vector_text("0:1 nope")
 
+    def test_vector_text_order_and_repeats(self):
+        # commas or spaces, any order, and a repeated index adds up
+        want = FiniteVector([(0, Fraction(1, 2)), (3, Fraction(-2))])
+        for text in ("0:1/2,3:-2", "3:-2 0:1/2", "3:-1, 0:1/4 3:-1,0:1/4", " 0:1/2 3:-2 5:1 5:-1 "):
+            assert parse_vector_text(text) == FiniteVector.parse(text) == want
+        assert parse_vector_text("") == FiniteVector()
+
+    @pytest.mark.parametrize("text, token", [
+        ("0:1 nope", "nope"), ("x:1", "x:1"), ("0:1/0", "0:1/0"), ("-1:1", "-1:1"), ("2", "2"),
+    ])
+    def test_malformed_vector_text_names_field_and_token(self, text, token):
+        with pytest.raises(SpecFileError, match=re.escape(f"elements[4]: bad entry {token!r}")):
+            parse_vector_text(text, "elements[4]")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("analyze", str(FIXTURES / "onb.json"), f"--vector={text}")
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith(f"error: --vector: bad entry {token!r}")
+
     def test_finite_kind(self):
         spec = load_spec(str(FIXTURES / "mercedes.json"))
         assert spec.kind == "finite"
@@ -125,6 +144,14 @@ class TestVerifySuites:
         CF = load_spec(str(FIXTURES / "onb.json")).certified
         rep = run_suite("rate", CF)
         assert rep.passed
+
+    def test_rate_lines_carry_no_residual(self):
+        rep = run_suite("rate", load_spec(str(FIXTURES / "mercedes.json")).certified)
+        assert rep.passed and rep.worst is None
+        assert [r for _, r, _ in rep.lines] == [None, None, None]
+        code, out = run_cli("verify", str(FIXTURES / "mercedes.json"), "--suite", "rate")
+        assert code == 0
+        assert "residual" not in out and out.endswith("suite rate: pass\n")
 
     def test_max_iterations_tight_case(self):
         assert max_iterations(Fraction(2), Fraction(2), Fraction(1), 40) == 1
@@ -234,6 +261,37 @@ class TestCliCommands:
         code, out = run_cli("dual", str(FIXTURES / "onb.json"), "--bessel", str(h))
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bessel_json_error_gives_the_line(self, tmp_path):
+        h = tmp_path / "h.json"
+        h.write_text('{\n "bound": "1",\n "elements": ["0:1",]\n}\n')
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dual", str(FIXTURES / "onb.json"), "--bessel", str(h))
+        assert (code, out) == (2, "")
+        assert err.getvalue() == f"error: {h}: invalid JSON at line 3: Expecting value\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", str(FIXTURES / "mercedes.json")),
+        ("verify", str(FIXTURES / "onb.json"), "--suite", "rate"),
+        ("gallery",),
+    ])
+    def test_precision_only_where_it_is_read(self, argv):
+        # -p is an option of dual, reconstruct and analyze only
+        assert run_cli(*argv)[0] == 0
+        with redirect_stderr(io.StringIO()) as err:
+            assert run_cli(*argv, "-p", "5") == (2, "")
+        assert "unrecognized arguments: -p 5" in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ("dual",), ("reconstruct", "--vector", "0:1"), ("analyze", "--vector", "0:1"),
+    ])
+    def test_precision_options(self, argv):
+        code, out = run_cli(argv[0], str(FIXTURES / "onb.json"), *argv[1:], "-p", "5")
+        assert code == 0 and "± 2^-5" in out and "± 2^-30" not in out
+        with redirect_stderr(io.StringIO()) as err:
+            assert run_cli(argv[0], str(FIXTURES / "onb.json"), *argv[1:], "-p", "-1") == (2, "")
+        assert err.getvalue() == "error: precision must be nonnegative\n"
 
     def test_dual_beyond_int_string_limit(self):
         # 6000 fractional digits exceed Python's default int-to-str limit

@@ -3,6 +3,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecert.frames import (
     CertifiedFrame,
@@ -20,6 +21,7 @@ from framecert.frames import (
     pseudo_inverse,
     range_projection,
     reconstruct,
+    richardson_steps,
     synthesis,
 )
 from framecert.operators import OperatorName, banded_adjoint, from_finite_matrix
@@ -279,3 +281,31 @@ def sqrt_upper_3():
     from framecert.dyadic import sqrt_upper
 
     return sqrt_upper(Fraction(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=40),
+    st.fractions(min_value=1, max_value=20, max_denominator=40),
+    st.fractions(min_value=0, max_value=2**70, max_denominator=2**12),
+)
+def test_richardson_steps_is_the_smallest_exact_power(A, ratio, goal):
+    # the smallest J >= 1 with r^J >= goal, r = (B+A)/(B-A), found by exact
+    # powers one at a time; B/A <= 20 keeps r >= 21/19, so J stays below 500
+    B = A * ratio
+    if A == B:
+        assert richardson_steps(A, B, goal) == 1
+        return
+    r = (B + A) / (B - A)
+    J, power = 1, r
+    while power < goal:
+        J, power = J + 1, power * r
+    assert richardson_steps(A, B, goal) == J
+
+
+@pytest.mark.parametrize("A, B, J", [(1, 3, 1), (1, 3, 100), (1, 5, 7), (1, 5, 300), (2, 7, 150)])
+def test_richardson_steps_at_an_exact_power(A, B, J):
+    # goal = r^J itself: no rounded power can decide it, the exact test does
+    r = Fraction(B + A, B - A)
+    assert richardson_steps(Fraction(A), Fraction(B), r**J) == J
+    assert richardson_steps(Fraction(A), Fraction(B), r**J + Fraction(1, 10**9)) == J + 1
