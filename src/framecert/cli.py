@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help, spec=True, precision=False):
-        p = sub.add_parser(name, help=help)
+    def add(name, handler, summary, spec=True, precision=False):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if spec:
             p.add_argument("spec", help="path to a JSON frame spec")
@@ -159,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("bounds", cmd_bounds, "print the certified frame-bound enclosure")
-    for name, handler, help in (
+    for name, handler, summary in (
         ("reconstruct", cmd_reconstruct, "frame-decompose and resynthesize a vector"),
         ("analyze", cmd_analyze, "print analysis coefficients of a vector"),
     ):
-        p = add(name, handler, help, precision=True)
+        p = add(name, handler, summary, precision=True)
         p.add_argument("--vector", required=True, help='finite vector "i:p/q,..."')
     p = add("dual", cmd_dual, "print dual frame elements", precision=True)
     p.add_argument("--bessel", help="JSON file with a Bessel perturbation")
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:
         spec = load_spec(args.spec) if "spec" in args else None
-        if getattr(args, "precision", 0) < 0:
+        if "precision" in args and args.precision < 0:
             raise SpecFileError("precision must be nonnegative")
         # the verify suites are what must catch a false adjoint
         if spec is not None and spec.false_adjoint is not None and args.command != "verify":

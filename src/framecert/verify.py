@@ -68,7 +68,7 @@ def projection_suite(CF: CertifiedFrame) -> SuiteReport:
     """P idempotent, symmetric (against exact ground truth when present,
     else entrywise on e_0..e_{K-1}, K <= 10, with the analysis certificate
     checked there as the adjoint), and identity on analysis images."""
-    p = max(2, clog2(4 / TOL))
+    p = clog2(4 / TOL)
     P = range_projection(CF)
     lines = []
 
@@ -127,7 +127,7 @@ def gram_suite(CF: CertifiedFrame) -> SuiteReport:
     rows span the true row space still makes P one and passes here; only
     the projection suite's certificate line catches such specs.
     """
-    p = max(2, clog2(4 / TOL))
+    p = clog2(4 / TOL)
     K, exact_M = 4, None
     if CF.finite_section is not None:
         from .oracle import projection_matrix
