@@ -16,7 +16,11 @@ steps on the same grid, whose count is set a priori by the geometric
 rate (B-A)/(B+A).  S is applied one way, through the columns of
 :func:`frame_operator` (:func:`_columns`): finite columns exactly, any
 other at a Cauchy stage; the frame keeps S, so every run on it shares
-them.  A step that proves the declared bounds false raises
+them.  Each step is plain integer arithmetic: S x is one integer
+accumulation over the columns' common denominator, rounded once (a shift
+when that is a power of two), and the update, the inner products and the
+test of the declared bounds build no FiniteVector and no Fraction.  A
+step that proves the declared bounds false raises
 :class:`FalseBoundsError`.  A finite vector on a finite section is
 solved exactly.
 """
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import isqrt
+from itertools import repeat
+from math import isqrt, lcm
+from operator import mul
 from typing import Callable, Optional
 
 from .dyadic import Immutable, _smallest, clog2, div_nearest, sqrt_upper
@@ -282,7 +288,9 @@ def _conjugate_gradients(
 
     Refuted bounds.  With true bounds, A p.p - s <= p.q <= B p.p + s for
     the slack s = ceil(sqrt(p.p)) (b 2^G + 1) of q's error; a step outside
-    that range raises :class:`FalseBoundsError`.
+    that range raises :class:`FalseBoundsError`.  A, B and b 2^G + 1 are
+    split into numerator and denominator once per run, and the test is
+    decided by integer cross-multiplication.
 
     Richardson tail.  The certificate's 9b/4 lies below the computed
     residual floor of a converged fixed-point iteration, about
@@ -305,8 +313,16 @@ def _conjugate_gradients(
     apply_s = _columns(frame_operator(CF))
 
     def residual(m: dict[int, int]) -> dict[int, int]:
-        return _combine(fm, apply_s(m, G, b), -1, 1)
+        out = dict(fm)
+        for i, w in apply_s(m, G, b).items():
+            t = out.get(i, 0) - w
+            if t:
+                out[i] = t
+            else:
+                out.pop(i, None)
+        return out
 
+    within_bounds = _bounds_test(A, B, b * (1 << G) + 1)
     bound = (A / (1 << (target + 1)) - 7 * b / 4) * (1 << G)
     num, den = bound.numerator**2, bound.denominator**2
     x = _to_grid(g, G)
@@ -321,8 +337,7 @@ def _conjugate_gradients(
             continue
         q = apply_s(p, G, b)
         pp, pq = _dot(p, p), _dot(p, q)
-        slack = _ceil_sqrt(pp) * (b * (1 << G) + 1)
-        if not A * pp - slack <= pq <= B * pp + slack:
+        if not within_bounds(pp, pq):
             raise FalseBoundsError(
                 f"declared frame bounds A = {A}, B = {B} are false: "
                 f"<p, S p> lies outside [A, B] ||p||^2 at step {steps + 1}"
@@ -370,10 +385,11 @@ def richardson_steps(A: Fraction, B: Fraction, goal: Fraction) -> int:
 
 
 def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, int]:
-    """Nonzero entries of u + round(a v / c) for c > 0, rounded within 1/2."""
-    out = dict(u)
+    """Nonzero entries of u + round(a v / c) for c > 0, rounded within 1/2
+    as ``div_nearest`` rounds: (2 a w + c) // 2c."""
+    out, a2, c2 = dict(u), 2 * a, 2 * c
     for i, w in v.items():
-        t = out.get(i, 0) + div_nearest(a * w, c)
+        t = out.get(i, 0) + (a2 * w + c) // c2
         if t:
             out[i] = t
         else:
@@ -381,12 +397,26 @@ def _combine(u: dict[int, int], v: dict[int, int], a: int, c: int) -> dict[int, 
     return out
 
 
+def _bounds_test(A: Fraction, B: Fraction, s: Fraction) -> Callable[[int, int], bool]:
+    """The test (pp, pq) -> A pp - c s <= pq <= B pp + c s, c = ceil(sqrt(pp)),
+    decided in integers: each side times the denominators of A (or B) and s."""
+    (an, ad), (bn, bd), (sn, sd) = A.as_integer_ratio(), B.as_integer_ratio(), s.as_integer_ratio()
+    lo_p, lo_c, lo_q = an * sd, sn * ad, ad * sd
+    hi_p, hi_c, hi_q = bn * sd, sn * bd, bd * sd
+
+    def holds(pp: int, pq: int) -> bool:
+        c = _ceil_sqrt(pp)
+        return lo_p * pp - lo_c * c <= lo_q * pq and hi_q * pq <= hi_p * pp + hi_c * c
+
+    return holds
+
+
 def _ceil_sqrt(n: int) -> int:
     return isqrt(n - 1) + 1 if n else 0
 
 
 def _dot(u: dict[int, int], v: dict[int, int]) -> int:
-    return sum(w * v.get(i, 0) for i, w in u.items())
+    return sum(map(mul, u.values(), map(v.get, u, repeat(0))))
 
 
 def _to_grid(v: FiniteVector, G: int) -> dict[int, int]:
@@ -407,35 +437,65 @@ def _columns(S: OperatorName):
     mantissas m of x = m 2^-G (a dict index -> int) to mantissas y on the
     same grid with ||y 2^-G - S x|| <= budget in l2; callers keep
     G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
-    the budget.  Column n of S is read on first use: exactly when it is a
-    finite vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with
-    the sum over the columns that are not finite, so their errors add up
-    to at most budget/2; it is read again at a finer stage when a later x
-    needs one.  The combination sum_n m_n col_n is S x 2^G (up to the
-    stages' error) as integer numerators over one denominator, and it is
-    rounded once onto the grid, which costs at most budget/4 under the
-    GUARD_BITS rule (nothing when the denominator is 1).  The table is
-    per run; S memoizes the columns and stages for every run on its frame.
+    the budget.  Column n of S is read on first use, and kept as its
+    integer numerators over its denominator: exactly when it is a finite
+    vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with the sum
+    over the columns that are not finite, so their errors add up to at
+    most budget/2; it is read again at a finer stage when a later x needs
+    one.  sum_n m_n col_n is accumulated in plain integers over the lcm L
+    of the denominators of the columns read so far, which is S x 2^G L up
+    to the stages' error, and each entry v is rounded once onto the grid,
+    as (2v + L) // 2L, or (v + 2^(s-1)) >> s when L = 2^s (every stage of
+    an inexact name is dyadic); any common denominator rounds to the same
+    integer, and rounding costs at most budget/4 under the GUARD_BITS
+    rule, and nothing when L = 1.  No FiniteVector is built per call.  The
+    table is per run; S memoizes the columns and stages for every run on
+    its frame.
     """
-    cols: dict[int, FiniteVector] = {}
+    # column n as its (index, numerator) pairs over dens[n], and the factor
+    # L // dens[n] for the lcm L of the denominators held
+    cols: dict[int, tuple[tuple[int, int], ...]] = {}
+    dens: dict[int, int] = {}
+    scale: dict[int, int] = {}
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
+    L = 1
 
     def apply_s(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
-        for n in x:
-            if n not in cols and n not in staged:
-                c = S.col(n).finite
-                if c is None:
-                    staged[n] = -1
-                else:
-                    cols[n] = c
+        nonlocal L
+        read: dict[int, FiniteVector] = {}
+        for n in x.keys() - cols.keys() - staged.keys():
+            c = S.col(n).finite
+            if c is None:
+                staged[n] = -1
+            else:
+                read[n] = c
         if staged:
             mass = sum(abs(x[n]) for n in staged if n in x)
             k = max(0, clog2(Fraction(2 * mass, 1 << G) / budget)) if mass else 0
             for n, held in staged.items():
                 if held < k and n in x:
-                    cols[n], staged[n] = S.col(n).stage(k), k
-        y = FiniteVector.combination((m, cols[n]) for n, m in x.items())
-        return {i: div_nearest(v, y.den) for i, v in y.nums.items()}
+                    read[n], staged[n] = S.col(n).stage(k), k
+        if read:
+            for n, c in read.items():
+                cols[n], dens[n] = tuple(c.nums.items()), c.den
+            grown = lcm(L, *(c.den for c in read.values()))
+            for n in read if grown == L else dens:
+                scale[n] = grown // dens[n]
+            L = grown
+        acc: dict[int, int] = {}
+        get = acc.get
+        for n, m in x.items():
+            m *= scale[n]
+            for i, v in cols[n]:
+                acc[i] = get(i, 0) + m * v
+        if L == 1:
+            return acc
+        if L & (L - 1):
+            L2 = 2 * L
+            return {i: (2 * v + L) // L2 for i, v in acc.items()}
+        s = L.bit_length() - 1
+        half = 1 << (s - 1)
+        return {i: (v + half) >> s for i, v in acc.items()}
 
     return apply_s
 

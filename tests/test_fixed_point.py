@@ -7,28 +7,32 @@ These tests check its answers against exact Fractions from
 blocks whose columns beyond the block are read through stages, and on
 the benign gallery frame; the Richardson tail from a CG iterate; the
 error raised on refuted frame bounds; the column reader of the benign frame
-against its l2 budget; and the rounding of one step.
+against its l2 budget; the integer kernel (column accumulation, the
+rounded update) against Fraction models; and the rounding of one step.
 """
 
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert import frames
-from framecert.dyadic import clog2, round_fraction
+from framecert.dyadic import clog2, div_nearest, round_fraction
 from framecert.frames import (
     GUARD_BITS,
     CertifiedFrame,
     FalseBoundsError,
     Frame,
+    _bounds_test,
     _columns,
+    _combine,
     frame_algorithm,
     frame_operator,
     inverse_apply,
 )
 from framecert.gallery import benign_sequence, upper_row_frame
-from framecert.operators import OperatorName
+from framecert.operators import OperatorName, finite_columns
 from framecert.oracle import ExactFrame, NonSpanningError, determinant, embed, mat_inv, mat_vec
 from framecert.realnames import RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
@@ -255,3 +259,108 @@ def test_step_rounds_to_nearest():
             assert g.iterations == 1
             assert minus.vector.finite.coefficient(0) == -g.vector.finite.coefficient(0)
             assert abs(g.vector.finite.coefficient(0) - q / 7) <= Fraction(1, 1 << p)
+
+
+# -- the integer kernel ----------------------------------------------
+
+
+DENS = (1, 2, 4, 1 << 40, 3, 6, 10, 3 << 20)
+
+
+@st.composite
+def integer_columns(draw):
+    """Up to 6 columns over indices 0..5, each in lowest terms over a
+    dyadic, a non-dyadic or a unit denominator; some are the negation of
+    an earlier one, so that their entries cancel."""
+    cols = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if cols and draw(st.booleans()):
+            prev = cols[draw(st.integers(min_value=0, max_value=len(cols) - 1))]
+            cols.append(FiniteVector.over(((i, -n) for i, n in prev.nums.items()), prev.den))
+            continue
+        nums = draw(st.dictionaries(
+            st.integers(min_value=0, max_value=5), st.integers(min_value=-50, max_value=50), max_size=5
+        ))
+        cols.append(FiniteVector.over(nums.items(), draw(st.sampled_from(DENS))))
+    return cols
+
+
+def rational_apply(cols: list[FiniteVector], m: dict[int, int]) -> dict[int, int]:
+    """sum_n m_n col_n as one rational combination, each entry rounded by div_nearest."""
+    y = FiniteVector.combination((v, cols[n]) for n, v in m.items())
+    return {i: div_nearest(v, y.den) for i, v in y.nums.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_columns(), st.data())
+def test_columns_round_as_the_rational_combination(cols, data):
+    # three applications on one table: later ones read new columns, whose
+    # denominators may grow the common one
+    apply_s = _columns(OperatorName(finite_columns(cols), Fraction(1)))
+    mantissa = st.integers(min_value=-(1 << 80), max_value=1 << 80).filter(bool)
+    for _ in range(3):
+        m = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=len(cols) - 1), mantissa, max_size=len(cols)
+        ))
+        y = apply_s(m, 40, Fraction(1, 1 << 20))
+        assert all(type(v) is int for v in y.values())
+        want = rational_apply(cols, m)
+        assert {i: v for i, v in y.items() if v} == {i: v for i, v in want.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=8), st.integers(min_value=-(1 << 70), max_value=1 << 70)),
+    st.dictionaries(st.integers(min_value=0, max_value=8), st.integers(min_value=-(1 << 70), max_value=1 << 70)),
+    st.integers(min_value=-(1 << 90), max_value=1 << 90),
+    st.sampled_from([1, 2, 4, 6]) | st.integers(min_value=1, max_value=1 << 90),
+)
+def test_combine_rounds_as_div_nearest(u, v, a, c):
+    u = {i: t for i, t in u.items() if t}
+    want = dict(u)
+    for i, w in v.items():
+        want[i] = want.get(i, 0) + div_nearest(a * w, c)
+    assert _combine(u, v, a, c) == {i: t for i, t in want.items() if t}
+
+
+def test_combine_rounds_ties_up():
+    # a w / c = k + 1/2 rounds to k + 1, for either sign of a
+    assert _combine({}, {0: 1, 1: 3, 2: -1}, 1, 2) == {0: 1, 1: 2}
+    assert _combine({0: 5}, {0: 1, 1: 3}, -1, 2) == {0: 5, 1: -1}
+    assert _combine({0: 1}, {0: -3}, 1, 6) == {0: 1}
+
+
+positive = st.fractions(min_value=Fraction(1, 1 << 40), max_value=1 << 20, max_denominator=1 << 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, positive, positive, st.integers(min_value=0, max_value=1 << 200), st.data())
+def test_bounds_test_is_the_rational_test(A, B, s, pp, data):
+    # pq is drawn around both ends of [A pp - c s, B pp + c s], so the
+    # integer test is checked at its boundary, not only far from it
+    A, B = min(A, B), max(A, B)
+    c = isqrt(pp - 1) + 1 if pp else 0
+    lo, hi = A * pp - c * s, B * pp + c * s
+    end = data.draw(st.sampled_from([lo, hi]))
+    pq = floor(end) + data.draw(st.integers(min_value=-2, max_value=2))
+    assert _bounds_test(A, B, s)(pp, pq) == (lo <= pq <= hi)
+
+
+def test_warmed_benign_run_builds_no_finite_vector(monkeypatch):
+    # once S holds its columns and stages, a run applies S in plain
+    # integers: no FiniteVector.combination per application
+    CF = upper_row_frame(benign_sequence())
+    f = VectorName.from_finite(FiniteVector.parse("0:1 1:-1/3 2:2/7"))
+    want = frame_algorithm(CF, f, 128)
+    calls = []
+    combination = FiniteVector.combination
+
+    def counted(terms):
+        calls.append(1)
+        return combination(terms)
+
+    monkeypatch.setattr(FiniteVector, "combination", staticmethod(counted))
+    res = frame_algorithm(CF, f, 128)
+    assert calls == []
+    assert res.iterations == want.iterations == 3
+    assert res.vector.finite == want.vector.finite
