@@ -217,15 +217,15 @@ def decimal_string(d: Dyadic) -> str:
 
 
 _CHUNK_DIGITS = 600  # below 640, the least int-to-str digit limit Python allows
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def int_string(n: int) -> str:
     """str(n) for an integer of any size, in chunks of _CHUNK_DIGITS digits."""
     sign = "-" if n < 0 else ""
     n, chunks = abs(n), []
-    base = 10**_CHUNK_DIGITS
-    while n >= base:
-        n, low = divmod(n, base)
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         chunks.append(str(low).rjust(_CHUNK_DIGITS, "0"))
     chunks.append(str(n))
     return sign + "".join(reversed(chunks))

@@ -65,15 +65,32 @@ class LoadedSpec(Immutable):
 
 def parse_rational(value, field: str) -> Fraction:
     """Rational from "p/q" (or "p") with q != 0, or a JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise SpecFileError(f"{field}: expected a rational string, got {value!r}")
     try:
-        q = Fraction(value)
+        return _rational(value)
+    except TypeError:
+        raise SpecFileError(f"{field}: expected a rational string, got {value!r}") from None
     except (ValueError, ZeroDivisionError) as e:
         raise SpecFileError(f"{field}: invalid rational {value!r} ({e})") from None
-    return q
+
+
+def _rational(value) -> Fraction:
+    """:func:`parse_rational` without the field: TypeError for a value that
+    is neither a string nor an integer, ValueError or ZeroDivisionError for
+    a string that is not a rational.  ASCII "-?digits" and "-?digits/digits"
+    with a nonzero denominator are read by int(); every other string by
+    Fraction, which so decides what is accepted and the error text."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(value)
 
 
 def parse_matrix(value, field: str):
@@ -83,7 +100,13 @@ def parse_matrix(value, field: str):
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
             raise SpecFileError(f"{field}[{i}]: expected a non-empty row")
-        rows.append([parse_rational(q, f"{field}[{i}][{j}]") for j, q in enumerate(row)])
+        try:
+            rows.append([_rational(q) for q in row])
+        except (TypeError, ValueError, ZeroDivisionError):
+            # the entry's label is formatted only here, to name the first bad one
+            for j, q in enumerate(row):
+                parse_rational(q, f"{field}[{i}][{j}]")
+            raise
     if any(len(r) != len(rows[0]) for r in rows):
         raise SpecFileError(f"{field}: ragged rows")
     return rows

@@ -23,6 +23,7 @@ from framecert.specfile import (
     MissingCertificateError,
     SpecFileError,
     load_spec,
+    parse_matrix,
     parse_rational,
     parse_vector_text,
 )
@@ -59,6 +60,35 @@ class TestSpecParsing:
             parse_rational("1/0", "x")
         with pytest.raises(SpecFileError):
             parse_rational("abc", "x")
+
+    @pytest.mark.parametrize("text", [
+        "-0", "+3", " 2/3 ", "1_000", "1.5", "1e3", "--1", "-", "1/", "/2",
+        "2/0", "3/-4", "\u0663", "0x10", "-12/18", "7/" + "0" * 30 + "5", "1" * 5000,
+    ])
+    def test_rational_strings_read_as_fraction_reads_them(self, text):
+        # the int() path for ASCII -?digits(/digits) must not change which
+        # strings are accepted, their values, or the error text
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(SpecFileError) as err:
+                parse_rational(text, "x")
+            assert str(err.value) == f"x: invalid rational {text!r} ({e})"
+        else:
+            got = parse_rational(text, "x")
+            assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("value", [True, 1.5, None, ["1"]])
+    def test_rational_rejects_other_json_values(self, value):
+        with pytest.raises(SpecFileError, match=re.escape(f"x: expected a rational string, got {value!r}")):
+            parse_rational(value, "x")
+
+    def test_matrix_error_names_the_first_bad_entry(self):
+        assert parse_matrix([["1", 2], ["-3/6", "1e1"]], "M") == [[1, 2], [Fraction(-1, 2), 10]]
+        with pytest.raises(SpecFileError, match=re.escape("M[1][2]: invalid rational '2/0'")):
+            parse_matrix([["1", "2", "3"], ["4", "5", "2/0"]], "M")
+        with pytest.raises(SpecFileError, match=re.escape("M[0][1]: expected a rational string, got True")):
+            parse_matrix([["1", True, "x"]], "M")
 
     def test_vector_text(self):
         v = parse_vector_text("0:1/2, 3:-2")
