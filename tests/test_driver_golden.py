@@ -5,7 +5,7 @@ denominator and step count of ``frame_algorithm`` at p = 20, 64, 128 and
 256, and the ladder ``inverse_apply(CF, f).coeff(0).approx(p)`` at p =
 32, 64, 96, 128 read in that order on one name (so each run after the
 first is warm-started).  The frames cover integer columns (Mercedes,
-Riesz shear), a common denominator 6 (scaled frame), dyadic stages (the
+Riesz shear), columns over 18 and 2 (scaled frame), dyadic stages (the
 benign gallery frame) and declared bounds that a step refutes.  The
 signal is given by its stage alone, so that ``inverse_apply`` runs the
 driver on finite sections too.  A faster kernel must reproduce every
