@@ -67,10 +67,6 @@ class ExactFrame(Immutable):
         return len(self.N)
 
     @property
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(n, self.D) for n in row) for row in self.N)
-
-    @property
     def S(self) -> Matrix:
         return [[Fraction(x, self.E) for x in row] for row in self.G]
 
@@ -95,10 +91,6 @@ class ExactFrame(Immutable):
     def upper(self) -> Fraction:
         return self.bounds_enclosure[3]
 
-    @property
-    def S_inv(self) -> Matrix:
-        return _scaled(*self.inverse)
-
     def solve(self, v: FiniteVector) -> FiniteVector:
         """S^-1 v, v's coordinates from d on dropped: one integer product."""
         R, c = self.inverse
@@ -108,26 +100,6 @@ class ExactFrame(Immutable):
 
 
 # -- exact linear algebra --------------------------------------------
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def shift(S: Matrix, lam: Fraction) -> Matrix:
-    """S - lam*I."""
-    return [[q - lam * (i == j) for j, q in enumerate(row)] for i, row in enumerate(S)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
 def _cleared(m) -> tuple[list[list[int]], int]:
@@ -181,27 +153,9 @@ def _inverse(N: Sequence[Sequence[int]], D: int) -> tuple[list[list[int]], Fract
     return [row[n:] for row in rows], Fraction(D, det)
 
 
-def _scaled(R: list[list[int]], c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in R]
-
-
 def mat_inv(m: Matrix) -> Matrix:
-    return _scaled(*_inverse(*_cleared(m)))
-
-
-def determinant(m: Matrix) -> Fraction:
-    N, D = _cleared(m)
-    return Fraction(_bareiss(N), D ** len(m))
-
-
-def is_positive_definite(m: Matrix) -> bool:
-    """For symmetric m, Sylvester's criterion: every leading principal minor is > 0."""
-    return _bareiss(_cleared(m)[0], strict=True) > 0
-
-
-def is_positive_semidefinite(m: Matrix) -> bool:
-    """For symmetric m: every principal minor is >= 0."""
-    return _bareiss(_cleared(m)[0], strict=False) > 0
+    R, c = _inverse(*_cleared(m))
+    return [[c * x for x in row] for row in R]
 
 
 def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:

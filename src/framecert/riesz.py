@@ -11,14 +11,15 @@ staying computably equivalent to the original norm.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
-from .dyadic import Immutable
+from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame
-from .operators import OperatorName, apply, from_finite_matrix
-from .oracle import identity, mat_mul
+from .operators import OperatorName, apply
+from .oracle import _cleared, _enclosures
 from .realnames import RealName
-from .vectors import VectorName, _memoized
+from .vectors import FiniteVector, VectorName, _memoized
 
 
 class RieszBasisName(Immutable):
@@ -43,7 +44,7 @@ class RieszBasisName(Immutable):
     def elem(self, n: int) -> VectorName:
         if n < 0:
             raise ValueError("negative basis index")
-        return apply(self.T, VectorName.basis(n))
+        return self.T.col(n)
 
     def T_adjoint_rows(self, n: int) -> VectorName:
         if n < 0:
@@ -107,28 +108,32 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
     """Riesz basis from a rational block perturbation: T = M on the first
     d coordinates and the identity beyond.
 
-    M_inv must be the exact inverse of M; both are row-major rational
-    matrices of the same square size.
+    M and M_inv are row-major square matrices of one size with int or
+    Fraction entries, and M_inv must be the exact inverse of M.  Both are
+    cleared once, M = N / D and M_inv = P / E, and N P = D E I is checked
+    on integers.  The norm bounds are max(sqrt(B+), 1) for T and
+    max(1 / sqrt(A-), 1) for T^-1, with (A-, ..., B+) the eigenvalue
+    enclosure of M M^T = N N^T / D^2 (definite, as M is invertible), so
+    the frame's bounds enclose the spectrum of M M^T (+) I.
     """
-    M = [[Fraction(q) for q in row] for row in M]
-    M_inv = [[Fraction(q) for q in row] for row in M_inv]
     d = len(M)
-    if any(len(row) != d for row in M) or len(M_inv) != d or any(
+    if not d or any(len(row) != d for row in M) or len(M_inv) != d or any(
         len(row) != d for row in M_inv
     ):
-        raise ValueError("matrices must be square and of equal size")
-    if mat_mul(M, M_inv) != identity(d):
+        raise ValueError("matrices must be non-empty, square and of equal size")
+    (N, D), (P, E) = _cleared(M), _cleared(M_inv)
+    if [[sum(map(mul, row, col)) for col in zip(*P)] for row in N] != [
+        [D * E * (i == j) for j in range(d)] for i in range(d)
+    ]:
         raise ValueError("supplied inverse is not the exact inverse")
+    am, _, _, bp = _enclosures([[sum(map(mul, u, v)) for v in N] for u in N], D * D)
 
-    def block_operator(mat) -> OperatorName:
-        base = from_finite_matrix(mat)
+    def block(vectors, den: int) -> Callable[[int], VectorName]:
+        """k -> vectors[k] / den for k < d, e_k beyond."""
+        names = [VectorName.from_finite(FiniteVector.over(enumerate(v), den)) for v in vectors]
+        return lambda k: names[k] if k < d else VectorName.basis(k)
 
-        def col(k: int) -> VectorName:
-            return base.col(k) if k < d else VectorName.basis(k)
-
-        # ||M (+) I|| <= max(||M||, 1); Frobenius bounds the block norm
-        return OperatorName(col, max(base.norm_bound, Fraction(1)))
-
-    # row n of T is column n of M^T (+) I
-    rows = block_operator(list(zip(*M))).col
-    return RieszBasisName(block_operator(M), block_operator(M_inv), rows)
+    # columns of M (+) I and of its inverse; row n of T is row n of N over D
+    T = OperatorName(block(zip(*N), D), max(sqrt_upper(bp), Fraction(1)))
+    T_inv = OperatorName(block(zip(*P), E), max(sqrt_upper(1 / am), Fraction(1)))
+    return RieszBasisName(T, T_inv, block(N, D))

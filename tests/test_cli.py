@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from framecert.cli import cmd_reconstruct, main
 from framecert.frames import CertifiedFrame, FalseBoundsError, Frame
 from framecert.operators import OperatorName
-from framecert.oracle import eigenvalue_enclosures, is_positive_definite
+from framecert.oracle import eigenvalue_enclosures
 from framecert.specfile import (
     InvalidFrameError,
     LoadedSpec,
@@ -29,6 +29,7 @@ from framecert.specfile import (
 )
 from framecert.vectors import FiniteVector, VectorName
 from framecert.verify import max_iterations, run_suite
+from fraction_matrices import is_positive_definite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -81,7 +81,8 @@ class TestCanonicalDual:
         # S^-1 e_0 = (2/3, -1/3); <., f_k> = (2/3, -1/3, 1/3)
         assert abs(approx(col0.coeff(0), 25) - Fraction(2, 3)) <= 2 * tol(25)
         assert abs(approx(col0.coeff(2), 25) - Fraction(1, 3)) <= 2 * tol(25)
-        assert sol.S_inv[0][0] == Fraction(2, 3)
+        R, c = sol.inverse
+        assert c * R[0][0] == Fraction(2, 3)
 
 
 class TestDualFromLeftInverse:

@@ -14,25 +14,34 @@ from framecert.oracle import (
     ExactFrame,
     NonSpanningError,
     cross_gram_matrix,
-    determinant,
     eigenvalue_enclosures,
     embed,
     exact_frame_solve,
     frame_bounds_hold,
-    is_positive_definite,
-    is_positive_semidefinite,
     mat_inv,
-    mat_mul,
     projection_matrix,
-    shift,
 )
 from framecert.vectors import FiniteVector
+from fraction_matrices import cofactor_det, mat_mul
 from test_cli_golden import COMMANDS, run
 from test_oracle_golden import seeded_S
 
 
+MERCEDES = [[1, 0], [0, 1], [1, 1]]
+
+
 def mercedes():
-    return ExactFrame([[1, 0], [0, 1], [1, 1]])
+    return ExactFrame(MERCEDES)
+
+
+def definite(m, strict: bool) -> bool:
+    """The symmetric kernel on m cleared: positive (semi)definiteness."""
+    return oracle._bareiss(oracle._cleared(m)[0], strict=strict) > 0
+
+
+def shift(S, lam):
+    """S - lam*I."""
+    return [[q - lam * (i == j) for j, q in enumerate(row)] for i, row in enumerate(S)]
 
 
 class TestExactFrame:
@@ -62,11 +71,11 @@ class TestFrameOperator:
 
 class TestSemidefinite:
     def test_small_cases(self):
-        assert is_positive_semidefinite([[1, 1], [1, 1]])
-        assert is_positive_semidefinite([[0, 0], [0, 2]])
-        assert not is_positive_semidefinite([[0, 1], [1, 0]])
-        assert not is_positive_semidefinite([[1, 2], [2, 1]])
-        assert not is_positive_semidefinite([[0, 0], [0, -1]])
+        assert definite([[1, 1], [1, 1]], strict=False)
+        assert definite([[0, 0], [0, 2]], strict=False)
+        assert not definite([[0, 1], [1, 0]], strict=False)
+        assert not definite([[1, 2], [2, 1]], strict=False)
+        assert not definite([[0, 0], [0, -1]], strict=False)
 
     def test_singular_gram_matrices(self):
         # G = V V^T with 3 x 2 integer V: PSD with a zero eigenvalue
@@ -74,9 +83,8 @@ class TestSemidefinite:
         for _ in range(25):
             V = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
             G = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in V] for u in V]
-            assert is_positive_semidefinite(G)
-            shifted = [[G[i][j] - Fraction(1, 1000) * (i == j) for j in range(3)] for i in range(3)]
-            assert not is_positive_semidefinite(shifted)
+            assert definite(G, strict=False)
+            assert not definite(shift(G, Fraction(1, 1000)), strict=False)
 
 
 class TestEigenvalueEnclosures:
@@ -100,16 +108,17 @@ class TestEigenvalueEnclosures:
         am, _, _, bp = eigenvalue_enclosures(S)
         # both eigenvalues of S - lam I are positive below lambda_min
         # and both are negative above lambda_max: n = 2, so det > 0
-        assert determinant(shift(S, am)) > 0
-        assert determinant(shift(S, bp)) > 0
+        assert cofactor_det(shift(S, am)) > 0
+        assert cofactor_det(shift(S, bp)) > 0
 
 
 class TestExactSolve:
     def test_mercedes_inverse_and_dual(self):
         sol = exact_frame_solve(mercedes())
         third = Fraction(1, 3)
-        assert sol.S_inv == [[2 * third, -third], [-third, 2 * third]]
-        assert [sol.solve(FiniteVector(enumerate(v))).dense(2) for v in mercedes().vectors] == [
+        R, c = sol.inverse
+        assert [[c * x for x in row] for row in R] == [[2 * third, -third], [-third, 2 * third]]
+        assert [sol.solve(FiniteVector(enumerate(v))).dense(2) for v in MERCEDES] == [
             [2 * third, -third],
             [-third, 2 * third],
             [third, third],
@@ -122,7 +131,7 @@ class TestExactSolve:
         sol = exact_frame_solve(F)
         for x in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
             out = [Fraction(0), Fraction(0)]
-            for v in F.vectors:
+            for v in MERCEDES:
                 g = sol.solve(FiniteVector(enumerate(v))).dense(2)
                 c = sum(x[i] * g[i] for i in range(2))
                 for i in range(2):
@@ -162,7 +171,7 @@ class TestCrossGram:
         # row l is just dual_k coordinate l
         for l in range(2):
             for k in range(3):
-                assert u[l][k] == sol.solve(FiniteVector(enumerate(F.vectors[k]))).coefficient(l)
+                assert u[l][k] == sol.solve(FiniteVector(enumerate(MERCEDES[k]))).coefficient(l)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -185,19 +194,6 @@ class TestEmbed:
 
 
 # -- both modes of the elimination kernel against cofactor expansion ----
-
-
-def cofactor_det(m) -> Fraction:
-    """Laplace expansion along the first row: the independent reference."""
-    if not m:
-        return Fraction(1)
-    return sum(
-        (
-            (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
-            for j in range(len(m))
-        ),
-        Fraction(0),
-    )
 
 
 def submatrix(m, idx):
@@ -257,7 +253,7 @@ symmetric_matrices = st.one_of(
 def test_positive_definite_iff_leading_minors_positive(m):
     n = len(m)
     expected = all(cofactor_det(submatrix(m, range(k))) > 0 for k in range(1, n + 1))
-    assert is_positive_definite(m) == expected
+    assert definite(m, strict=True) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,19 +265,21 @@ def test_positive_semidefinite_iff_principal_minors_nonnegative(m):
         for k in range(1, n + 1)
         for idx in combinations(range(n), k)
     )
-    assert is_positive_semidefinite(m) == expected
+    assert definite(m, strict=False) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices)
 def test_determinant_matches_cofactor_expansion(m):
-    assert determinant(m) == cofactor_det(m)
+    # the Gauss-Jordan mode returns det N for m = N / D
+    N, D = oracle._cleared(m)
+    assert Fraction(oracle._bareiss(N), D ** len(m)) == cofactor_det(m)
 
 
 def test_determinant_needs_row_swaps():
     # zero leading entries force a swap at every column; each swap flips the sign
     m = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    assert determinant([[Fraction(q) for q in row] for row in m]) == -1 == cofactor_det(m)
+    assert oracle._bareiss([list(row) for row in m]) == -1 == cofactor_det(m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -331,8 +329,8 @@ def test_frame_bounds_hold_matches_shifted_frame_operator(vecs, data):
     near = st.sampled_from(sorted({S[i][i] for i in range(len(S))} | {Fraction(0)}))
     A = data.draw(near) + data.draw(st.sampled_from([0, Fraction(-1, 4), Fraction(1, 3)]))
     B = data.draw(near) + data.draw(st.sampled_from([0, Fraction(-1, 4), Fraction(1, 3), 8]))
-    expected = is_positive_semidefinite(shift(S, A)) and is_positive_semidefinite(
-        [[-q for q in row] for row in shift(S, B)]
+    expected = definite(shift(S, A), strict=False) and definite(
+        [[-q for q in row] for row in shift(S, B)], strict=False
     )
     assert frame_bounds_hold(M, A, B) == expected
 
@@ -496,9 +494,10 @@ def test_integer_form_matches_fractions(vecs):
     d = len(vecs[0])
     S = [[sum((Fraction(v[i]) * v[j] for v in vecs), Fraction(0)) for j in range(d)] for i in range(d)]
     assert F.S == S
-    assert F.vectors == tuple(tuple(Fraction(q) for q in v) for v in vecs)
+    assert [[Fraction(n, F.D) for n in row] for row in F.N] == [[Fraction(q) for q in v] for v in vecs]
     assert F.bounds_enclosure == eigenvalue_enclosures(S)
-    assert F.S_inv == mat_inv(S)
+    R, c = F.inverse
+    assert [[c * x for x in row] for row in R] == mat_inv(S)
     CF = embed(F)
     assert [CF.elem(k).finite for k in range(len(vecs))] == [FiniteVector(enumerate(v)) for v in vecs]
     assert [CF.analysis_op.col(i).finite for i in range(d)] == [

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from framecert.dyadic import Dyadic, round_fraction
 from framecert.frames import analysis, inverse_apply, pseudo_inverse, synthesis
-from framecert.oracle import ExactFrame, embed, exact_frame_solve, mat_inv, mat_vec
+from framecert.oracle import ExactFrame, embed, exact_frame_solve, mat_inv
 from framecert.realnames import RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, linear_combo, truncate
+from fraction_matrices import mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
