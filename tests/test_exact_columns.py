@@ -105,12 +105,12 @@ def exact_cases(tmp_path):
     op = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
     return [
         ("riesz-shear", load_spec(str(FIXTURES / "riesz_shear.json")).certified,
-         mat_mul(shear, transpose(shear)), (75, 137, 200)),
+         mat_mul(shear, transpose(shear)), (57, 104, 151)),
         # S_c = T T*_c for the supplied (false) adjoint: diag(2, 1) on the span
         ("corrupted-dual", load_spec(str(FIXTURES / "corrupted_dual.json")).certified,
          [[2, 0], [0, 1]], (23, 43, 63)),
         ("riesz-3", riesz_as_frame(riesz_from_matrix(block, block_inv)),
-         mat_mul(block, transpose(block)), (261, 469, 677)),
+         mat_mul(block, transpose(block)), (141, 255, 368)),
         ("operator-3x4", operator_spec(tmp_path, op, [1, 4]),
          mat_mul(op, transpose(op)), (31, 58, 85)),
     ]
