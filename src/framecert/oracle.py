@@ -7,8 +7,8 @@ denominators are cleared once (an ExactFrame's at construction, kept as
 its integer form) and one fraction-free (Bareiss) elimination runs on
 integers.  Its symmetric mode without pivoting decides (semi)definiteness:
 the span test of ExactFrame (the vectors span Q^d exactly when S is
-positive definite), each step of the enclosure search, and checks of
-declared frame bounds.  Its Gauss-Jordan mode with row pivoting gives
+positive definite), each step of the enclosure search (also on a Riesz
+block's M M^T, for its norm bounds), and checks of declared frame bounds.  Its Gauss-Jordan mode with row pivoting gives
 determinants and adjugates.
 The kernel is validated against this module, so every value it returns
 is decided exactly; floating point only picks the grid point where the

@@ -117,10 +117,12 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
     the frame's bounds enclose the spectrum of M M^T (+) I.
     """
     d = len(M)
-    if not d or any(len(row) != d for row in M) or len(M_inv) != d or any(
+    if not d:
+        raise ValueError("matrix must be nonempty")
+    if any(len(row) != d for row in M) or len(M_inv) != d or any(
         len(row) != d for row in M_inv
     ):
-        raise ValueError("matrices must be non-empty, square and of equal size")
+        raise ValueError("matrices must be square and of equal size")
     (N, D), (P, E) = _cleared(M), _cleared(M_inv)
     if [[sum(map(mul, row, col)) for col in zip(*P)] for row in N] != [
         [D * E * (i == j) for j in range(d)] for i in range(d)
