@@ -108,8 +108,7 @@ def cmd_dual(spec, args, out) -> int:
     else:
         dual_elem = canonical_dual(CF).elem
         print("canonical dual:", file=out)
-    count = len(spec.section) if spec.section is not None else 4
-    width = (spec.section.d if spec.section is not None else 4) + 1
+    count, width = (len(spec.section), spec.section.d + 1) if spec.section is not None else (4, 5)
     for k in range(count):
         g = dual_elem(k)
         coords = ", ".join(_fmt(g.coeff(i), p) for i in range(width))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .dyadic import Immutable, sqrt_upper
+from .dyadic import Immutable
 from .realnames import RealName, _memoized
 from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
 
@@ -92,19 +92,6 @@ def finite_columns(vectors: Sequence[FiniteVector]) -> Callable[[int], VectorNam
         return names[k] if k < len(names) else VectorName.zero()
 
     return col
-
-
-def from_finite_matrix(rows: Sequence[Sequence[Fraction]]) -> OperatorName:
-    """Embed an exact rational matrix; Frobenius norm as the bound."""
-    matrix = [[Fraction(q) for q in row] for row in rows]
-    if not matrix or not matrix[0]:
-        raise ValueError("matrix must be nonempty")
-    ncols = len(matrix[0])
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged matrix")
-    frob_sq = sum((q * q for row in matrix for q in row), Fraction(0))
-    col = finite_columns([FiniteVector(enumerate(c)) for c in zip(*matrix)])
-    return OperatorName(col, sqrt_upper(frob_sq), support_bound=len(matrix))
 
 
 def banded_adjoint(

@@ -1,9 +1,10 @@
 """The input formats of the command-line front end, read in one place.
 
-A spec file declares one frame: an orthonormal one, a finite rational
-one (with exact ground truth available), a finite matrix of synthesis
-columns, a gallery instance, or a Riesz basis; a Bessel file, a bound
-and finite vectors.  Rationals travel as strings "p/q", and vectors (the
+A spec file declares one frame: an orthonormal one, finite rational
+vectors or a finite matrix of synthesis columns (both loaded as an
+:class:`ExactFrame`, exact ground truth that solves finite vectors), a
+gallery instance, or a Riesz basis; a Bessel file, a bound and finite
+vectors.  Rationals travel as strings "p/q", and vectors (the
 ``--vector`` flag too) as "i:p/q" text.  Parse errors carry the
 offending field, or the file and the line.
 """
@@ -37,8 +38,11 @@ class LoadedSpec(Immutable):
     """A parsed spec: always a plain frame, optionally certified.
 
     ``certified`` is None exactly when no analysis certificate can be
-    built (norm-free gallery instances); ``section`` is the exact
-    rational ground truth for finite kinds.  ``false_adjoint`` says why
+    built (norm-free gallery instances); ``section`` is the exact ground
+    truth of a finite spec.  It is None for an operator spec even when its
+    frame has one, so ``bounds`` prints the declared bounds and ``dual``
+    g_0..g_3 with 5 coordinates each, the shape perfbench/client.py
+    checks for specs that are not finite.  ``false_adjoint`` says why
     the spec's ``adjoint_rows`` is not its matrix's adjoint, or is None:
     the spec still loads with it, so that the verify suites can catch it.
     """
@@ -145,38 +149,38 @@ def load_bessel(path: str) -> BesselSequence:
 
 
 def _load_finite(vectors) -> LoadedSpec:
-    rows = parse_matrix(vectors, "vectors")
     try:
-        section = ExactFrame(rows)
-        CF = embed(section)
+        CF = embed(ExactFrame(parse_matrix(vectors, "vectors")))
     except NonSpanningError as e:
         raise InvalidFrameError(str(e)) from None
-    return LoadedSpec("finite", CF.frame, CF, section, None)
+    return LoadedSpec("finite", CF.frame, CF, CF.finite_section, None)
 
 
 def _load_operator(doc) -> LoadedSpec:
+    """The frame of the matrix's columns, its declared bounds checked exactly:
+    embedded as a finite spec is when ``adjoint_rows`` is true (or absent),
+    else with the false rows as T*, the declared bounds and no section."""
     matrix = parse_matrix(doc.get("matrix"), "matrix")
     bounds = doc.get("bounds")
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise SpecFileError("bounds: expected [A, B]")
-    A = parse_rational(bounds[0], "bounds[0]")
-    B = parse_rational(bounds[1], "bounds[1]")
+    A, B = (parse_rational(q, f"bounds[{i}]") for i, q in enumerate(bounds))
     if not 0 < A <= B:
         raise InvalidFrameError("declared bounds must satisfy 0 < A <= B")
     if not frame_bounds_hold(matrix, A, B):
-        raise InvalidFrameError(
-            f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T"
-        )
+        raise InvalidFrameError(f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T")
 
     # adjoint_rows[n] is T* e_n, which is row n of the matrix: the only
     # true value is the matrix itself, compared exactly (shape included)
     adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
-    false_adjoint = None if adj == matrix else "adjoint_rows: row n must be T* e_n, row n of matrix"
-    frame = Frame(finite_columns([FiniteVector(enumerate(c)) for c in zip(*matrix)]), A, B)
-    analysis_col = finite_columns([FiniteVector(enumerate(r)) for r in adj])
-    analysis_op = OperatorName(analysis_col, sqrt_upper(B), support_bound=len(matrix[0]))
-    CF = CertifiedFrame(frame, analysis_op)
-    return LoadedSpec("operator", frame, CF, None, (A, B), false_adjoint)
+    CF = embed(ExactFrame(list(zip(*matrix))))
+    if adj == matrix:
+        return LoadedSpec("operator", CF.frame, CF, None, (A, B))
+    frame = Frame(CF.elem, A, B)
+    rows = finite_columns([FiniteVector(enumerate(r)) for r in adj])
+    CF = CertifiedFrame(frame, OperatorName(rows, sqrt_upper(B), support_bound=len(matrix[0])))
+    return LoadedSpec("operator", frame, CF, None, (A, B),
+                      "adjoint_rows: row n must be T* e_n, row n of matrix")
 
 
 def _load_gallery(doc) -> LoadedSpec:

@@ -506,9 +506,8 @@ def test_analyze_exits_3_exactly_on_a_false_adjoint(doc, f, p):
 
 
 @st.composite
-def projection_specs(draw):
-    """A spanning 2 x 3 or 3 x 4 matrix with its enclosed bounds, and
-    adjoint_rows equal to it or with one entry off by +-1."""
+def spanning_operator_specs(draw):
+    """A spanning 2 x 3 or 3 x 4 integer matrix with its enclosed bounds."""
     d = draw(st.sampled_from([2, 3]))
     entry = st.integers(min_value=-2, max_value=2)
     M = draw(st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1), min_size=d, max_size=d))
@@ -516,11 +515,20 @@ def projection_specs(draw):
     assume(is_positive_definite(S))
     A, _, _, B = eigenvalue_enclosures(S)
     assume(A > 0)
+    return {"kind": "operator", "matrix": M, "bounds": [str(A), str(B)]}
+
+
+@st.composite
+def projection_specs(draw):
+    """A spanning operator spec with adjoint_rows equal to its matrix or
+    with one entry off by +-1."""
+    doc = draw(spanning_operator_specs())
+    M = doc["matrix"]
     adj = [row[:] for row in M]
     if draw(st.booleans()):
-        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d))
+        i, j = draw(st.integers(0, len(M) - 1)), draw(st.integers(0, len(M)))
         adj[i][j] += draw(st.sampled_from([-1, 1]))
-    return {"kind": "operator", "matrix": M, "bounds": [str(A), str(B)], "adjoint_rows": adj}
+    return {**doc, "adjoint_rows": adj}
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,9 +538,67 @@ def test_projection_suite_passes_exactly_on_a_true_adjoint(doc):
         path = Path(tmp) / "op.json"
         path.write_text(json.dumps(doc))
         with redirect_stderr(io.StringIO()):
-            code, _ = run_cli("verify", str(path), "--suite", "projection")
-    # exit 3: a solver step refuted the bounds, which hold only for S = M M^T
-    assert code == 0 if doc["adjoint_rows"] == doc["matrix"] else code in (1, 3)
+            code, out = run_cli("verify", str(path), "--suite", "projection")
+    if doc["adjoint_rows"] == doc["matrix"]:
+        assert code == 0, out
+        assert "[pass] matches exact symmetric projection: residual bound 0\n" in out
+    else:
+        # exit 3: a solver step refuted the bounds, which hold only for S = M M^T
+        assert code in (1, 3)
+
+
+# -- operator specs with a true adjoint solve on their exact section ------
+
+
+TRUE_ADJOINT_SPECS = {
+    "absent": FIXTURES / "operator_spanning.json",
+    "rational": {"kind": "operator", "matrix": [["1/2", "0", "1", "0"], ["0", "2", "1", "0"], ["1", "0", "0", "3"]],
+                 "bounds": ["1/4", "12"],
+                 "adjoint_rows": [["1/2", "0", "1", "0"], ["0", "2", "1", "0"], ["1", "0", "0", "3"]]},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TRUE_ADJOINT_SPECS))
+@pytest.mark.parametrize("argv", [
+    ("dual", "-p", "64"),
+    ("reconstruct", "--vector", "0:2,1:1/3"),
+    ("analyze", "--vector", "0:2,1:1/3"),
+    *(("verify", "--suite", s) for s in ("duality", "projection", "gram")),
+], ids=" ".join)
+def test_true_adjoint_operator_runs_no_driver(monkeypatch, tmp_path, spec, argv):
+    path = TRUE_ADJOINT_SPECS[spec]
+    if isinstance(path, dict):
+        (tmp_path / "op.json").write_text(json.dumps(path))
+        path = tmp_path / "op.json"
+
+    def driver(*args):
+        raise AssertionError("the conjugate-gradient driver ran")
+
+    monkeypatch.setattr("framecert.frames._conjugate_gradients", driver)
+    code, out = run_cli(argv[0], str(path), *argv[1:])
+    assert code == 0, out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    spanning_operator_specs(),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=80),
+)
+def test_operator_spec_prints_as_the_finite_spec_of_its_columns(doc, f, p):
+    finite = {"kind": "finite", "vectors": [list(c) for c in zip(*doc["matrix"])]}
+    vector = ",".join(f"{i}:{q}" for i, q in enumerate(f))
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for name, spec in (("op", doc), ("fin", finite)):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            for cmd in ("reconstruct", "analyze"):
+                err = io.StringIO()
+                with redirect_stderr(err):
+                    code, out = run_cli(cmd, str(path), "--vector", vector, "-p", str(p))
+                outs.append((cmd, code, out, err.getvalue()))
+    assert outs[:2] == outs[2:]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -24,7 +24,7 @@ from framecert.frames import (
     richardson_steps,
     synthesis,
 )
-from framecert.operators import OperatorName, banded_adjoint, from_finite_matrix
+from framecert.operators import OperatorName, banded_adjoint, finite_columns
 from framecert.oracle import ExactFrame, embed, exact_frame_solve
 from framecert.realnames import RealName
 from framecert.specfile import load_spec
@@ -60,13 +60,13 @@ class TestConstructors:
         assert analysis(CF, vec("0:1 2:-2")).finite == FiniteVector.parse("0:1 2:-2")
 
     def test_from_operator_without_adjoint_is_plain(self):
-        U = from_finite_matrix([[2, 0], [0, 2]])
+        U = OperatorName(finite_columns([FiniteVector.parse("0:2"), FiniteVector.parse("1:2")]), 2)
         F = frame_from_operator(U, Fraction(2))
         assert isinstance(F, Frame) and not isinstance(F, CertifiedFrame)
         assert F.lower == 4
 
     def test_from_operator_with_adjoint(self):
-        U = from_finite_matrix([[1, 0], [0, 1]])
+        U = OperatorName(finite_columns([FiniteVector.parse("0:1"), FiniteVector.parse("1:1")]), 1)
         CF = frame_from_operator(U, Fraction(1), adjoint=OperatorName.identity())
         assert isinstance(CF, CertifiedFrame)
         got = analysis(CF, vec("1:5")).finite

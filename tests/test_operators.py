@@ -1,14 +1,12 @@
 from fractions import Fraction
 from math import isqrt
 
-import pytest
-
 from framecert.operators import (
     OperatorName,
     apply,
     banded_adjoint,
     compose,
-    from_finite_matrix,
+    finite_columns,
 )
 from framecert.realnames import RealName
 from framecert.vectors import (
@@ -44,6 +42,12 @@ def benign_upper_row_operator():
     return OperatorName(col, Fraction(3))
 
 
+def matrix_operator(rows, norm_bound):
+    """The operator of a rational matrix given by its rows, with a true norm bound."""
+    cols = [FiniteVector(enumerate(c)) for c in zip(*rows)]
+    return OperatorName(finite_columns(cols), norm_bound, support_bound=len(rows))
+
+
 class TestApply:
     def test_identity(self):
         x = VectorName.from_finite(FiniteVector.parse("0:2 3:-1"))
@@ -71,7 +75,7 @@ class TestApply:
         assert abs(approx(y.norm, 25) - sqrt_oracle(Fraction(1, 3))) <= 2 * tol(25)
 
     def test_norm_contract(self):
-        U = from_finite_matrix([[2, 1], [1, 2]])
+        U = matrix_operator([[2, 1], [1, 2]], Fraction(16, 5))
         x = VectorName.from_finite(FiniteVector.parse("0:1 1:1"))
         for n in (5, 20):
             assert approx(apply(U, x).norm, n) <= U.norm_bound * approx(
@@ -79,7 +83,7 @@ class TestApply:
             ) + 2 * tol(n)
 
     def test_linearity_on_finite_vectors(self):
-        U = from_finite_matrix([[1, 2], [3, 4]])
+        U = matrix_operator([[1, 2], [3, 4]], 6)
         x = VectorName.from_finite(FiniteVector.parse("0:1/2"))
         y = VectorName.from_finite(FiniteVector.parse("1:-2/3"))
         lhs = apply(
@@ -102,19 +106,19 @@ class TestApply:
 
 class TestCompose:
     def test_identity_left(self):
-        U = from_finite_matrix([[1, 1], [0, 1]])
+        U = matrix_operator([[1, 1], [0, 1]], 2)
         C = compose(OperatorName.identity(), U)
         for k in range(2):
             assert C.col(k).finite == U.col(k).finite
 
     def test_zero_right(self):
-        C = compose(from_finite_matrix([[1, 0], [0, 1]]), OperatorName.zero())
+        C = compose(matrix_operator([[1, 0], [0, 1]], 1), OperatorName.zero())
         assert C.col(5).finite == FiniteVector()
 
     def test_mercedes_frame_operator_matrix(self):
         # synthesis columns {(1,0),(0,1),(1,1)}; S = T T* = [[2,1],[1,2]]
-        T = from_finite_matrix([[1, 0, 1], [0, 1, 1]])
-        Tstar = from_finite_matrix([[1, 0], [0, 1], [1, 1]])
+        T = matrix_operator([[1, 0, 1], [0, 1, 1]], 2)
+        Tstar = matrix_operator([[1, 0], [0, 1], [1, 1]], 2)
         S = compose(T, Tstar)
         assert S.col(0).finite == FiniteVector.parse("0:2 1:1")
         assert S.col(1).finite == FiniteVector.parse("0:1 1:2")
@@ -133,8 +137,9 @@ class TestCompose:
                 for i in range(2)
             ]
 
-        lhs = compose(from_finite_matrix(A), compose(from_finite_matrix(B), from_finite_matrix(C)))
-        rhs = from_finite_matrix(matmul(matmul(A, B), C))
+        # norms: 1 + sqrt 2, (sqrt 10 + sqrt 2)/2, the golden ratio, and at most their product
+        lhs = compose(matrix_operator(A, 3), compose(matrix_operator(B, 3), matrix_operator(C, 2)))
+        rhs = matrix_operator(matmul(matmul(A, B), C), 18)
         for k in range(2):
             for i in range(2):
                 got = approx(lhs.col(k).coeff(i), 30)
@@ -142,25 +147,16 @@ class TestCompose:
 
 
 class TestFromFiniteMatrix:
+    """Operators of a finite matrix, read from its columns by finite_columns."""
+
     def test_identity(self):
-        I2 = from_finite_matrix([[1, 0], [0, 1]])
+        I2 = matrix_operator([[1, 0], [0, 1]], 1)
         assert I2.col(0).finite == FiniteVector.parse("0:1")
         assert I2.col(7).finite == FiniteVector()
 
-    def test_frobenius_bound(self):
-        U = from_finite_matrix([[2, 1], [1, 2]])
-        frob = sqrt_oracle(10)
-        assert frob <= U.norm_bound <= frob + tol(20)
-
     def test_zero_matrix(self):
-        Z = from_finite_matrix([[0]])
+        Z = matrix_operator([[0]], 0)
         assert Z.col(0).finite == FiniteVector()
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            from_finite_matrix([])
-        with pytest.raises(ValueError):
-            from_finite_matrix([[1], [1, 2]])
 
 
 class TestBandedAdjoint:
