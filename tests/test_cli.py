@@ -551,7 +551,7 @@ def test_projection_suite_passes_exactly_on_a_true_adjoint(doc):
 
 
 TRUE_ADJOINT_SPECS = {
-    "absent": FIXTURES / "operator_spanning.json",
+    "absent": json.loads((FIXTURES / "operator_spanning.json").read_text()),
     "rational": {"kind": "operator", "matrix": [["1/2", "0", "1", "0"], ["0", "2", "1", "0"], ["1", "0", "0", "3"]],
                  "bounds": ["1/4", "12"],
                  "adjoint_rows": [["1/2", "0", "1", "0"], ["0", "2", "1", "0"], ["1", "0", "0", "3"]]},
@@ -566,10 +566,8 @@ TRUE_ADJOINT_SPECS = {
     *(("verify", "--suite", s) for s in ("duality", "projection", "gram")),
 ], ids=" ".join)
 def test_true_adjoint_operator_runs_no_driver(monkeypatch, tmp_path, spec, argv):
-    path = TRUE_ADJOINT_SPECS[spec]
-    if isinstance(path, dict):
-        (tmp_path / "op.json").write_text(json.dumps(path))
-        path = tmp_path / "op.json"
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(TRUE_ADJOINT_SPECS[spec]))
 
     def driver(*args):
         raise AssertionError("the conjugate-gradient driver ran")
