@@ -5,12 +5,14 @@ Usage: python .github/check_unused_imports.py src/framecert src tests perfbench
 Every module of the package except ``__init__.py`` (which imports to
 re-export) is parsed with ``ast``.  A name bound by ``import`` or
 ``from ... import`` counts as used when it is read anywhere in the
-module.  A function, class or method defined in the package counts as
-used when some file under the directories given after the package
-names it -- as a variable, an attribute or an imported name -- apart
-from its own definition and the package's ``__init__.py``.  A name
-bound by a module-level assignment counts as used when some such file
-reads it -- as a loaded variable, an attribute or an imported name.
+module; this import rule also holds for every other module under the
+directories given after the package name, except an ``__init__.py``.
+A function, class or method defined in the package counts as used when
+some file under the directories given after the package names it -- as
+a variable, an attribute or an imported name -- apart from its own
+definition and the package's ``__init__.py``.  A name bound by a
+module-level assignment counts as used when some such file reads it --
+as a loaded variable, an attribute or an imported name.
 Dunder names are exempt.  Prints one line per unused name and exits 1
 if there is any.
 """
@@ -89,15 +91,20 @@ def main(package: str, *search: str) -> int:
         if path.name != "__init__.py"
     }
     init = (pkg / "__init__.py").resolve()
+    own = {path.resolve() for path in modules} | {init}
     used, read = set(), set()
+    found = False
     for root in search:
-        for path in Path(root).rglob("*.py"):
+        for path in sorted(Path(root).rglob("*.py")):
             if path.resolve() != init:
                 tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
                 used |= named(tree)
                 read |= named(tree, loaded_only=True)
+                if path.resolve() not in own and path.name != "__init__.py":
+                    for line, name in unused_imports(tree):
+                        print(f"{path}:{line}: {name} imported but unused")
+                        found = True
 
-    found = False
     for path, tree in modules.items():
         for line, name in unused_imports(tree):
             print(f"{path}:{line}: {name} imported but unused")

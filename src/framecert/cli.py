@@ -8,7 +8,7 @@ and take no ``-p``.  :mod:`.specfile` reads every input format.
 
 Exit codes: 0 ok, 1 suite failure, 2 parse error, 3 invalid frame
 (a false ``adjoint_rows`` outside ``verify``, or, under every command,
-declared bounds that a solver step refutes), 4 missing certificate.
+a refuted S = S*, A <= S <= B or a spent step budget), 4 missing certificate.
 """
 
 from __future__ import annotations

@@ -8,21 +8,12 @@ type system encodes the boundary between what is and is not computable
 from frame data alone.
 
 S^-1 f is computed by one driver, :func:`_conjugate_gradients`, behind
-:func:`frame_algorithm` and every stage of :func:`inverse_apply`.  It
-runs conjugate gradients in fixed point on one integer grid and returns
-an iterate once an exact residual certificate holds (S >= A I, so g is
-within ||f - S g|| / A of S^-1 f).  Otherwise it ends with Richardson
-steps on the same grid, whose count is set a priori by the geometric
-rate (B-A)/(B+A).  S is applied one way, through the columns of
-:func:`frame_operator` (:func:`_columns`): finite columns exactly, any
-other at a Cauchy stage; the frame keeps S, so every run on it shares
-them.  Each step is plain integer arithmetic: S x is one integer
-accumulation over the columns' common denominator, rounded once (a shift
-when that is a power of two), and the update, the inner products and the
-test of the declared bounds build no FiniteVector and no Fraction.  A
-step that proves the declared bounds false raises
-:class:`FalseBoundsError`.  A finite vector on a finite section is
-solved exactly.
+:func:`frame_algorithm` and every stage of :func:`inverse_apply`: one
+loop of conjugate gradients in fixed point, restarted from the true
+residual, that returns an iterate only once an exact residual
+certificate holds.  A step that refutes S = S* with A <= S <= B, or a
+run that spends its proved step budget, raises :class:`FalseBoundsError`.
+A finite vector on a finite section is solved exactly.
 """
 
 from __future__ import annotations
@@ -228,12 +219,12 @@ class FrameAlgorithmResult(Immutable):
 
 
 class FalseBoundsError(ValueError):
-    """A step of the driver proved the declared frame bounds false."""
+    """A run of the driver refuted its hypothesis: S self-adjoint, A <= S <= B."""
 
 
-# Guard bits of the driver's grid beyond the step budget b: with
-# 2^-G <= b 2^-GUARD_BITS, rounding n <= 2^64 coordinates to the nearest
-# multiples of 2^-G costs at most sqrt(n) 2^-(G+1) <= 2^-(G-31) <= b/4.
+# Guard bits of the driver's grid beyond a budget d of S's contract: with
+# 2^-G <= d 2^-GUARD_BITS, rounding n <= 2^64 coordinates to the nearest
+# multiples of 2^-G costs at most sqrt(n) 2^-(G+1) <= 2^-(G-31) <= d/4.
 GUARD_BITS = 33
 
 
@@ -248,67 +239,61 @@ def frame_algorithm(CF: CertifiedFrame, f: VectorName, target: int) -> FrameAlgo
     return FrameAlgorithmResult(VectorName.from_finite(g), steps)
 
 
-# Conjugate-gradient steps before a run turns to its Richardson tail.
-CG_STEPS = 64
-
-
 def _conjugate_gradients(
     CF: CertifiedFrame, f: VectorName, g: FiniteVector, target: int
 ) -> tuple[FiniteVector, int]:
     """S^-1 f within 2^-target, from g: (iterate, steps).
 
-    Grid.  The step budget is b = A 2^-(target+3) and the grid 2^-G, with
-    G = clog2(max(1, (A+B)/2) / b) + GUARD_BITS, so rounding onto it costs
-    at most min(1, 2/(A+B)) b/4.  f_G is f truncated within b/2 and
-    rounded onto the grid, without the coordinates n whose analysis
-    column T* e_n is exactly zero: e_n is orthogonal to every f_k, so
-    S e_n = 0 and each step would add them again.  S is read from the
-    columns of ``frame_operator(CF)`` (:func:`_columns`), and residual(m)
-    is m(f_G) - m(y) for y within b of S (m 2^-G).
+    Grid.  With k = ceil(B/A), b = A 2^-(target+4+clog2(1+k)) and bd =
+    min(1, A+B) b, the grid is 2^-G, G = clog2(max(1, (A+B)/2)/bd) +
+    GUARD_BITS: rounding onto it costs at most bd/4, and S times that at
+    most b/2.  f_G is f truncated within A 2^-(target+4), on the grid,
+    without the coordinates n whose analysis column T* e_n is exactly zero
+    (S e_n = 0, so each step would add them again).  :func:`_columns`
+    reads S within b for a check's y = S x, within bd for a step's q = S p.
 
-    Conjugate gradients.  Hestenes-Stiefel steps in fixed point: the
-    iterate x, the residual r and the direction p are integer mantissas,
-    and each coordinate update is one integer ``div_nearest`` by p.q or
-    r.r, where q is S p from the S contract.  The steps only steer; the
-    answer is certified a posteriori.
+    Steps.  Hestenes-Stiefel steps on integer mantissas of x, the residual
+    r and the direction p.  A check sets p = r = m(f_G) - m(y) and starts
+    a cycle: at the run's start, once r.r passes the test below, at p.q <=
+    0 and after cap steps.  Hypothesis: S = S* with A <= S <= B on a space
+    holding f' (f without the dropped coordinates), f_G and all vectors.  So
+    ||S^-1 f' - x|| <= (||f_G - y|| + A 2^-(target+4) + 5b/4)/A, and a
+    check returns x, within 2^-(target+1) of S^-1 f', once ||m(f_G) -
+    m(y)||^2 <= (theta 2^G)^2, theta = 7 A 2^-(target+4) - 5b/4.  It also
+    gives A p.p - e <= p.q <= B p.p + e, e = ceil(sqrt(p.p)) (bd 2^G + 1),
+    and |p0.q - p.q0| <= ceil(sqrt(2 (p.p + p0.p0))) (bd 2^G + 1) at a
+    cycle's second step, for the first's p0, q0 (tested from step target +
+    2 on); a step outside either raises :class:`FalseBoundsError`.
 
-    Certificate.  Let f' be f without the coordinates whose analysis
-    column is exactly zero.  Hypothesis: S is self-adjoint with S >= A I
-    on a space holding f' and every iterate (combinations of f_G and
-    images under S).  Then ||S^-1 f' - x|| <= ||f' - S x|| / A.  f_G is
-    within b/2 + b/4 = 3b/4 of f', and y = S x from the contract is
-    within b of S x, so ||f' - S x|| <= ||f_G - y|| + 7b/4.  The run
-    returns x once the integer N = ||m(f_G) - m(y)||^2 satisfies
-    N <= ((A 2^-(target+1) - 7b/4) 2^G)^2, that is ||f_G - y|| <= 9b/4,
-    decided exactly; x is then within 2^-(target+1) of S^-1 f'.  The
-    check costs one application of S, so it runs only once the recursive
-    residual r.r passes the same test; a failed check replaces r by
-    m(f_G) - m(y) and restarts the directions.  A warm start's first
-    residual is such a check.
-
-    Refuted bounds.  With true bounds, A p.p - s <= p.q <= B p.p + s for
-    the slack s = ceil(sqrt(p.p)) (b 2^G + 1) of q's error; a step outside
-    that range raises :class:`FalseBoundsError`.  A, B and b 2^G + 1 are
-    split into numerator and denominator once per run, and the test is
-    decided by integer cross-multiplication.
-
-    Richardson tail.  The certificate's 9b/4 lies below the computed
-    residual floor of a converged fixed-point iteration, about
-    (9/4) b (1 + B/A), so conjugate gradients alone need not stop.  After
-    CG_STEPS steps without a certificate, or at p.q <= 0, the run takes
-    J steps x <- x + w (f_G - y), w = 2/(A+B), on the same grid and
-    columns.  Each errs from the exact step by at most w b (from f_G) +
-    w b (from S) + w b/4 (rounding); they contract by r = (B-A)/(B+A) and
-    1/(1-r) = 1/(w A), so the errors add up to at most
-    (9/4) b/A < 2^-(target+1).  The certified
-    err = (ceil(sqrt(N)) 2^-G + 7b/4)/A bounds ||S^-1 f' - x||, and J is
-    the smallest with r^J err <= 2^-(target+2) (:func:`richardson_steps`):
-    x ends within 2^-target.
+    Budget.  Let E(x) = ||S^-1 f_G - x||_S, rho = f_G - S x, c = (B-A)/(B+A),
+    c' = 1 - 1/(5 + 5B/A).  A cycle starts at a failed check at x_s, so
+    mu = b/(theta - b) <= 1/(5 + 5B/A) bounds b/||rho||, |r.(r - rho)| <=
+    r.r/10 and |r.(q - S r)| <= A r.r/5.  Its first step x_1 = x_s + a r +
+    e, a = r.r/r.q, is steepest descent: a = (1+t) a* with |t| <= 2/5 for
+    the line minimum a* = r.rho/r.S r, so E(x_s + a r)^2 = E^2 - (1 - t^2)
+    (r.rho)^2/r.S r; (r.rho)^2/r.S r >= (16/25) (rho.rho)^2/rho.S rho >=
+    (16/25)(1 - c^2) E^2 (Kantorovich); and sqrt(B) ||e|| <= b/(2 sqrt(B))
+    < (mu/2) E.  So E(x_1) <= (1 - (1/4)(1 - c^2) + mu/2) E(x_s) <= c'
+    E(x_s).  The check ending the cycle at x keeps x only if (x - x_s).(r_s
+    + r) - 2b ||x - x_s|| >= D/2, D = (r.r)^2/r.q the first step's gain,
+    and else checks x_1; as S = S*, the left side is at most E(x_s)^2 -
+    E(x)^2 = (x - x_s).(rho_s + rho), and D >= (2/5)(1 - c^2) E(x_s)^2, so
+    then E(x) <= c' E(x_s) too.  The first check has E <= (R_0 +
+    b)/sqrt(A), R_0 = ||r||, and a check certifies once sqrt(B) E + b <=
+    theta: at most K = richardson_steps(A, 10B + 9A, goal) cycles run,
+    c'^-K >= goal = sqrt(k) (R_0 + b)/(theta - b).  A cycle takes at most
+    cap = max(L, target + 2) steps, L = richardson_steps(A, sqrt(AB), 2
+    goal) the Chebyshev count of exact conjugate gradients from the first
+    check, so a run certifies within the budget K cap, and one that spends
+    it refutes the hypothesis and raises; cap and budget, both at least
+    target + 2, are read only from step target + 2 on.
     """
     A, B = CF.lower, CF.upper
-    b = A * Fraction(1, 1 << (target + 3))
-    G = clog2(max(Fraction(1), (A + B) / 2) / b) + GUARD_BITS
-    f_fin, _ = truncate(f, b / 2)
+    kappa = -(-B.numerator * A.denominator // (B.denominator * A.numerator))
+    b = A / (1 << (target + 4 + kappa.bit_length()))
+    bd = b if A + B >= 1 else (A + B) * b
+    G = clog2(max(Fraction(1), (A + B) / 2) / bd) + GUARD_BITS
+    f_fin, _ = truncate(f, A / (1 << (target + 4)))
     fm = {i: m for i, m in _to_grid(f_fin, G).items() if not _outside_span(CF, i)}
     apply_s = _columns(frame_operator(CF))
 
@@ -322,39 +307,55 @@ def _conjugate_gradients(
                 out.pop(i, None)
         return out
 
-    within_bounds = _bounds_test(A, B, b * (1 << G) + 1)
-    bound = (A / (1 << (target + 1)) - 7 * b / 4) * (1 << G)
+    sigma, sd = -(-b.numerator << G) // b.denominator, -(-bd.numerator << G) // bd.denominator + 1
+    within_bounds = _bounds_test(A, B, sd)
+    bound = (A * Fraction(7, 1 << (target + 4)) - 5 * b / 4) * (1 << G)
     num, den = bound.numerator**2, bound.denominator**2
-    x = _to_grid(g, G)
-    r = p = residual(x)
-    rr, checked, steps = _dot(r, r), True, 0
-    while steps < CG_STEPS:
-        if rr * den <= num:
-            if checked:
-                return FiniteVector.over(x.items(), 1 << G), steps
+    x, first, steps, k, held, goal = _to_grid(g, G), 0, 0, -1, None, None
+    cap = budget = target + 2  # lower bounds of both, until a run reaches them
+    while True:
+        if goal is None and steps >= budget:
+            goal = Fraction(_ceil_sqrt(kappa) * (_ceil_sqrt(first) + sigma)) / (bound - sigma)
+            cap = max(richardson_steps(A, sqrt_upper(A * B), 2 * goal), target + 2)
+            budget = cap * richardson_steps(A, 10 * B + 9 * A, goal)
+        if k < 0:
             r = p = residual(x)
-            rr, checked = _dot(r, r), True
+            rr, k = _dot(r, r), 0
+            if rr * den <= num:
+                return FiniteVector.over(x.items(), 1 << G), steps
+            if held:
+                x1, rr1, pq1 = held
+                dx = _combine(x, xs, -1, 1)
+                gain = _dot(dx, rs) + _dot(dx, r) - 2 * sigma * _ceil_sqrt(_dot(dx, dx))
+                if 2 * pq1 * gain < rr1 * rr1:
+                    x, k, held = x1, -1, None
+                    continue
+            xs, rs, held, first = x, r, None, first or rr
+        elif rr * den <= num or k >= cap:
+            k = -1
             continue
-        q = apply_s(p, G, b)
+        if steps >= budget:
+            raise FalseBoundsError(
+                f"declared frame bounds A = {A}, B = {B} are false or S is not self-adjoint: "
+                f"{steps} steps spent the budget of {budget} without a certificate"
+            )
+        q = apply_s(p, G, bd)
         pp, pq = _dot(p, p), _dot(p, q)
         if not within_bounds(pp, pq):
             raise FalseBoundsError(
                 f"declared frame bounds A = {A}, B = {B} are false: "
                 f"<p, S p> lies outside [A, B] ||p||^2 at step {steps + 1}"
             )
+        if k == 1 and goal and abs(_dot(p0, q) - _dot(p, q0)) > _ceil_sqrt(2 * (pp + pp0)) * sd:
+            raise FalseBoundsError(f"S = T T* is not self-adjoint: step {steps + 1} proves it")
         if pq <= 0:
-            break
+            k = -1
+            continue
         x, r = _combine(x, p, rr, pq), _combine(r, q, -rr, pq)
+        if k == 0:
+            held, p0, q0, pp0 = (x, rr, pq), p, q, pp
         rr, old = _dot(r, r), rr
-        p, checked, steps = _combine(r, p, rr, old), False, steps + 1
-    if not checked:
-        r = residual(x)
-        rr = _dot(r, r)
-    err = (Fraction(_ceil_sqrt(rr), 1 << G) + 7 * b / 4) / A
-    J, w = richardson_steps(A, B, err * (1 << (target + 2))), Fraction(2) / (A + B)
-    for _ in range(J):
-        x = _combine(x, residual(x), w.numerator, w.denominator)
-    return FiniteVector.over(x.items(), 1 << G), steps + J
+        p, k, steps = _combine(r, p, rr, old), k + 1, steps + 1
 
 
 def richardson_steps(A: Fraction, B: Fraction, goal: Fraction) -> int:

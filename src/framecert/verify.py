@@ -123,9 +123,8 @@ def gram_suite(CF: CertifiedFrame) -> SuiteReport:
     determines the whole row energy in closed form.  Compare it against
     the independently computed energy ||P e_n||^2, which equals p_n
     whenever P is an orthogonal projection, and for finite frames also
-    against the exact ground truth.  A false adjoint certificate whose
-    rows span the true row space still makes P one and passes here; only
-    the projection suite's certificate line catches such specs.
+    against the exact ground truth.  A false adjoint certificate that keeps
+    S = T T* self-adjoint makes P oblique, which this can catch.
     """
     p = clog2(4 / TOL)
     K, exact_M = 4, None
@@ -151,8 +150,8 @@ def gram_suite(CF: CertifiedFrame) -> SuiteReport:
 
 
 def max_iterations(A: Fraction, B: Fraction, f_mag: Fraction, p: int) -> int:
-    """Ceiling on frame-algorithm steps at precision p, the Richardson budget's:
-    the smallest J >= 1 with r^J >= 2^(p+4) max(||f||, 1) / A, r = (B+A)/(B-A)."""
+    """The rate suite's ceiling at precision p, below the driver's proved budget: the
+    smallest J >= 1 with r^J >= 2^(p+4) max(||f||, 1) / A, r = (B+A)/(B-A)."""
     return richardson_steps(A, B, max(f_mag, Fraction(1)) / A * 2 ** (p + 4))
 
 

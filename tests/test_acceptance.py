@@ -20,7 +20,6 @@ from framecert import gallery
 from framecert.cli import main as cli_main
 from framecert.duality import (
     BesselSequence,
-    DualPair,
     canonical_dual,
     dual_from_bessel,
     verify_duality,

@@ -369,11 +369,20 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("name", ["false_adjoint_oblique", "false_adjoint_symmetric"])
     def test_projection_detects_adjoint_wrong_in_last_column(self, name):
-        # adjoint_rows entry (2, 3) is 1 where the matrix has 0: P is
-        # symmetric on e_0..e_2 (and on all of l2 for the symmetric spec)
-        code, out = run_cli("verify", str(FIXTURES / f"{name}.json"), "--suite", "projection")
-        assert code == 1
-        assert "[FAIL] analysis certificate is the adjoint on e_0..e_3" in out
+        # adjoint_rows entry (2, 3) is wrong.  In the oblique spec element 3
+        # is zero, so S = T T*_c is still T T*: P is symmetric on e_0..e_2
+        # and the certificate line fails.  In the symmetric spec element 3
+        # is not zero, so S is not self-adjoint and the solver proves it
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("verify", str(FIXTURES / f"{name}.json"), "--suite", "projection")
+        if name == "false_adjoint_oblique":
+            assert code == 1
+            assert "[FAIL] analysis certificate is the adjoint on e_0..e_3" in out
+        else:
+            assert code == 3 and out == ""
+            pattern = r"error: invalid frame: S = T T\* is not self-adjoint: step \d+ proves it\n"
+            assert re.fullmatch(pattern, err.getvalue())
 
     def test_reconstruct_fails_on_false_bounds(self):
         # bounds (1/2, 1/2) on the identity: the first solver step refutes them

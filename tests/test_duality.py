@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -16,10 +15,9 @@ from framecert.duality import (
     frame_from_coeff_operator,
     verify_duality,
 )
-from framecert.frames import Frame, analysis, frame_from_onb, synthesis_operator
+from framecert.frames import Frame, frame_from_onb, synthesis_operator
 from framecert.operators import OperatorName
 from framecert.oracle import ExactFrame, embed, exact_frame_solve, projection_matrix
-from framecert.realnames import RealName
 from framecert.riesz import RieszBasisName, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, inner

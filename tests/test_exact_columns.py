@@ -98,42 +98,35 @@ def test_out_of_span_coordinates_dropped(tmp_path):
 
 
 def exact_cases(tmp_path):
-    """(label, frame, exact S on the span, tail-only steps from 0 at p 20/40/60)."""
+    """(label, frame, exact S on the span)."""
     shear = [[1, 1], [0, 1]]
     block = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     block_inv = [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
     op = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
     return [
         ("riesz-shear", load_spec(str(FIXTURES / "riesz_shear.json")).certified,
-         mat_mul(shear, transpose(shear)), (57, 104, 151)),
+         mat_mul(shear, transpose(shear))),
         # S_c = T T*_c for the supplied (false) adjoint: diag(2, 1) on the span
         ("corrupted-dual", load_spec(str(FIXTURES / "corrupted_dual.json")).certified,
-         [[2, 0], [0, 1]], (23, 43, 63)),
+         [[2, 0], [0, 1]]),
         ("riesz-3", riesz_as_frame(riesz_from_matrix(block, block_inv)),
-         mat_mul(block, transpose(block)), (141, 255, 368)),
+         mat_mul(block, transpose(block))),
         ("operator-3x4", operator_spec(tmp_path, op, [1, 4]),
-         mat_mul(op, transpose(op)), (31, 58, 85)),
+         mat_mul(op, transpose(op))),
     ]
 
 
 def test_exact_path_runs(tmp_path, monkeypatch):
-    # with no CG steps the Richardson tail alone runs the pinned counts;
-    # both it and the full driver stay within the criterion-4 ceiling
+    # the driver stays within the criterion-4 ceiling and 2^-p of S^-1 f
     forbid_stages(monkeypatch)
     f = VectorName.from_finite(FiniteVector.parse("0:1 1:1"))
-    for label, CF, S, iterations in exact_cases(tmp_path):
+    for label, CF, S in exact_cases(tmp_path):
         d = len(S)
         exact = mat_vec(mat_inv([[Fraction(q) for q in row] for row in S]),
                         [Fraction(1), Fraction(1)] + [Fraction(0)] * (d - 2))
-        for p, J in zip((20, 40, 60), iterations):
-            cap = max_iterations(CF.lower, CF.upper, f.norm.mag, p)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(frames, "CG_STEPS", 0)
-                tail = frame_algorithm(CF, f, p)
-            assert tail.iterations == J <= cap, label
-            assert err_sq(tail.vector.finite, exact) <= Fraction(1, 1 << (2 * p)), label
+        for p in (20, 40, 60):
             res = frame_algorithm(CF, f, p)
-            assert res.iterations <= cap, label
+            assert res.iterations <= max_iterations(CF.lower, CF.upper, f.norm.mag, p), label
             assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << (2 * p)), label
         x = inverse_apply(CF, f)
         for p in LADDER:

@@ -1,18 +1,22 @@
-"""The certified fixed-point driver, its Richardson tail and the S contract.
+"""The certified fixed-point driver, its step budget and the S contract.
 
 The driver runs conjugate gradients on integer mantissas on one grid
-2^-G and returns an iterate once an exact residual certificate holds.
-These tests check its answers against exact Fractions from
-``framecert.oracle`` and from closed forms, on finite frames, on Riesz
-blocks whose columns beyond the block are read through stages, and on
-the benign gallery frame; the Richardson tail from a CG iterate; the
-error raised on refuted frame bounds; the column reader of the benign frame
-against its l2 budget; the integer kernel (column accumulation, the
-rounded update) against Fraction models; and the rounding of one step.
+2^-G, restarted from the true residual, and returns an iterate only once
+an exact residual certificate holds.  These tests check its answers
+against exact Fractions from ``framecert.oracle`` and from closed forms,
+on finite frames, on Riesz blocks whose columns beyond the block are
+read through stages, on the benign gallery frame and on diagonal frames
+with B/A up to 160^2; the errors raised on refuted frame bounds, on an S
+that is not self-adjoint and on a spent step budget; a cycle made to lose
+ground, which the run abandons for its first step; the column reader of
+the benign frame against its l2 budget; the integer kernel (column
+accumulation, the rounded update) against Fraction models; and the
+rounding of one step.
 """
 
 from fractions import Fraction
 from math import floor, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,9 +40,12 @@ from framecert.operators import OperatorName, finite_columns
 from framecert.oracle import ExactFrame, NonSpanningError, embed, mat_inv
 from framecert.realnames import RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
+from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, linear_combo
+from framecert.verify import max_iterations
 from fraction_matrices import cofactor_det, mat_vec
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LADDER = (32, 64, 128)
 
 
@@ -161,37 +168,79 @@ def test_inverse_apply_ladder_against_oracle(case):
         assert err(x.stage(p - 1)) <= Fraction(1, 1 << (2 * p))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_richardson_fallback_from_a_cg_iterate(data):
-    # with the CG cap at `cap` steps, the run continues with the Richardson
-    # tail from the CG iterate, for the step count of its certified error
-    CF, section = data.draw(spanning_frames(max_d=4))
-    assume(CF.upper <= 64 * CF.lower)
-    f = signal(data.draw, section.d)
-    exact = mat_vec(mat_inv(section.S), f)
-    cap = data.draw(st.integers(min_value=0, max_value=2))
-    p = data.draw(st.integers(min_value=1, max_value=64))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frames, "CG_STEPS", cap)
-        res = frame_algorithm(CF, finite_name(f), p)
-    assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << (2 * p))
+def diagonal_frame(d: int) -> CertifiedFrame:
+    """f_i = (i+1) e_i in Q^d, so B/A = d^2; frame_algorithm runs the driver on it."""
+    return embed(ExactFrame([[i + 1 if j == i else 0 for j in range(d)] for i in range(d)]))
 
 
-def test_fallback_warm_starts_from_the_cg_iterate(monkeypatch):
-    # the Mercedes frame needs two CG steps; after one, the Richardson tail
-    # runs from that iterate and needs fewer steps than the tail from 0;
-    # both answers are within 2^-40
-    CF = embed(ExactFrame([[1, 0], [0, 1], [1, 1]]))
-    exact = [Fraction(2, 3), Fraction(-1, 3)]
-    tails = []
-    for cap in (1, 0):
-        monkeypatch.setattr(frames, "CG_STEPS", cap)
-        res = frame_algorithm(CF, VectorName.basis(0), 40)
-        assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << 80)
-        tails.append(res.iterations - cap)
-    warm, cold = tails
-    assert 0 < warm < cold
+@pytest.mark.parametrize("d", [40, 80, 160])
+def test_diagonal_frames_certify_within_the_rate_ceiling(d):
+    # S^-1 (sum e_i) = sum e_i / (i+1)^2; conjugate gradients need about
+    # d steps here, where the Richardson count runs to 10^4-10^6
+    CF = diagonal_frame(d)
+    f = VectorName.from_finite(FiniteVector([(i, 1) for i in range(d)]))
+    for p in (20, 60, 200):
+        res = frame_algorithm(CF, f, p)
+        v = res.vector.finite
+        assert v.support <= d
+        assert all(abs(v.coefficient(i) - Fraction(1, (i + 1) ** 2)) <= Fraction(1, 1 << p)
+                   for i in range(d))
+        assert res.iterations <= max_iterations(CF.lower, CF.upper, f.norm.mag, p)
+
+
+def test_non_self_adjoint_s_raises():
+    # the fixture's adjoint_rows differ from the matrix's rows in one entry
+    # that meets a nonzero element, so S = T T*_c is not self-adjoint.
+    # Conjugate gradients still converge on it, but not within target + 2
+    # steps, and the second step of the next cycle proves it
+    CF = load_spec(str(FIXTURES / "false_adjoint_symmetric.json")).certified
+    f = VectorName.from_finite(FiniteVector.parse("0:1 1:1"))
+    with pytest.raises(FalseBoundsError, match=r"not self-adjoint: step \d+ proves it"):
+        frame_algorithm(CF, f, 20)
+
+
+def test_spent_budget_raises_and_names_it(monkeypatch):
+    # read every Richardson count as 1: cap and budget are then target + 2
+    # = 22 steps, and the d = 80 diagonal needs 91 at p = 20.  The run
+    # takes exactly the budget's steps (one bounds test each) and raises
+    monkeypatch.setattr(frames, "richardson_steps", lambda A, B, goal: 1)
+    tests = []
+    bounds_test = frames._bounds_test
+
+    def counted(A, B, s):
+        holds = bounds_test(A, B, s)
+        return lambda pp, pq: tests.append(1) or holds(pp, pq)
+
+    monkeypatch.setattr(frames, "_bounds_test", counted)
+    f = VectorName.from_finite(FiniteVector([(i, 1) for i in range(80)]))
+    with pytest.raises(FalseBoundsError, match="22 steps spent the budget of 22 without"):
+        frame_algorithm(diagonal_frame(80), f, 20)
+    assert len(tests) == 22
+
+
+def test_a_cycle_that_loses_ground_goes_back_to_its_first_step(monkeypatch):
+    # double the iterate at the first cycle's second step: the recursive
+    # residual does not see it, the check that ends the cycle fails, and
+    # its energy gain (x - x_s).(r_s + r) is negative, so the run steps on
+    # from the first step's iterate x_1 and still certifies
+    CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
+    f = VectorName.from_finite(FiniteVector.parse("0:1 1:-1/3 2:2/7"))
+    starts, outs = [], []
+    combine = frames._combine
+
+    def doubling(u, v, a, c):
+        starts.append(u)
+        out = combine(u, v, a, c)
+        if len(outs) == 3:
+            out = {i: 2 * m for i, m in out.items()}
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(frames, "_combine", doubling)
+    res = frame_algorithm(CF, f, 64)
+    assert any(u is outs[0] for u in starts[4:])
+    exact = [Fraction(4, 3), Fraction(-5, 3), Fraction(2, 7)]
+    assert err_sq(res.vector.finite, exact) <= Fraction(1, 1 << 128)
 
 
 def test_false_bounds_raise():
@@ -249,12 +298,13 @@ def test_benign_columns_within_budget(data):
 
 def test_step_rounds_to_nearest():
     # S = 7 on Q^1 with A = B = 7: one step g = f/7 on the grid, never a tie;
-    # rounding to nearest is odd, so -f gives exactly -g
+    # rounding to nearest is odd, so -f gives exactly -g.  (At p = 1 the
+    # run certifies g = 0 for |f| <= 3/2: 1/7 is within 1/2 of 0.)
     section = ExactFrame([[1], [2], [1], [1]])
     E = embed(section)
     CF = CertifiedFrame(Frame(E.elem, 7, 7), E.analysis_op, finite_section=section)
     for q in (Fraction(1), Fraction(3), Fraction(-5, 3)):
-        for p in (1, 20, 64):
+        for p in (2, 20, 64):
             g = frame_algorithm(CF, VectorName.from_finite(FiniteVector([(0, q)])), p)
             minus = frame_algorithm(CF, VectorName.from_finite(FiniteVector([(0, -q)])), p)
             assert g.iterations == 1

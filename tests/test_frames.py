@@ -25,7 +25,7 @@ from framecert.frames import (
     synthesis,
 )
 from framecert.operators import OperatorName, banded_adjoint, finite_columns
-from framecert.oracle import ExactFrame, embed, exact_frame_solve
+from framecert.oracle import ExactFrame, embed
 from framecert.realnames import RealName
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, sqrt_of_fraction

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from framecert.duality import DualPair, verify_duality
-from framecert.frames import Frame, analysis, analysis_coeffs, inverse_apply, synthesis
+from framecert.frames import analysis, inverse_apply, synthesis
 from framecert.gallery import (
     MissingNormCertificateError,
     benign_sequence,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framecert.dyadic import round_fraction
-from framecert.realnames import RealName, lift_arith, sqrt_name
+from framecert.realnames import RealName, sqrt_name
 from framecert.vectors import (
     FiniteVector,
     VectorName,
