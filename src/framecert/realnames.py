@@ -5,13 +5,19 @@ rational magnitude bound.  The bound is what makes the modulus of
 multiplication (and every norm computation downstream) locally
 computable; plain approximation oracles do not carry enough data.
 
-Every oracle here is pure and memoized, so names are immutable values
-that can be queried concurrently from several threads.
+Every oracle here is pure, so names are immutable values that can be
+queried concurrently from several threads.  An exact name (see
+:meth:`RealName.from_fraction`) is computed on each query: it rounds its
+rational and keeps no cache.  Any other name memoizes its approximants
+in a plain dict, as :func:`_memoized` memoizes a sequence, and takes no
+lock: ``dict.get`` and ``dict.setdefault`` on an integer key are each
+atomic (one step under the GIL, and under the per-object lock of a
+free-threaded build), so two callers racing on one precision may both
+compute, but both receive the first value stored.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
@@ -30,7 +36,7 @@ class RealName:
     exact end to end.
     """
 
-    __slots__ = ("_fn", "mag", "exact", "_cache", "_lock")
+    __slots__ = ("_fn", "mag", "exact", "_cache")
 
     def __init__(self, fn: Callable[[int], Dyadic], mag: RationalLike):
         self._fn = fn
@@ -39,7 +45,6 @@ class RealName:
         if self.mag < 0:
             raise ValueError("magnitude bound must be nonnegative")
         self._cache: dict[int, Dyadic] = {}
-        self._lock = threading.Lock()
 
     # -- evaluation --------------------------------------------------
 
@@ -47,25 +52,22 @@ class RealName:
         """Dyadic within 2^-n of the represented real; deterministic."""
         if n < 0:
             raise ValueError("precision must be nonnegative")
-        with self._lock:
-            hit = self._cache.get(n)
-        if hit is not None:
-            return hit
         if self.exact is not None:
-            val = round_fraction(self.exact, n)
-        else:
-            val = self._fn(n)
-        with self._lock:
-            return self._cache.setdefault(n, val)
+            return round_fraction(self.exact, n)
+        hit = self._cache.get(n)
+        if hit is None:
+            hit = self._cache.setdefault(n, self._fn(n))
+        return hit
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "RealName":
-        """The exact name of q, built directly (mag = |q|: nothing to check)."""
+        """The exact name of q, built directly (mag = |q|: nothing to check);
+        it has no oracle and no cache."""
         x = object.__new__(RealName)
         x.exact = q if isinstance(q, Fraction) else Fraction(q)
-        x._fn, x.mag, x._cache, x._lock = None, abs(x.exact), {}, threading.Lock()
+        x._fn, x.mag, x._cache = None, abs(x.exact), None
         return x
 
     # -- operator sugar (lift_arith under the hood) -------------------
@@ -177,16 +179,14 @@ def limit_fast(
 
 
 def _memoized(f: Callable[[int], object]) -> Callable[[int], object]:
+    """f with its values kept by integer argument: concurrent callers of
+    one k may each run f(k), but all receive the first value stored."""
     cache: dict[int, object] = {}
-    lock = threading.Lock()
 
     def wrapped(k: int):
-        with lock:
-            hit = cache.get(k)
-        if hit is not None:
-            return hit
-        val = f(k)
-        with lock:
-            return cache.setdefault(k, val)
+        hit = cache.get(k)
+        if hit is None:
+            hit = cache.setdefault(k, f(k))
+        return hit
 
     return wrapped

@@ -11,9 +11,13 @@ limits, S^-1 f) is built from its stage by :meth:`VectorName.from_stage`,
 which reads the coefficients and the norm from it.  A name that arrives
 as coefficients plus a norm -- caller or gallery oracles,
 :func:`strengthen` -- is converted once, by the constructor: its stage k
-cuts where the certified tail sqrt(||x||^2 - sum_{i<N} x_i^2) is at most
-2^-(k+1) and rounds the coordinates before the cut.  :func:`truncate`
-reads a stage, so there is one truncation mechanism.
+cuts at the first N = 1, 2, 4, ... where the squared tail ||x||^2 -
+sum_{i<N} x_i^2 is at most 4^-(k+1), certified by one rational upper
+bound read from the norm and the coefficients at a precision that grows
+with k and N (:func:`_oracle_stage` proves that the search ends), and
+rounds the coordinates before the cut.  :func:`truncate` reads a stage, so there is
+one truncation mechanism.  :func:`tail_norm` names the same tail as a
+real, for callers that want it.
 
 A :class:`FiniteVector` -- every stage, and every exact vector -- is
 integer numerators over one common denominator in lowest terms.  Stages
@@ -34,7 +38,7 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyadic import Dyadic, Immutable, clog2, div_nearest, round_fraction
+from .dyadic import ZERO, Dyadic, Immutable, clog2, div_nearest, round_fraction
 from .realnames import (
     RealName,
     ZERO_NAME,
@@ -316,21 +320,53 @@ def _oracle_stage(x: VectorName, k: int) -> FiniteVector:
     """Stage k of a name given as coefficients plus a norm.
 
     It cuts at the support bound when there is one, and otherwise at the
-    first N = 1, 2, 4, ... where the certified tail norm is at most
-    2^-(k+1); the coordinates before the cut are rounded within the rest
-    of 2^-k.
+    first N = 1, 2, 4, ... whose certified tail is at most 2^-(k+1); the
+    coordinates before the cut are rounded within the rest of 2^-k.  The
+    certificate is one rational: with e = 2^-m, nu = ||x|| at 2^-m and
+    c_i = x_i at 2^-m,
+
+        U(N) = (|nu| + e)^2 - sum_{i<N} (|c_i| - e)_+^2 >= tail(N)^2,
+
+    as |nu| + e >= ||x|| and |c_i| - e <= |x_i|.  Its excess is at most
+    4 e ||x|| (1 + sqrt N) + 4 e^2: the norm term gives 4 e ||x|| + 4 e^2,
+    and since (|c_i| - e)_+ >= (|x_i| - 2e)_+, term i gives at most
+    4 e |x_i|, which Cauchy-Schwarz sums to 4 e sqrt(N) ||x||.  So
+    m = 2k + 7 + clog2((mag + 1)(isqrt(N) + 2)), with mag the norm's
+    bound, keeps the excess within 4^-(k+1) / 8, and the search ends at
+    the first doubling with tail(N)^2 <= (7/8) 4^-(k+1): for every x, as
+    tail(N) -> 0, however slowly.  The sum is carried from N to 2N and
+    read again only when m grows.
     """
     N, budget = x.support_bound, Fraction(1, 1 << k)
     if N is None:
-        N, budget = 1, budget / 2
-        while tail_norm(x, N).approx(k + 3).as_fraction() + Fraction(1, 1 << (k + 3)) > budget:
-            N *= 2
+        N, budget = _tail_cut(x, k), budget / 2
     # per-coordinate error e with sqrt(N) * e <= budget
     pc = max(0, clog2(2 * Fraction(isqrt(N) + 1) / budget))
     ds = [x.coeff(i).approx(pc) for i in range(N)]
     e = min([0] + [d.exponent for d in ds])  # the stage's denominator is 2^-e
     pairs = ((i, d.mantissa << (d.exponent - e)) for i, d in enumerate(ds))
     return FiniteVector.over(pairs, 1 << -e)
+
+
+def _tail_cut(x: VectorName, k: int) -> int:
+    """The first N = 1, 2, 4, ... with U(N) <= 4^-(k+1) (see :func:`_oracle_stage`)."""
+    goal, mag = Dyadic(1, -2 * k - 2), x.norm.mag
+    N, m, read = 1, -1, 0
+    while True:
+        need = 2 * k + 7 + clog2((mag + 1) * (isqrt(N) + 2))
+        if need > m:
+            m, read, energy = need, 0, ZERO
+            e = Dyadic(1, -m)
+            top = abs(x.norm.approx(m)) + e
+            top = top * top
+        for i in range(read, N):
+            low = abs(x.coeff(i).approx(m)) - e
+            if low.mantissa > 0:
+                energy = energy + low * low
+        read = N
+        if top - energy <= goal:
+            return N
+        N *= 2
 
 
 def truncate(x: VectorName, eps: Fraction) -> tuple[FiniteVector, int]:

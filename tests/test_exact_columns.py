@@ -166,16 +166,17 @@ def test_riesz_blocks_against_oracle(data):
 def test_benign_frame_against_closed_form(monkeypatch, p):
     # column 0 of the benign frame's S comes from the whole sequence
     # a_i = 2^-i: it is read through the sequence's stage, never through
-    # tail_norm.  From U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with
-    # h = f - e_0 (a'.f); past f's support it is -2^-j h_0
+    # the tail search of a coefficient-plus-norm name.  From
+    # U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with h = f - e_0 (a'.f);
+    # past f's support it is -2^-j h_0
+    def fail(*args):
+        raise AssertionError("a column of S was read through a coefficient-plus-norm name")
+
+    # names bind the stage when they are built, so patch before the frame is
+    monkeypatch.setattr(vectors, "_oracle_stage", fail)
     CF = upper_row_frame(benign_sequence())
     f = FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5")
     h0 = f.coefficient(0) - sum(f.coefficient(j) / (1 << j) for j in (1, 2, 3))
-
-    def fail(*args):
-        raise AssertionError("a column of S was truncated through tail_norm")
-
-    monkeypatch.setattr(vectors, "tail_norm", fail)
     v = frame_algorithm(CF, VectorName.from_finite(f), p).vector.finite
     N = max(v.support, 4)
     head = (v.coefficient(0) - h0) ** 2 + sum(

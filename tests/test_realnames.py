@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 from math import isqrt
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framecert.dyadic import Dyadic, round_fraction
+from framecert.operators import OperatorName
 from framecert.realnames import (
+    ONE_NAME,
     RealName,
     ZERO_NAME,
+    _memoized,
     lift_arith,
     limit_fast,
     recip,
     scale,
     sqrt_name,
 )
+from framecert.vectors import VectorName
 
 
 def err(x: RealName, value: Fraction, n: int) -> Fraction:
@@ -145,6 +150,45 @@ def test_determinism_and_threading():
         t.join()
     assert len(set(map(str, results))) == 1
     assert x.approx(25) == results[0]
+
+
+def test_memo_hands_racing_threads_the_first_value():
+    # each oracle waits until all eight threads are inside it, so every
+    # thread computes its own value before any is stored; the memo must
+    # still hand every thread the one object stored first
+    THREADS = 8
+
+    def racing(make):
+        barrier = threading.Barrier(THREADS)
+
+        def f(k):
+            try:
+                barrier.wait(timeout=5)
+            except threading.BrokenBarrierError:
+                pass
+            return make(k)
+
+        return f
+
+    memo = _memoized(racing(lambda k: [k]))
+    x = VectorName(racing(lambda i: RealName.from_fraction(i)), ONE_NAME)
+    U = OperatorName(racing(VectorName.basis), Fraction(1))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for read in (lambda: memo(3), lambda: x.coeff(2), lambda: U.col(1)):
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(read())) for _ in range(THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(got) == THREADS
+            assert all(g is got[0] for g in got)
+            assert read() is got[0]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_magnitude_soundness():

@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from framecert.dyadic import Dyadic, round_fraction
 from framecert.frames import analysis, inverse_apply, pseudo_inverse, synthesis
 from framecert.oracle import ExactFrame, embed, exact_frame_solve, mat_inv
-from framecert.realnames import RealName
+from framecert.realnames import ONE_NAME, RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
-from framecert.vectors import FiniteVector, VectorName, linear_combo, truncate
+from framecert.vectors import FiniteVector, VectorName, linear_combo, sqrt_of_fraction, truncate
 from fraction_matrices import mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -153,7 +153,8 @@ def oracle_names(draw):
     Returns the name, a function i -> its exact coefficient, its exact
     tail energy sum_{i >= M} x_i^2 as a function of M, and the list that
     records the precision of every coefficient query.  The vector is a
-    finite list (with or without a support bound) or c 4^-i.
+    finite list (with or without a support bound) or c r^i for r = 1/2,
+    1/4 or 3/4, whose squared norm is c^2 / (1 - r^2).
     """
     asked: list[int] = []
     if draw(st.booleans()):
@@ -163,8 +164,9 @@ def oracle_names(draw):
         bound = draw(st.sampled_from([None, len(q), len(q) + 2]))
     else:
         c = draw(st.fractions(min_value=-2, max_value=2, max_denominator=9))
-        exact = lambda i: c / 4**i
-        tail = lambda M: c * c * Fraction(16, 15) / 16**M
+        r = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]))
+        exact = lambda i: c * r**i
+        tail = lambda M: c * c * r ** (2 * M) / (1 - r * r)
         bound = None
     sq = tail(0)
 
@@ -194,6 +196,49 @@ def test_oracle_name_stages_are_within_precision(name, k):
     before = len(asked)
     assert truncate(x, eps) == (v, n)
     assert len(asked) == before
+
+
+def test_slowly_decaying_oracle_name_certifies_its_cut():
+    # x_i = sqrt(1 / ((i+1)(i+2))): ||x|| = 1 and tail(N)^2 = 1/(N+1), so
+    # the cut must reach N = 4^(k+1); the bound's excess is at most
+    # 4^-(k+1) / 8, so it stops by 2 4^(k+1), where tail^2 < 4^-(k+1) / 2.
+    # Over this x a precision that does not grow with N never certifies
+    # once k is large: the excess grows like ln N
+    x = VectorName(lambda i: sqrt_of_fraction(Fraction(1, (i + 1) * (i + 2))), ONE_NAME)
+    for k in range(6):
+        v = x.stage(k)
+        assert 4 ** (k + 1) <= v.support + 1 and v.support <= 2 * 4 ** (k + 1)
+        # ||x - v||^2 = ||v||^2 - 2 <v, x> + 1, and lo_i <= x_i
+        b = 2 * k + 40
+        lo = sum(
+            n * isqrt((1 << (2 * b)) // ((i + 1) * (i + 2))) for i, n in v.nums.items()
+        )
+        assert min(v.nums.values()) > 0
+        assert v.norm_squared() - 2 * Fraction(lo, v.den << b) + 1 <= Fraction(1, 4**k)
+
+
+@pytest.mark.parametrize("k", [0, 3, 10, 30])
+def test_tail_cut_holds_against_oracles_that_spend_their_error(k):
+    # x = (1, x_1) with x_1^2 just above 4^-(k+1), so N = 1 must not be
+    # the cut.  The coefficient oracle errs up and the norm oracle down,
+    # each by almost 2^-n, which shrinks U as far as the oracles allow;
+    # a bound without its e margins would then pass N = 1
+    x1 = Fraction(1 + (1 << 10), 1 << (k + 11))
+    sq = 1 + x1 * x1
+    G = 20
+
+    def coeff(i: int) -> RealName:
+        q = (Fraction(1), x1)[i] if i < 2 else Fraction(0)
+        # within 2^-n above q: floor((q + 2^-n) 2^(n+G)) / 2^(n+G)
+        return RealName(lambda n: Dyadic((q.numerator << (n + G)) // q.denominator + (1 << G), -(n + G)), q)
+
+    def norm(n: int) -> Dyadic:
+        # within 2^-n below ||x||
+        r = isqrt((sq.numerator << (2 * (n + G))) // sq.denominator)
+        return Dyadic(r - (1 << G) + 1, -(n + G))
+
+    v = VectorName(coeff, RealName(norm, 2)).stage(k)
+    assert v.support == 2
 
 
 def test_finite_norm_is_lazy_and_unchanged():
