@@ -15,9 +15,9 @@ cuts at the first N = 1, 2, 4, ... where the squared tail ||x||^2 -
 sum_{i<N} x_i^2 is at most 4^-(k+1), certified by one rational upper
 bound read from the norm and the coefficients at a precision that grows
 with k and N (:func:`_oracle_stage` proves that the search ends), and
-rounds the coordinates before the cut.  :func:`truncate` reads a stage, so there is
-one truncation mechanism.  :func:`tail_norm` names the same tail as a
-real, for callers that want it.
+rounds the coordinates before the cut.  :func:`truncate` reads a stage,
+so there is one truncation mechanism.  :func:`tail_norm` names the same
+tail as a real, for callers that want it.
 
 A :class:`FiniteVector` -- every stage, and every exact vector -- is
 integer numerators over one common denominator in lowest terms.  Stages

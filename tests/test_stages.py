@@ -208,12 +208,12 @@ def test_slowly_decaying_oracle_name_certifies_its_cut():
     for k in range(6):
         v = x.stage(k)
         assert 4 ** (k + 1) <= v.support + 1 and v.support <= 2 * 4 ** (k + 1)
-        # ||x - v||^2 = ||v||^2 - 2 <v, x> + 1, and lo_i <= x_i
+        # ||x - v||^2 = ||v||^2 - 2 <v, x> + 1, and 0 <= lo_i <= x_i, v_i > 0
+        assert min(v.nums.values()) > 0
         b = 2 * k + 40
         lo = sum(
             n * isqrt((1 << (2 * b)) // ((i + 1) * (i + 2))) for i, n in v.nums.items()
         )
-        assert min(v.nums.values()) > 0
         assert v.norm_squared() - 2 * Fraction(lo, v.den << b) + 1 <= Fraction(1, 4**k)
 
 
@@ -221,7 +221,7 @@ def test_slowly_decaying_oracle_name_certifies_its_cut():
 def test_tail_cut_holds_against_oracles_that_spend_their_error(k):
     # x = (1, x_1) with x_1^2 just above 4^-(k+1), so N = 1 must not be
     # the cut.  The coefficient oracle errs up and the norm oracle down,
-    # each by almost 2^-n, which shrinks U as far as the oracles allow;
+    # each by (almost) all of its 2^-n, which shrinks U as far as they may;
     # a bound without its e margins would then pass N = 1
     x1 = Fraction(1 + (1 << 10), 1 << (k + 11))
     sq = 1 + x1 * x1
