@@ -33,20 +33,15 @@ class DualityVerificationError(ValueError):
 
 
 class BesselSequence(Immutable):
-    """Sequence oracle with a rational Bessel bound certificate."""
+    """Sequence oracle, memoized as ``elem``, with a rational Bessel bound certificate."""
 
-    __slots__ = ("_elem", "bessel_bound")
+    __slots__ = ("elem", "bessel_bound")
 
     def __init__(self, elem: Callable[[int], VectorName], bessel_bound):
-        object.__setattr__(self, "_elem", _memoized(elem))
+        object.__setattr__(self, "elem", _memoized(elem))
         object.__setattr__(self, "bessel_bound", Fraction(bessel_bound))
         if self.bessel_bound < 0:
             raise ValueError("Bessel bound must be nonnegative")
-
-    def elem(self, k: int) -> VectorName:
-        if k < 0:
-            raise ValueError("negative sequence index")
-        return self._elem(k)
 
     @staticmethod
     def zero() -> "BesselSequence":
@@ -223,7 +218,7 @@ def frame_from_coeff_operator(
     caller's certificate.
     """
     rows = _memoized(U_adjoint_rows)
-    return Frame(lambda n: synthesis(F.frame, rows(n)), lower, upper)
+    return Frame(lambda n: synthesis(F, rows(n)), lower, upper)
 
 
 def biorthogonal_dual_riesz(R) -> Callable[[int], VectorName]:

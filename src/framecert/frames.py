@@ -1,11 +1,11 @@
 """Frames with certified bounds, synthesis/analysis, and S^-1 by iteration.
 
-A :class:`Frame` carries rational frame bounds as caller-supplied
-certificates; a :class:`CertifiedFrame` additionally carries a full
-operator name for the analysis operator.  Without that certificate only
-coefficientwise analysis is available (a :class:`WeakVectorName`): the
-type system encodes the boundary between what is and is not computable
-from frame data alone.
+A :class:`Frame` is an element oracle n -> f_n, memoized, with rational
+frame bounds as caller-supplied certificates; a :class:`CertifiedFrame`
+is a frame that also carries a full operator name for the analysis
+operator T*.  Without that certificate only coefficientwise analysis is
+available (a :class:`WeakVectorName`): the type system encodes the
+boundary between what is and is not computable from frame data alone.
 
 S^-1 f is computed by one driver, :func:`_conjugate_gradients`, behind
 :func:`frame_algorithm` and every stage of :func:`inverse_apply`: one
@@ -39,51 +39,46 @@ from .vectors import (
 
 
 class Frame(Immutable):
-    """Element oracle plus rational frame bounds 0 < A <= B."""
+    """Element oracle plus rational frame bounds 0 < A <= B.
 
-    __slots__ = ("_elem", "lower", "upper")
+    ``elem`` is the memoized oracle i -> f_i itself (see :func:`_memoized`).
+    """
+
+    __slots__ = ("elem", "lower", "upper")
 
     def __init__(self, elem: Callable[[int], VectorName], lower, upper):
-        object.__setattr__(self, "_elem", _memoized(elem))
+        object.__setattr__(self, "elem", _memoized(elem))
         object.__setattr__(self, "lower", Fraction(lower))
         object.__setattr__(self, "upper", Fraction(upper))
         if not 0 < self.lower <= self.upper:
             raise ValueError("frame bounds must satisfy 0 < A <= B")
 
-    def elem(self, i: int) -> VectorName:
-        if i < 0:
-            raise ValueError("negative frame index")
-        return self._elem(i)
 
+class CertifiedFrame(Frame):
+    """A frame that also carries an operator name for its analysis operator T*.
 
-class CertifiedFrame(Immutable):
-    """Frame plus an operator name for its analysis operator T*.
-
-    ``finite_section`` optionally carries the exact rational vectors of
-    an embedded finite-dimensional frame: :func:`inverse_apply` solves
-    finite vectors on it exactly, and the verify suites compare with its
-    exact projection.  The frame keeps S once :func:`frame_operator`
-    builds it, so every solver run on it shares S's columns and stages.
+    It takes the element oracle and bounds of ``frame`` as they are, so
+    both frames share one element memo.  ``finite_section`` optionally
+    carries the exact rational vectors of an embedded finite-dimensional
+    frame: :func:`inverse_apply` solves finite vectors on it exactly, and
+    the verify suites compare with its exact projection.  The frame keeps
+    S once :func:`frame_operator` builds it, so every solver run on it
+    shares S's columns and stages.
     """
 
-    __slots__ = ("frame", "analysis_op", "finite_section", "_S")
+    __slots__ = ("analysis_op", "finite_section", "_S")
 
     def __init__(self, frame: Frame, analysis_op: OperatorName, finite_section=None):
-        object.__setattr__(self, "frame", frame)
+        for name in Frame.__slots__:
+            object.__setattr__(self, name, getattr(frame, name))
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
         object.__setattr__(self, "_S", None)
 
-    def elem(self, i: int) -> VectorName:
-        return self.frame.elem(i)
-
     @property
-    def lower(self) -> Fraction:
-        return self.frame.lower
-
-    @property
-    def upper(self) -> Fraction:
-        return self.frame.upper
+    def frame(self) -> "CertifiedFrame":
+        """The frame itself, for perfbench/client.py, which reads ``.frame``."""
+        return self
 
 
 class FrameCoeffName(VectorName):
@@ -99,7 +94,8 @@ class FrameCoeffName(VectorName):
         return lift_arith("mul", self.norm, self.norm)
 
     def as_vector_name(self) -> VectorName:
-        """The coefficient sequence as a full l2 name: the name itself."""
+        """The coefficient sequence as a full l2 name: the name itself, for
+        perfbench/client.py, which reads it."""
         return self
 
     @staticmethod
@@ -200,7 +196,7 @@ def frame_operator(CF: CertifiedFrame) -> OperatorName:
     The columns hold T and T*, not CF: no cycle keeps a dropped frame.
     """
     if CF._S is None:
-        T, Tstar = synthesis_operator(CF.frame), CF.analysis_op
+        T, Tstar = synthesis_operator(CF), CF.analysis_op
         object.__setattr__(CF, "_S", OperatorName(lambda n: apply(T, Tstar.col(n)), CF.upper))
     return CF._S
 
@@ -552,7 +548,7 @@ def frame_name_of(CF: CertifiedFrame, f: VectorName) -> FrameCoeffName:
 
 def reconstruct(CF: CertifiedFrame, c: FrameCoeffName) -> VectorName:
     """Decode a frame-coefficient name: f = sum_k c_k f_k."""
-    return synthesis(CF.frame, c)
+    return synthesis(CF, c)
 
 
 def frame_from_analysis(

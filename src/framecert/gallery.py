@@ -10,7 +10,6 @@ constructors that need one reject the input at the type level.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
@@ -35,14 +34,14 @@ class MissingNormCertificateError(ValueError):
 class SequenceGen(Immutable):
     """Positive sequence (a_i), a_0 = 1, with square-sum certificate.
 
-    norm_name (a name of the l2 norm of (a_i)) is present only for
-    instances whose norm is actually computable.  sq_tail(N), when
-    given, bounds the tail sum of a_i^2 over i >= N: it gives the
-    sequence's names a Cauchy stage cheaper than the one certified
-    through the norm.
+    ``a`` is the memoized oracle i -> a_i itself.  norm_name (a name of
+    the l2 norm of (a_i)) is present only for instances whose norm is
+    actually computable.  sq_tail(N), when given, bounds the tail sum of
+    a_i^2 over i >= N: it gives the sequence's names a Cauchy stage
+    cheaper than the one certified through the norm.
     """
 
-    __slots__ = ("_a", "sq_sum_upper", "norm_name", "sq_tail")
+    __slots__ = ("a", "sq_sum_upper", "norm_name", "sq_tail")
 
     def __init__(
         self,
@@ -51,17 +50,12 @@ class SequenceGen(Immutable):
         norm_name: Optional[RealName] = None,
         sq_tail: Optional[Callable[[int], Fraction]] = None,
     ):
-        object.__setattr__(self, "_a", _memoized(a))
+        object.__setattr__(self, "a", _memoized(a))
         object.__setattr__(self, "sq_sum_upper", Fraction(sq_sum_upper))
         object.__setattr__(self, "norm_name", norm_name)
         object.__setattr__(self, "sq_tail", sq_tail)
         if not 0 < self.sq_sum_upper < 2:
             raise ValueError("square-sum bound must lie in (0, 2)")
-
-    def a(self, i: int) -> RealName:
-        if i < 0:
-            raise ValueError("negative sequence index")
-        return self._a(i)
 
 
 def benign_sequence() -> SequenceGen:
@@ -81,10 +75,11 @@ def specker_sequence(enumerator: Callable[[int], int]) -> SequenceGen:
     a_0 = 1 and a_i^2 = 2^-(w+2) for w = enumerator(i-1), i >= 1.  The
     square sum is at most 1 + sum 2^-(w+2) <= 3/2, but its exact value
     encodes the enumerated set, so no norm name is attached.  Detected
-    duplicate enumerations are rejected.
+    duplicate enumerations are rejected: ``seen.setdefault`` is atomic,
+    so of two indices that enumerate one value, racing or not, the one
+    that stores it second raises.
     """
     seen: dict[int, int] = {}
-    lock = threading.Lock()
 
     def a(i: int) -> RealName:
         if i == 0:
@@ -92,9 +87,7 @@ def specker_sequence(enumerator: Callable[[int], int]) -> SequenceGen:
         w = enumerator(i - 1)
         if w < 0:
             raise ValueError("enumerator must produce naturals")
-        with lock:
-            prev = seen.setdefault(w, i)
-        if prev != i:
+        if seen.setdefault(w, i) != i:
             raise ValueError(f"enumerator repeats value {w}")
         return sqrt_of_fraction(Fraction(1, 1 << (w + 2)))
 
@@ -160,14 +153,10 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
     sequence (a_i), a full name only when its norm is one.  Frame bounds
     from :func:`upper_row_bounds`.
     """
-    if g.norm_name is None:
-        raise MissingNormCertificateError(
-            "the analysis certificate needs a norm name for (a_i)"
-        )
-    U = example_upper_row(g)
-    lower, upper = upper_row_bounds(g)
     # row 0 of U is (1, a_1, a_2, ...) = (a_i)
     row = _sequence_name(g, 0)
+    U = example_upper_row(g)
+    lower, upper = upper_row_bounds(g)
 
     def rows(n: int) -> VectorName:
         return row if n == 0 else VectorName.basis(n)
@@ -179,6 +168,9 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
 def _sequence_name(g: SequenceGen, start: int) -> VectorName:
     """(0, ..., 0, a_0, a_1, ...) with a_0 at index start; norm g.norm_name.
 
+    Without g.norm_name it raises MissingNormCertificateError: the whole
+    sequence has a full name only when its norm has one.
+
     With a tail certificate sq_tail, stage k is (a_0, ..., a_{N-1}) for
     the smallest N with sq_tail(N) <= 4^-k, so it is within 2^-k.  That
     reads every a_i it keeps exactly; when one of them has no exact
@@ -187,6 +179,10 @@ def _sequence_name(g: SequenceGen, start: int) -> VectorName:
     plus 2^-(k+1) for the rounding.  Without sq_tail the constructor's
     stage certifies the tail through the norm.
     """
+    if g.norm_name is None:
+        raise MissingNormCertificateError(
+            "the whole sequence (a_i) has a full name only with a norm name"
+        )
 
     def coeff(n: int) -> RealName:
         return ZERO_NAME if n < start else g.a(n - start)
@@ -210,15 +206,8 @@ def lower_column_operator(g: SequenceGen) -> OperatorName:
     col(0) is a full name only with a norm certificate; otherwise the
     constructor rejects, which is exactly the boundary the family marks.
     """
-    if g.norm_name is None:
-        raise MissingNormCertificateError(
-            "column 0 is the sequence (a_i); its name needs the norm"
-        )
-
-    def col(i: int) -> VectorName:
-        return _sequence_name(g, 0) if i == 0 else VectorName.basis(i)
-
-    return OperatorName(col, Fraction(3))
+    col0 = _sequence_name(g, 0)
+    return OperatorName(lambda i: col0 if i == 0 else VectorName.basis(i), Fraction(3))
 
 
 def lower_column_row_data(g: SequenceGen) -> Callable[[int], RealName]:
@@ -238,15 +227,8 @@ def coeff_perturbation_rows(g: SequenceGen) -> Callable[[int], VectorName]:
     """
 
     def rows(n: int) -> VectorName:
-        if n != 1:
-            return VectorName.basis(n)
-        if g.norm_name is None:
-            raise MissingNormCertificateError(
-                "row 1 contains the whole sequence (a_i); needs its norm"
-            )
-
         # (0, 1, a_1, a_2, ...) is (a_i) shifted by one, since a_0 = 1
-        return _sequence_name(g, 1)
+        return _sequence_name(g, 1) if n == 1 else VectorName.basis(n)
 
     return rows
 
@@ -313,10 +295,6 @@ def toeplitz_primal_element(g: SequenceGen, i: int) -> VectorName:
 
     A full name only with a norm certificate.
     """
-    if g.norm_name is None:
-        raise MissingNormCertificateError(
-            "g_i contains the whole sequence (a_i); needs its norm"
-        )
     return _sequence_name(g, i)
 
 

@@ -21,11 +21,12 @@ from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, trunc
 class OperatorName(Immutable):
     """Column oracle ``k -> VectorName`` plus ``||U|| <= norm_bound``.
 
+    ``col`` is the memoized oracle itself (see :func:`_memoized`).
     ``support_bound``, when set, bounds the support of every column (and
     hence of every image).
     """
 
-    __slots__ = ("_col", "norm_bound", "support_bound")
+    __slots__ = ("col", "norm_bound", "support_bound")
 
     def __init__(
         self,
@@ -33,16 +34,11 @@ class OperatorName(Immutable):
         norm_bound: Fraction,
         support_bound: Optional[int] = None,
     ):
-        object.__setattr__(self, "_col", _memoized(col))
+        object.__setattr__(self, "col", _memoized(col))
         object.__setattr__(self, "norm_bound", Fraction(norm_bound))
         object.__setattr__(self, "support_bound", support_bound)
         if self.norm_bound < 0:
             raise ValueError("operator norm bound must be nonnegative")
-
-    def col(self, k: int) -> VectorName:
-        if k < 0:
-            raise ValueError("negative column index")
-        return self._col(k)
 
     @staticmethod
     def identity() -> "OperatorName":

@@ -179,13 +179,17 @@ def limit_fast(
 
 
 def _memoized(f: Callable[[int], object]) -> Callable[[int], object]:
-    """f with its values kept by integer argument: concurrent callers of
-    one k may each run f(k), but all receive the first value stored."""
+    """f on the indices k >= 0, with its values kept by index: concurrent
+    callers of one k may each run f(k), but all receive the first value
+    stored.  A negative k raises ValueError naming it; the check runs on
+    a miss only, as no negative key is ever stored."""
     cache: dict[int, object] = {}
 
     def wrapped(k: int):
         hit = cache.get(k)
         if hit is None:
+            if k < 0:
+                raise ValueError(f"negative index {k}")
             hit = cache.setdefault(k, f(k))
         return hit
 

@@ -25,11 +25,12 @@ from .vectors import FiniteVector, VectorName, _memoized
 class RieszBasisName(Immutable):
     """Basis (x_n) = (T e_n) with its inverse and the rows of T.
 
-    T_adjoint_rows(n) is T*(e_n) (row n of T) as a full l2 name; it is
-    the analysis certificate when the basis is viewed as a frame.
+    T_adjoint_rows(n) is T*(e_n) (row n of T) as a full l2 name, from
+    a memoized oracle; it is the analysis certificate when the basis is
+    viewed as a frame.
     """
 
-    __slots__ = ("T", "T_inv", "_T_adjoint_rows")
+    __slots__ = ("T", "T_inv", "T_adjoint_rows")
 
     def __init__(
         self,
@@ -39,17 +40,10 @@ class RieszBasisName(Immutable):
     ):
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "T_inv", T_inv)
-        object.__setattr__(self, "_T_adjoint_rows", _memoized(T_adjoint_rows))
+        object.__setattr__(self, "T_adjoint_rows", _memoized(T_adjoint_rows))
 
     def elem(self, n: int) -> VectorName:
-        if n < 0:
-            raise ValueError("negative basis index")
         return self.T.col(n)
-
-    def T_adjoint_rows(self, n: int) -> VectorName:
-        if n < 0:
-            raise ValueError("negative row index")
-        return self._T_adjoint_rows(n)
 
     @staticmethod
     def identity() -> "RieszBasisName":
@@ -75,7 +69,7 @@ class RenormedVectorName(Immutable):
     orthonormal under the new norm.
     """
 
-    __slots__ = ("_coeff", "tripled_norm", "image")
+    __slots__ = ("coeff", "tripled_norm", "image")
 
     def __init__(
         self,
@@ -83,14 +77,9 @@ class RenormedVectorName(Immutable):
         tripled_norm: RealName,
         image: VectorName,
     ):
-        object.__setattr__(self, "_coeff", _memoized(coeff))
+        object.__setattr__(self, "coeff", _memoized(coeff))
         object.__setattr__(self, "tripled_norm", tripled_norm)
         object.__setattr__(self, "image", image)
-
-    def coeff(self, i: int) -> RealName:
-        if i < 0:
-            raise ValueError("negative coefficient index")
-        return self._coeff(i)
 
 
 def renorm_to(R: RieszBasisName, x: VectorName) -> RenormedVectorName:

@@ -35,7 +35,8 @@ class MissingCertificateError(ValueError):
 
 
 class LoadedSpec(Immutable):
-    """A parsed spec: always a plain frame, optionally certified.
+    """A parsed spec: its frame, and the same frame as ``certified`` when
+    it is a :class:`CertifiedFrame`.
 
     ``certified`` is None exactly when no analysis certificate can be
     built (norm-free gallery instances); ``section`` is the exact ground
@@ -153,7 +154,7 @@ def _load_finite(vectors) -> LoadedSpec:
         CF = embed(ExactFrame(parse_matrix(vectors, "vectors")))
     except NonSpanningError as e:
         raise InvalidFrameError(str(e)) from None
-    return LoadedSpec("finite", CF.frame, CF, CF.finite_section, None)
+    return LoadedSpec("finite", CF, CF, CF.finite_section, None)
 
 
 def _load_operator(doc) -> LoadedSpec:
@@ -175,11 +176,11 @@ def _load_operator(doc) -> LoadedSpec:
     adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
     CF = embed(ExactFrame(list(zip(*matrix))))
     if adj == matrix:
-        return LoadedSpec("operator", CF.frame, CF, None, (A, B))
-    frame = Frame(CF.elem, A, B)
+        return LoadedSpec("operator", CF, CF, None, (A, B))
     rows = finite_columns([FiniteVector(enumerate(r)) for r in adj])
-    CF = CertifiedFrame(frame, OperatorName(rows, sqrt_upper(B), support_bound=len(matrix[0])))
-    return LoadedSpec("operator", frame, CF, None, (A, B),
+    Tstar = OperatorName(rows, sqrt_upper(B), support_bound=len(matrix[0]))
+    CF = CertifiedFrame(Frame(CF.elem, A, B), Tstar)
+    return LoadedSpec("operator", CF, CF, None, (A, B),
                       "adjoint_rows: row n must be T* e_n, row n of matrix")
 
 
@@ -194,7 +195,7 @@ def _load_gallery(doc) -> LoadedSpec:
 
     if name == "doubled-onb":
         CF = gal.doubled_onb()
-        return LoadedSpec("gallery", CF.frame, CF, None, None)
+        return LoadedSpec("gallery", CF, CF, None, None)
 
     if name not in ("ex3.7", "ex3.14", "ex3.20", "ex3.27"):
         raise SpecFileError(f"gallery.name: unknown instance {name!r}")
@@ -217,12 +218,11 @@ def _load_gallery(doc) -> LoadedSpec:
             "use the library interfaces for it"
         )
 
-    frame = Frame(gal.example_upper_row(g).col, *gal.upper_row_bounds(g))
-    certified = None
     if g.norm_name is not None:
-        certified = gal.upper_row_frame(g)
-        frame = certified.frame
-    return LoadedSpec("gallery", frame, certified, None, None)
+        CF = gal.upper_row_frame(g)
+        return LoadedSpec("gallery", CF, CF, None, None)
+    frame = Frame(gal.example_upper_row(g).col, *gal.upper_row_bounds(g))
+    return LoadedSpec("gallery", frame, None, None, None)
 
 
 def _load_riesz(doc) -> LoadedSpec:
@@ -235,7 +235,7 @@ def _load_riesz(doc) -> LoadedSpec:
     except ValueError as e:
         raise InvalidFrameError(str(e)) from None
     CF = riesz_as_frame(R)
-    return LoadedSpec("riesz", CF.frame, CF, None, None)
+    return LoadedSpec("riesz", CF, CF, None, None)
 
 
 def _read_json(path: str) -> dict:
@@ -257,7 +257,7 @@ def load_spec(path: str) -> LoadedSpec:
     kind = doc.get("kind")
     if kind == "onb":
         CF = frame_from_onb()
-        return LoadedSpec("onb", CF.frame, CF, None, None)
+        return LoadedSpec("onb", CF, CF, None, None)
     if kind == "finite":
         return _load_finite(doc.get("vectors"))
     if kind == "operator":

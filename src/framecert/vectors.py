@@ -180,7 +180,8 @@ class VectorName(Immutable):
     payload, and operations may shortcut.  A finite name may be built
     with ``norm`` None; its norm is then computed on first read.
     ``support_bound``, when set, promises coefficient i = 0 for every
-    i >= support_bound.
+    i >= support_bound, and :meth:`coeff` answers those indices without
+    the memoized oracle, which takes every other one.
     """
 
     __slots__ = ("_coeff", "_norm", "finite", "support_bound", "stage")
@@ -215,8 +216,6 @@ class VectorName(Immutable):
         return norm
 
     def coeff(self, i: int) -> RealName:
-        if i < 0:
-            raise ValueError("negative coefficient index")
         if self.support_bound is not None and i >= self.support_bound:
             return ZERO_NAME
         return self._coeff(i)
@@ -263,18 +262,14 @@ class VectorName(Immutable):
 
 
 class WeakVectorName(Immutable):
-    """Coefficient oracle with only a rational upper bound on the norm."""
+    """Coefficient oracle with only a rational upper bound on the norm;
+    ``coeff`` is the memoized oracle itself."""
 
-    __slots__ = ("_coeff", "norm_upper")
+    __slots__ = ("coeff", "norm_upper")
 
     def __init__(self, coeff: Callable[[int], RealName], norm_upper: Fraction):
-        object.__setattr__(self, "_coeff", _memoized(coeff))
+        object.__setattr__(self, "coeff", _memoized(coeff))
         object.__setattr__(self, "norm_upper", Fraction(norm_upper))
-
-    def coeff(self, i: int) -> RealName:
-        if i < 0:
-            raise ValueError("negative coefficient index")
-        return self._coeff(i)
 
 
 def sum_names(names: Sequence[RealName]) -> RealName:

@@ -54,7 +54,7 @@ def _test_vectors(CF: CertifiedFrame) -> list[FiniteVector]:
 
 def duality_suite(CF: CertifiedFrame) -> SuiteReport:
     """Canonical-dual reconstruction residuals on the built-in test set."""
-    pair = DualPair(CF, canonical_dual(CF).frame)
+    pair = DualPair(CF, canonical_dual(CF))
     tests = _test_vectors(CF)
     rep = verify_duality(pair, tests, TOL)
     lines = [

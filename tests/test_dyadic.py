@@ -17,6 +17,7 @@ from framecert.dyadic import (
     sqrt_upper,
 )
 from framecert.frames import (
+    Frame,
     FrameCoeffName,
     analysis_coeffs,
     frame_algorithm,
@@ -119,7 +120,7 @@ _IMMUTABLE = {
     "FrameCoeffName": lambda: FrameCoeffName.from_vector_name(VectorName.basis(1)),
     "WeakVectorName": lambda: analysis_coeffs(frame_from_onb().frame, VectorName.basis(0)),
     "OperatorName": OperatorName.identity,
-    "Frame": lambda: frame_from_onb().frame,
+    "Frame": lambda: Frame(VectorName.basis, 1, 1),
     "CertifiedFrame": frame_from_onb,
     "FrameAlgorithmResult": lambda: frame_algorithm(frame_from_onb(), VectorName.basis(0), 4),
     "BesselSequence": lambda: BesselSequence(VectorName.basis, 1),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framecert.duality import canonical_dual
 from framecert.frames import (
     CertifiedFrame,
     Frame,
@@ -71,6 +72,17 @@ class TestConstructors:
         assert isinstance(CF, CertifiedFrame)
         got = analysis(CF, vec("1:5")).finite
         assert got == FiniteVector.parse("1:5")
+
+    def test_certified_frames_are_frames(self):
+        F = Frame(VectorName.basis, 1, 2)
+        CF = CertifiedFrame(F, OperatorName.identity())
+        # the element memo and the bounds are shared, not wrapped again
+        assert CF.elem is F.elem
+        assert (CF.lower, CF.upper) == (F.lower, F.upper)
+        onb = frame_from_onb()
+        for G in (CF, onb, mercedes(), canonical_dual(onb), canonical_dual(mercedes())):
+            assert isinstance(G, Frame) and isinstance(G, CertifiedFrame)
+            assert G.frame is G
 
     def test_rejects_bad_certificates(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framecert.duality import BesselSequence
 from framecert.dyadic import Dyadic, round_fraction
+from framecert.frames import Frame, frame_from_onb
+from framecert.gallery import benign_sequence, specker_sequence
 from framecert.operators import OperatorName
 from framecert.realnames import (
     ONE_NAME,
@@ -19,7 +22,8 @@ from framecert.realnames import (
     scale,
     sqrt_name,
 )
-from framecert.vectors import VectorName
+from framecert.riesz import renorm_to, riesz_from_matrix
+from framecert.vectors import FiniteVector, VectorName, WeakVectorName
 
 
 def err(x: RealName, value: Fraction, n: int) -> Fraction:
@@ -189,6 +193,81 @@ def test_memo_hands_racing_threads_the_first_value():
             assert read() is got[0]
     finally:
         sys.setswitchinterval(old)
+
+
+def test_specker_sequence_under_racing_threads():
+    # all eight threads meet inside the enumerator before any value is
+    # stored; indices 1 and 2 both enumerate 5, so of the threads split
+    # between them, those of exactly one index raise
+    for indices in ((2,) * 8, (1, 2) * 4):
+        barrier = threading.Barrier(len(indices))
+
+        def enumerator(j):
+            try:
+                barrier.wait(timeout=5)
+            except threading.BrokenBarrierError:
+                pass
+            return 5
+
+        g = specker_sequence(enumerator)
+        got = {i: [] for i in indices}
+
+        def read(i):
+            try:
+                got[i].append(g.a(i))
+            except ValueError as e:
+                got[i].append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in indices]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert sum(map(len, got.values())) == len(indices)
+        raised = [i for i, vals in got.items() if all(isinstance(v, ValueError) for v in vals)]
+        assert len(raised) == len(got) - 1
+        for i, vals in got.items():
+            if i in raised:
+                assert all("repeats value 5" in str(v) for v in vals)
+            else:
+                assert isinstance(vals[0], RealName)
+                assert all(v is vals[0] for v in vals)
+                assert g.a(i) is vals[0]
+
+
+def _riesz():
+    return riesz_from_matrix([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+
+
+# every memoized accessor, read at index 1 below
+_ACCESSORS = {
+    "Frame.elem": lambda: Frame(VectorName.basis, 1, 1).elem,
+    "CertifiedFrame.elem": lambda: frame_from_onb().elem,
+    "OperatorName.col": lambda: OperatorName.identity().col,
+    "VectorName.coeff": lambda: VectorName.from_stage(lambda k: FiniteVector.parse("1:1"), 1).coeff,
+    "VectorName.coeff with a support bound": lambda: VectorName.basis(3).coeff,
+    "WeakVectorName.coeff": lambda: WeakVectorName(RealName.from_fraction, 1).coeff,
+    "BesselSequence.elem": lambda: BesselSequence(VectorName.basis, 1).elem,
+    "SequenceGen.a": lambda: benign_sequence().a,
+    "RieszBasisName.elem": lambda: _riesz().elem,
+    "RieszBasisName.T_adjoint_rows": lambda: _riesz().T_adjoint_rows,
+    "RenormedVectorName.coeff": lambda: renorm_to(_riesz(), VectorName.basis(0)).coeff,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCESSORS))
+def test_accessor_rejects_a_negative_index_and_keeps_its_values(name):
+    read = _ACCESSORS[name]()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^negative index -1$"):
+            read(-1)
+    assert read(1) is read(1)
 
 
 def test_magnitude_soundness():
