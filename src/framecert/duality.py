@@ -22,6 +22,7 @@ from .frames import (
     inverse_apply,
     restrict_to_span,
     synthesis,
+    synthesis_operator,
 )
 from .operators import OperatorName, apply
 from .realnames import RealName, _memoized
@@ -73,12 +74,20 @@ class DualityReport(Immutable):
 def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:
     """The canonical dual (S^-1 f_k), certified with bounds (1/B, 1/A).
 
-    The dual's analysis operator is T* S^-1: its column n is the primal
-    analysis image of S^-1 e_n, and ||T* S^-1 f||^2 = <S^-1 f, f> <=
-    ||f||^2 / A bounds its norm.  On a frame with a finite section both
-    oracles reach the exact solve in :func:`inverse_apply`.
+    The dual's analysis operator is T* S^-1 = T+: its column n is the
+    primal analysis image of S^-1 e_n, and ||T* S^-1 f||^2 = <S^-1 f, f>
+    <= ||f||^2 / A bounds its norm.  A frame carrying (V, V*) = (T+,
+    (T+)*) gives the dual at once: its elements are the columns of V* =
+    S^-1 T, its analysis operator is V, and since its synthesis operator
+    S^-1 T has pseudo-inverse T*, it carries (T*, T) in turn.  Otherwise
+    the oracles run :func:`inverse_apply`, which on a frame with a finite
+    section reaches the exact solve.
     """
     A, B = CF.lower, CF.upper
+    if CF.pinv is not None:
+        V, Vstar = CF.pinv
+        T = synthesis_operator(CF)
+        return CertifiedFrame(Frame(Vstar.col, 1 / B, 1 / A), V, pinv=(CF.analysis_op, T))
 
     def elem(k: int) -> VectorName:
         return inverse_apply(CF, CF.elem(k))
@@ -225,7 +234,10 @@ def biorthogonal_dual_riesz(R) -> Callable[[int], VectorName]:
     """The unique biorthogonal family of a Riesz basis (x_k) = (T e_k).
 
     g_k = (T^-1)* e_k = S^-1 x_k, so the family is the canonical dual of
-    the basis viewed as a frame.
+    the basis viewed as a frame.  With the rows of T^-1 certified, that
+    frame carries (T+, (T+)*) = (T^-1, (T^-1)*), and the family is read
+    off as the columns of (T^-1)*, the rows of T^-1; without them, the
+    driver solves for it.
     """
     from .riesz import riesz_as_frame
 

@@ -7,13 +7,18 @@ operator T*.  Without that certificate only coefficientwise analysis is
 available (a :class:`WeakVectorName`): the type system encodes the
 boundary between what is and is not computable from frame data alone.
 
-S^-1 f is computed by one driver, :func:`_conjugate_gradients`, behind
-:func:`frame_algorithm` and every stage of :func:`inverse_apply`: one
-loop of conjugate gradients in fixed point, restarted from the true
+A certified frame whose data certify the pseudo-inverse T+ = T* S^-1 of
+its synthesis operator carries it, with its adjoint (``pinv``): a Riesz
+basis (T^-1, checked at load), the benign gallery frame (U^-1, explicit)
+and every canonical dual of such a frame.  There T+ f is one
+application, S^-1 = (T+)* T+, and the canonical dual is read off.  A
+finite vector on a finite section is solved exactly.  Otherwise S^-1 f
+is computed by one driver, :func:`_conjugate_gradients`, behind
+:func:`frame_algorithm` (always) and the stages of :func:`inverse_apply`:
+one loop of conjugate gradients in fixed point, restarted from the true
 residual, that returns an iterate only once an exact residual
 certificate holds.  A step that refutes S = S* with A <= S <= B, or a
 run that spends its proved step budget, raises :class:`FalseBoundsError`.
-A finite vector on a finite section is solved exactly.
 """
 
 from __future__ import annotations
@@ -61,18 +66,29 @@ class CertifiedFrame(Frame):
     both frames share one element memo.  ``finite_section`` optionally
     carries the exact rational vectors of an embedded finite-dimensional
     frame: :func:`inverse_apply` solves finite vectors on it exactly, and
-    the verify suites compare with its exact projection.  The frame keeps
-    S once :func:`frame_operator` builds it, so every solver run on it
-    shares S's columns and stages.
+    the verify suites compare with its exact projection.  ``pinv``
+    optionally carries (V, V*): V = T+ = T* S^-1, the pseudo-inverse of
+    the synthesis operator T, as a certificate of the frame's data; the
+    solvers then apply it instead of running the driver.  Neither is
+    taken from ``frame``, so a frame built with another analysis operator
+    has none.  The frame keeps S once :func:`frame_operator` builds it,
+    so every solver run on it shares S's columns and stages.
     """
 
-    __slots__ = ("analysis_op", "finite_section", "_S")
+    __slots__ = ("analysis_op", "finite_section", "pinv", "_S")
 
-    def __init__(self, frame: Frame, analysis_op: OperatorName, finite_section=None):
+    def __init__(
+        self,
+        frame: Frame,
+        analysis_op: OperatorName,
+        finite_section=None,
+        pinv: Optional[tuple[OperatorName, OperatorName]] = None,
+    ):
         for name in Frame.__slots__:
             object.__setattr__(self, name, getattr(frame, name))
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
+        object.__setattr__(self, "pinv", pinv)
         object.__setattr__(self, "_S", None)
 
     @property
@@ -502,7 +518,8 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
 
     A finite f on a frame with a finite section is solved exactly; its
     coordinates from the section's dimension d on lie outside the frame's
-    space and are dropped.  Otherwise nothing runs until a stage is read
+    space and are dropped.  A frame carrying (V, V*) = (T+, (T+)*) gives
+    V* V f, as S^-1 = (T+)* T+.  Otherwise nothing runs until a stage is read
     (||S^-1 f|| <= ||f||/A bounds it beforehand), and coefficients and
     norm are read from the stages.  Stage k is the run at the smallest
     target t >= k already computed, being within 2^-t <= 2^-k; without
@@ -512,6 +529,9 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     section = CF.finite_section
     if section is not None and f.finite is not None:
         return VectorName.from_finite(section.solve(f.finite))
+    if CF.pinv is not None:
+        V, Vstar = CF.pinv
+        return apply(Vstar, apply(V, f))
 
     cache: dict[int, FiniteVector] = {}
     lock = threading.Lock()
@@ -535,7 +555,10 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
 
 
 def pseudo_inverse(CF: CertifiedFrame, f: VectorName) -> FrameCoeffName:
-    """T+ f = (<f, S^-1 f_k>)_k with its energy, as a frame-coefficient name."""
+    """T+ f = (<f, S^-1 f_k>)_k with its energy, as a frame-coefficient name:
+    one application of T+ when the frame carries it."""
+    if CF.pinv is not None:
+        return FrameCoeffName.from_vector_name(apply(CF.pinv[0], f))
     tilde_f = inverse_apply(CF, f)
     coeffs = analysis(CF, tilde_f)
     return FrameCoeffName.from_vector_name(coeffs)

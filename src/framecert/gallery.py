@@ -134,24 +134,34 @@ def upper_row_analysis_coeff(g: SequenceGen, f: VectorName) -> WeakVectorName:
     return WeakVectorName(coeff, Fraction(3) * f.norm.mag)
 
 
+def _tail_norm_upper(g: SequenceGen) -> Fraction:
+    """A dyadic upper bound s of ||a'||, a' = (0, a_1, a_2, ...)."""
+    return sqrt_upper(g.sq_sum_upper - 1, bits=10)
+
+
 def upper_row_bounds(g: SequenceGen) -> tuple[Fraction, Fraction]:
     """Frame bounds (1 -+ s)^2 of the upper-row frame.
 
-    s is a dyadic upper bound of ||(a_1, a_2, ...)||, from
-    ||U* f|| >= (1 - ||a'||) ||f|| and ||U|| <= 1 + ||a'||.
+    s bounds ||a'||, from ||U* f|| >= (1 - ||a'||) ||f|| and ||U|| <= 1 +
+    ||a'||.
     """
-    s = sqrt_upper(g.sq_sum_upper - 1, bits=10)
+    s = _tail_norm_upper(g)
     if s >= 1:
         raise ValueError("cannot certify a positive lower frame bound")
     return (1 - s) * (1 - s), (1 + s) * (1 + s)
 
 
 def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
-    """The upper-row frame with a full analysis certificate.
+    """The upper-row frame with a full analysis certificate and U^-1.
 
     Requires g.norm_name: the analysis column at index 0 is the whole
     sequence (a_i), a full name only when its norm is one.  Frame bounds
-    from :func:`upper_row_bounds`.
+    from :func:`upper_row_bounds`.  U = I + e_0 a'^T is a bijection with
+    U^-1 = I - e_0 a'^T, so T+ = U^-1: column i of U^-1 is e_i - a_i e_0,
+    column 0 of (U^-1)* = I - a' e_0^T is e_0 - a' (norm g.norm_name, a
+    full name under the same condition), and both norms are at most 1 +
+    s.  The frame carries (U^-1, (U^-1)*); their columns are built when
+    first read.
     """
     # row 0 of U is (1, a_1, a_2, ...) = (a_i)
     row = _sequence_name(g, 0)
@@ -161,12 +171,23 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
     def rows(n: int) -> VectorName:
         return row if n == 0 else VectorName.basis(n)
 
+    def inv_col(i: int) -> VectorName:
+        if i == 0:
+            return VectorName.basis(0)
+        return linear_combo([(-g.a(i), VectorName.basis(0)), (ONE_NAME, VectorName.basis(i))])
+
+    def inv_adjoint_col(n: int) -> VectorName:
+        return _sequence_name(g, 0, tail_sign=-1) if n == 0 else VectorName.basis(n)
+
+    bound = 1 + _tail_norm_upper(g)
+    pinv = (OperatorName(inv_col, bound), OperatorName(inv_adjoint_col, bound))
     analysis_op = banded_adjoint(rows, Fraction(3))
-    return CertifiedFrame(Frame(U.col, lower, upper), analysis_op)
+    return CertifiedFrame(Frame(U.col, lower, upper), analysis_op, pinv=pinv)
 
 
-def _sequence_name(g: SequenceGen, start: int) -> VectorName:
-    """(0, ..., 0, a_0, a_1, ...) with a_0 at index start; norm g.norm_name.
+def _sequence_name(g: SequenceGen, start: int, tail_sign: int = 1) -> VectorName:
+    """(0, ..., 0, a_0, t a_1, t a_2, ...) with a_0 at index start and t =
+    tail_sign (1 or -1); norm g.norm_name.
 
     Without g.norm_name it raises MissingNormCertificateError: the whole
     sequence has a full name only when its norm has one.
@@ -185,7 +206,9 @@ def _sequence_name(g: SequenceGen, start: int) -> VectorName:
         )
 
     def coeff(n: int) -> RealName:
-        return ZERO_NAME if n < start else g.a(n - start)
+        if n < start:
+            return ZERO_NAME
+        return -g.a(n - start) if tail_sign < 0 and n > start else g.a(n - start)
 
     def stage(k: int) -> FiniteVector:
         N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k)))
@@ -194,7 +217,7 @@ def _sequence_name(g: SequenceGen, start: int) -> VectorName:
             N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k + 2)))
             pc = k + 1 + clog2(Fraction(isqrt(N) + 1))
             a = [g.a(i).approx(pc).as_fraction() for i in range(N)]
-        return FiniteVector([(start + i, q) for i, q in enumerate(a)])
+        return FiniteVector([(start + i, q if i == 0 else tail_sign * q) for i, q in enumerate(a)])
 
     staged = None if g.sq_tail is None else _memoized(stage)
     return VectorName(coeff, g.norm_name, stage=staged)

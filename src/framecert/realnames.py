@@ -182,7 +182,9 @@ def _memoized(f: Callable[[int], object]) -> Callable[[int], object]:
     """f on the indices k >= 0, with its values kept by index: concurrent
     callers of one k may each run f(k), but all receive the first value
     stored.  A negative k raises ValueError naming it; the check runs on
-    a miss only, as no negative key is ever stored."""
+    a miss only, as no negative key is ever stored.  A callable this
+    already returned comes back unchanged, so one memo serves every
+    holder of it (every wrapper runs one code object)."""
     cache: dict[int, object] = {}
 
     def wrapped(k: int):
@@ -193,4 +195,4 @@ def _memoized(f: Callable[[int], object]) -> Callable[[int], object]:
             hit = cache.setdefault(k, f(k))
         return hit
 
-    return wrapped
+    return f if getattr(f, "__code__", None) is wrapped.__code__ else wrapped

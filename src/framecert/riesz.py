@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, Optional
 
 from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame
@@ -27,20 +27,28 @@ class RieszBasisName(Immutable):
 
     T_adjoint_rows(n) is T*(e_n) (row n of T) as a full l2 name, from
     a memoized oracle; it is the analysis certificate when the basis is
-    viewed as a frame.
+    viewed as a frame.  T_inv_adjoint_rows(n), when given, is (T^-1)*(e_n)
+    (row n of T^-1) in the same way: with it the frame carries T^-1 as
+    its pseudo-inverse (see :func:`riesz_as_frame`).
     """
 
-    __slots__ = ("T", "T_inv", "T_adjoint_rows")
+    __slots__ = ("T", "T_inv", "T_adjoint_rows", "T_inv_adjoint_rows")
 
     def __init__(
         self,
         T: OperatorName,
         T_inv: OperatorName,
         T_adjoint_rows: Callable[[int], VectorName],
+        T_inv_adjoint_rows: Optional[Callable[[int], VectorName]] = None,
     ):
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "T_inv", T_inv)
         object.__setattr__(self, "T_adjoint_rows", _memoized(T_adjoint_rows))
+        object.__setattr__(
+            self,
+            "T_inv_adjoint_rows",
+            None if T_inv_adjoint_rows is None else _memoized(T_inv_adjoint_rows),
+        )
 
     def elem(self, n: int) -> VectorName:
         return self.T.col(n)
@@ -48,17 +56,24 @@ class RieszBasisName(Immutable):
     @staticmethod
     def identity() -> "RieszBasisName":
         I = OperatorName.identity()
-        return RieszBasisName(I, I, VectorName.basis)
+        return RieszBasisName(I, I, VectorName.basis, VectorName.basis)
 
 
 def riesz_as_frame(R: RieszBasisName) -> CertifiedFrame:
-    """The basis as a certified frame: A = 1/||T^-1||^2, B = ||T||^2."""
+    """The basis as a certified frame: A = 1/||T^-1||^2, B = ||T||^2.
+
+    T is a bijection, so T+ = T^-1; with the rows of T^-1 the frame
+    carries (T^-1, (T^-1)*) as its pseudo-inverse and its adjoint.
+    """
     lower = 1 / (R.T_inv.norm_bound * R.T_inv.norm_bound)
     upper = R.T.norm_bound * R.T.norm_bound
     analysis_op = OperatorName(
         R.T_adjoint_rows, R.T.norm_bound, support_bound=R.T.support_bound
     )
-    return CertifiedFrame(Frame(R.elem, lower, upper), analysis_op)
+    pinv = None
+    if R.T_inv_adjoint_rows is not None:
+        pinv = (R.T_inv, OperatorName(R.T_inv_adjoint_rows, R.T_inv.norm_bound))
+    return CertifiedFrame(Frame(R.T.col, lower, upper), analysis_op, pinv=pinv)
 
 
 class RenormedVectorName(Immutable):
@@ -120,11 +135,16 @@ def riesz_from_matrix(M, M_inv) -> RieszBasisName:
     am, _, _, bp = _enclosures([[sum(map(mul, u, v)) for v in N] for u in N], D * D)
 
     def block(vectors, den: int) -> Callable[[int], VectorName]:
-        """k -> vectors[k] / den for k < d, e_k beyond."""
-        names = [VectorName.from_finite(FiniteVector.over(enumerate(v), den)) for v in vectors]
-        return lambda k: names[k] if k < d else VectorName.basis(k)
+        """k -> vectors[k] / den for k < d, e_k beyond, built when first read
+        (every holder memoizes it)."""
+        vectors = list(vectors)
+        return lambda k: (
+            VectorName.from_finite(FiniteVector.over(enumerate(vectors[k]), den))
+            if k < d else VectorName.basis(k)
+        )
 
-    # columns of M (+) I and of its inverse; row n of T is row n of N over D
+    # columns of M (+) I and of its inverse; row n of T (of T^-1) is row n
+    # of N over D (of P over E)
     T = OperatorName(block(zip(*N), D), max(sqrt_upper(bp), Fraction(1)))
     T_inv = OperatorName(block(zip(*P), E), max(sqrt_upper(1 / am), Fraction(1)))
-    return RieszBasisName(T, T_inv, block(N, D))
+    return RieszBasisName(T, T_inv, block(N, D), block(P, E))

@@ -6,7 +6,9 @@ denominator and step count of ``frame_algorithm`` at p = 20, 64, 128 and
 32, 64, 96, 128 read in that order on one name (so each run after the
 first is warm-started).  The frames cover integer columns (Mercedes,
 Riesz shear), columns over 18 and 2 (scaled frame), dyadic stages (the
-benign gallery frame) and declared bounds that a step refutes.  The
+benign gallery frame) and declared bounds that a step refutes.  Riesz
+shear and the benign frame are built without their pseudo-inverse, so
+that ``inverse_apply`` runs the driver on them too.  The
 signal is given by its stage alone, so that ``inverse_apply`` runs the
 driver on finite sections too.  A faster kernel must reproduce every
 integer; a change of output must record the file again and say why.
@@ -21,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from framecert.frames import FalseBoundsError, frame_algorithm, inverse_apply
-from framecert.gallery import benign_sequence, upper_row_frame
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
+from driver_frames import benign_by_driver, riesz_shear_by_driver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "driver_golden.json"
@@ -39,9 +41,9 @@ def fixture(name: str):
 # each frame, built afresh per run, and its signal's entries
 FRAMES = {
     "mercedes": (fixture("mercedes"), "0:1 1:-1/3 2:2/7"),
-    "riesz_shear": (fixture("riesz_shear"), "0:1 1:-1/3 2:2/7"),
+    "riesz_shear": (riesz_shear_by_driver, "0:1 1:-1/3 2:2/7"),
     "scaled_frame": (fixture("scaled_frame"), "0:1 1:-1/3 2:2/7"),
-    "benign": (lambda: upper_row_frame(benign_sequence()), "0:1 1:-1/3 2:2/7"),
+    "benign": (benign_by_driver, "0:1 1:-1/3 2:2/7"),
     # a signal on which the first run's steps already refute the bounds
     "refuted_bounds": (fixture("refuted_bounds"), "0:3/7 1:-9/8 2:-1/4"),
 }

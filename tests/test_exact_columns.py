@@ -33,6 +33,7 @@ from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
 from framecert.verify import max_iterations
+from driver_frames import benign_by_driver, riesz_shear_by_driver
 from fraction_matrices import cofactor_det, mat_mul, mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -267,10 +268,12 @@ def test_sequence_stage_rounds_inexact_terms():
 # -- one frame operator per frame ------------------------------------
 
 
+# the Riesz and benign frames without their pseudo-inverse, so that
+# inverse_apply runs the driver on them
 SHARED = {
     "mercedes": lambda: load_spec(str(FIXTURES / "mercedes.json")).certified,
-    "riesz-shear": lambda: load_spec(str(FIXTURES / "riesz_shear.json")).certified,
-    "benign": lambda: upper_row_frame(benign_sequence()),
+    "riesz-shear": riesz_shear_by_driver,
+    "benign": benign_by_driver,
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from framecert.duality import BesselSequence
 from framecert.dyadic import Dyadic, round_fraction
-from framecert.frames import Frame, frame_from_onb
+from framecert.frames import Frame, frame_from_onb, synthesis_operator
 from framecert.gallery import benign_sequence, specker_sequence
 from framecert.operators import OperatorName
 from framecert.realnames import (
@@ -257,6 +257,8 @@ _ACCESSORS = {
     "SequenceGen.a": lambda: benign_sequence().a,
     "RieszBasisName.elem": lambda: _riesz().elem,
     "RieszBasisName.T_adjoint_rows": lambda: _riesz().T_adjoint_rows,
+    "RieszBasisName.T_inv_adjoint_rows": lambda: _riesz().T_inv_adjoint_rows,
+    "synthesis_operator(CF).col": lambda: synthesis_operator(frame_from_onb()).col,
     "RenormedVectorName.coeff": lambda: renorm_to(_riesz(), VectorName.basis(0)).coeff,
 }
 
@@ -268,6 +270,18 @@ def test_accessor_rejects_a_negative_index_and_keeps_its_values(name):
         with pytest.raises(ValueError, match="^negative index -1$"):
             read(-1)
     assert read(1) is read(1)
+
+
+def test_a_memo_is_wrapped_once():
+    # the synthesis operator reads the frame's own element memo, and the
+    # one negative-index check guards it
+    CF = frame_from_onb()
+    T = synthesis_operator(CF)
+    assert T.col is CF.elem
+    assert _memoized(CF.elem) is CF.elem
+    with pytest.raises(ValueError, match="^negative index -1$"):
+        T.col(-1)
+    assert T.col(2) is CF.elem(2)
 
 
 def test_magnitude_soundness():

@@ -20,6 +20,7 @@ from framecert.realnames import ONE_NAME, RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, linear_combo, sqrt_of_fraction, truncate
+from driver_frames import riesz_shear_by_driver
 from fraction_matrices import mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -289,7 +290,7 @@ def test_inverse_apply_runs_only_the_stages_read(monkeypatch):
     # at 2^-30 reads stage 31 of S^-1 f, which is one run at target 31
     import framecert.frames as frames_module
 
-    CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
+    CF = riesz_shear_by_driver()
     targets: list[int] = []
     run = frames_module._conjugate_gradients
 
@@ -309,7 +310,7 @@ def test_inverse_apply_reuses_a_finer_run(monkeypatch):
     # a run at target 43 is within 2^-40 already, so stage 40 reads it
     import framecert.frames as frames_module
 
-    CF = load_spec(str(FIXTURES / "riesz_shear.json")).certified
+    CF = riesz_shear_by_driver()
     f = VectorName.from_finite(FiniteVector.parse("0:2 1:1/3"))
     targets: list[int] = []
     run = frames_module._conjugate_gradients
