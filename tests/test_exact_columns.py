@@ -169,7 +169,9 @@ def test_benign_frame_against_closed_form(monkeypatch, p):
     # a_i = 2^-i: it is read through the sequence's stage, never through
     # the tail search of a coefficient-plus-norm name.  From
     # U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with h = f - e_0 (a'.f);
-    # past f's support it is -2^-j h_0
+    # past f's support it is -2^-j h_0.  The driver's run and a stage of
+    # inverse_apply, which applies the frame's U^-1 and its adjoint, are
+    # both within 2^-p
     def fail(*args):
         raise AssertionError("a column of S was read through a coefficient-plus-norm name")
 
@@ -178,20 +180,23 @@ def test_benign_frame_against_closed_form(monkeypatch, p):
     CF = upper_row_frame(benign_sequence())
     f = FiniteVector.parse("0:3/7 1:-5/3 2:2/9 3:1/5")
     h0 = f.coefficient(0) - sum(f.coefficient(j) / (1 << j) for j in (1, 2, 3))
-    v = frame_algorithm(CF, VectorName.from_finite(f), p).vector.finite
-    N = max(v.support, 4)
-    head = (v.coefficient(0) - h0) ** 2 + sum(
-        (v.coefficient(j) - f.coefficient(j) + h0 / (1 << j)) ** 2 for j in range(1, N)
-    )
-    tail = h0 * h0 * Fraction(4, 3) / (1 << (2 * N))
-    assert head + tail <= Fraction(1, 1 << (2 * p))
+    fv = VectorName.from_finite(f)
+    for v in (frame_algorithm(CF, fv, p).vector.finite, inverse_apply(CF, fv).stage(p)):
+        N = max(v.support, 4)
+        head = (v.coefficient(0) - h0) ** 2 + sum(
+            (v.coefficient(j) - f.coefficient(j) + h0 / (1 << j)) ** 2 for j in range(1, N)
+        )
+        tail = h0 * h0 * Fraction(4, 3) / (1 << (2 * N))
+        assert head + tail <= Fraction(1, 1 << (2 * p))
 
 
 def test_inexact_terms_over_generic_columns():
     # a_1 = 1/2 is exact and a_j = sqrt(2) 2^-(j+1) for j >= 2 is not:
     # sq_tail is 31/24, 7/24, then (2/3) 4^-N.  Column 0 of S is read
     # through the row's stage, which rounds the inexact terms.  From
-    # U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with h = f - e_0 (a'.f)
+    # U^-1 = I - e_0 a'^T, S^-1 f = h - a' h_0 with h = f - e_0 (a'.f).
+    # The frame's U^-1 scales e_0 by the inexact -a_j, and stage p + 1 of
+    # inverse_apply is within 2^-(p+1), as the driver's run is
     root2 = sqrt_name(RealName.from_fraction(2))
     a = {0: RealName.from_fraction(1), 1: RealName.from_fraction(Fraction(1, 2))}
     g = SequenceGen(
@@ -209,14 +214,15 @@ def test_inexact_terms_over_generic_columns():
         return Fraction(1, 2) if j == 1 else s / (1 << (j + 1))
 
     h0 = f.coefficient(0) - sum(a_(j) * f.coefficient(j) for j in (1, 2, 3))
+    fv = VectorName.from_finite(f)
     for p in (20, 64):
-        v = frame_algorithm(CF, VectorName.from_finite(f), p).vector.finite
-        N = max(v.support, 4)
-        head = (v.coefficient(0) - h0) ** 2 + sum(
-            (v.coefficient(j) - f.coefficient(j) + a_(j) * h0) ** 2 for j in range(1, N)
-        )
-        tail = h0 * h0 * Fraction(2, 3) / (1 << (2 * N))
-        assert head + tail <= (Fraction(1, 1 << p) - Fraction(1, 1 << 390)) ** 2
+        for v in (frame_algorithm(CF, fv, p).vector.finite, inverse_apply(CF, fv).stage(p + 1)):
+            N = max(v.support, 4)
+            head = (v.coefficient(0) - h0) ** 2 + sum(
+                (v.coefficient(j) - f.coefficient(j) + a_(j) * h0) ** 2 for j in range(1, N)
+            )
+            tail = h0 * h0 * Fraction(2, 3) / (1 << (2 * N))
+            assert head + tail <= (Fraction(1, 1 << p) - Fraction(1, 1 << 390)) ** 2
 
 
 SEQUENCE_NAMES = {
