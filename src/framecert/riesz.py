@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable
 
 from .dyadic import Immutable, sqrt_upper
 from .frames import CertifiedFrame, Frame
@@ -27,9 +27,9 @@ class RieszBasisName(Immutable):
 
     T_adjoint_rows(n) is T*(e_n) (row n of T) as a full l2 name, from
     a memoized oracle; it is the analysis certificate when the basis is
-    viewed as a frame.  T_inv_adjoint_rows(n), when given, is (T^-1)*(e_n)
-    (row n of T^-1) in the same way: with it the frame carries T^-1 as
-    its pseudo-inverse (see :func:`riesz_as_frame`).
+    viewed as a frame.  T_inv_adjoint_rows(n) is (T^-1)*(e_n) (row n of
+    T^-1) in the same way: with it the frame carries T^-1 as its
+    pseudo-inverse (see :func:`riesz_as_frame`).
     """
 
     __slots__ = ("T", "T_inv", "T_adjoint_rows", "T_inv_adjoint_rows")
@@ -39,16 +39,12 @@ class RieszBasisName(Immutable):
         T: OperatorName,
         T_inv: OperatorName,
         T_adjoint_rows: Callable[[int], VectorName],
-        T_inv_adjoint_rows: Optional[Callable[[int], VectorName]] = None,
+        T_inv_adjoint_rows: Callable[[int], VectorName],
     ):
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "T_inv", T_inv)
         object.__setattr__(self, "T_adjoint_rows", _memoized(T_adjoint_rows))
-        object.__setattr__(
-            self,
-            "T_inv_adjoint_rows",
-            None if T_inv_adjoint_rows is None else _memoized(T_inv_adjoint_rows),
-        )
+        object.__setattr__(self, "T_inv_adjoint_rows", _memoized(T_inv_adjoint_rows))
 
     def elem(self, n: int) -> VectorName:
         return self.T.col(n)
@@ -70,9 +66,7 @@ def riesz_as_frame(R: RieszBasisName) -> CertifiedFrame:
     analysis_op = OperatorName(
         R.T_adjoint_rows, R.T.norm_bound, support_bound=R.T.support_bound
     )
-    pinv = None
-    if R.T_inv_adjoint_rows is not None:
-        pinv = (R.T_inv, OperatorName(R.T_inv_adjoint_rows, R.T_inv.norm_bound))
+    pinv = (R.T_inv, OperatorName(R.T_inv_adjoint_rows, R.T_inv.norm_bound))
     return CertifiedFrame(Frame(R.T.col, lower, upper), analysis_op, pinv=pinv)
 
 

@@ -12,19 +12,18 @@ from pathlib import Path
 
 from framecert.frames import CertifiedFrame, Frame
 from framecert.gallery import benign_sequence, example_upper_row, upper_row_bounds, upper_row_frame
-from framecert.riesz import RieszBasisName, riesz_as_frame, riesz_from_matrix
+from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import parse_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def riesz_shear_by_driver() -> CertifiedFrame:
-    """The frame of riesz_shear.json from a basis name without the rows of T^-1."""
+    """The frame of riesz_shear.json, T's columns with its analysis operator and no T^-1."""
     doc = json.loads((FIXTURES / "riesz_shear.json").read_text())
     R = riesz_from_matrix(parse_matrix(doc["T"], "T"), parse_matrix(doc["T_inv"], "T_inv"))
-    CF = riesz_as_frame(RieszBasisName(R.T, R.T_inv, R.T_adjoint_rows))
-    assert CF.pinv is None
-    return CF
+    CF = riesz_as_frame(R)
+    return CertifiedFrame(Frame(R.T.col, CF.lower, CF.upper), CF.analysis_op)
 
 
 def benign_by_driver() -> CertifiedFrame:
