@@ -158,10 +158,9 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
     sequence (a_i), a full name only when its norm is one.  Frame bounds
     from :func:`upper_row_bounds`.  U = I + e_0 a'^T is a bijection with
     U^-1 = I - e_0 a'^T, so T+ = U^-1: column i of U^-1 is e_i - a_i e_0,
-    column 0 of (U^-1)* = I - a' e_0^T is e_0 - a' (norm g.norm_name, a
-    full name under the same condition), and both norms are at most 1 +
-    s.  The frame carries (U^-1, (U^-1)*); their columns are built when
-    first read.
+    column 0 of (U^-1)* = I - a' e_0^T is e_0 - a' = 2 e_0 - (a_i), and
+    both norms are at most 1 + s.  The frame carries (U^-1, (U^-1)*);
+    their columns are built when first read.
     """
     # row 0 of U is (1, a_1, a_2, ...) = (a_i)
     row = _sequence_name(g, 0)
@@ -177,7 +176,12 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
         return linear_combo([(-g.a(i), VectorName.basis(0)), (ONE_NAME, VectorName.basis(i))])
 
     def inv_adjoint_col(n: int) -> VectorName:
-        return _sequence_name(g, 0, tail_sign=-1) if n == 0 else VectorName.basis(n)
+        if n:
+            return VectorName.basis(n)
+        # e_0 - a' = 2 e_0 - (a_i), as a_0 = 1
+        return linear_combo(
+            [(RealName.from_fraction(2), VectorName.basis(0)), (RealName.from_fraction(-1), row)]
+        )
 
     bound = 1 + _tail_norm_upper(g)
     pinv = (OperatorName(inv_col, bound), OperatorName(inv_adjoint_col, bound))
@@ -185,9 +189,8 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
     return CertifiedFrame(Frame(U.col, lower, upper), analysis_op, pinv=pinv)
 
 
-def _sequence_name(g: SequenceGen, start: int, tail_sign: int = 1) -> VectorName:
-    """(0, ..., 0, a_0, t a_1, t a_2, ...) with a_0 at index start and t =
-    tail_sign (1 or -1); norm g.norm_name.
+def _sequence_name(g: SequenceGen, start: int) -> VectorName:
+    """(0, ..., 0, a_0, a_1, ...) with a_0 at index start; norm g.norm_name.
 
     Without g.norm_name it raises MissingNormCertificateError: the whole
     sequence has a full name only when its norm has one.
@@ -206,9 +209,7 @@ def _sequence_name(g: SequenceGen, start: int, tail_sign: int = 1) -> VectorName
         )
 
     def coeff(n: int) -> RealName:
-        if n < start:
-            return ZERO_NAME
-        return -g.a(n - start) if tail_sign < 0 and n > start else g.a(n - start)
+        return ZERO_NAME if n < start else g.a(n - start)
 
     def stage(k: int) -> FiniteVector:
         N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k)))
@@ -217,7 +218,7 @@ def _sequence_name(g: SequenceGen, start: int, tail_sign: int = 1) -> VectorName
             N = _smallest(lambda n: g.sq_tail(n) <= Fraction(1, 1 << (2 * k + 2)))
             pc = k + 1 + clog2(Fraction(isqrt(N) + 1))
             a = [g.a(i).approx(pc).as_fraction() for i in range(N)]
-        return FiniteVector([(start + i, q if i == 0 else tail_sign * q) for i, q in enumerate(a)])
+        return FiniteVector([(start + i, q) for i, q in enumerate(a)])
 
     staged = None if g.sq_tail is None else _memoized(stage)
     return VectorName(coeff, g.norm_name, stage=staged)
