@@ -22,7 +22,6 @@ from .frames import (
     inverse_apply,
     restrict_to_span,
     synthesis,
-    synthesis_operator,
 )
 from .operators import OperatorName, apply
 from .realnames import RealName, _memoized
@@ -78,16 +77,14 @@ def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:
     primal analysis image of S^-1 e_n, and ||T* S^-1 f||^2 = <S^-1 f, f>
     <= ||f||^2 / A bounds its norm.  A frame carrying (V, V*) = (T+,
     (T+)*) gives the dual at once: its elements are the columns of V* =
-    S^-1 T, its analysis operator is V, and since its synthesis operator
-    S^-1 T has pseudo-inverse T*, it carries (T*, T) in turn.  Otherwise
-    the oracles run :func:`inverse_apply`, which on a frame with a finite
-    section reaches the exact solve.
+    S^-1 T and its analysis operator is V.  Otherwise the oracles run
+    :func:`inverse_apply`, which on a frame with a finite section reaches
+    the exact solve.
     """
     A, B = CF.lower, CF.upper
     if CF.pinv is not None:
         V, Vstar = CF.pinv
-        T = synthesis_operator(CF)
-        return CertifiedFrame(Frame(Vstar.col, 1 / B, 1 / A), V, pinv=(CF.analysis_op, T))
+        return CertifiedFrame(Frame(Vstar.col, 1 / B, 1 / A), V)
 
     def elem(k: int) -> VectorName:
         return inverse_apply(CF, CF.elem(k))
@@ -234,10 +231,9 @@ def biorthogonal_dual_riesz(R) -> Callable[[int], VectorName]:
     """The unique biorthogonal family of a Riesz basis (x_k) = (T e_k).
 
     g_k = (T^-1)* e_k = S^-1 x_k, so the family is the canonical dual of
-    the basis viewed as a frame.  With the rows of T^-1 certified, that
-    frame carries (T+, (T+)*) = (T^-1, (T^-1)*), and the family is read
-    off as the columns of (T^-1)*, the rows of T^-1; without them, the
-    driver solves for it.
+    the basis viewed as a frame.  That frame carries (T+, (T+)*) =
+    (T^-1, (T^-1)*), so the family is read off as the columns of
+    (T^-1)*, the rows of T^-1.
     """
     from .riesz import riesz_as_frame
 

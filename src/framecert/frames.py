@@ -9,16 +9,16 @@ boundary between what is and is not computable from frame data alone.
 
 A certified frame whose data certify the pseudo-inverse T+ = T* S^-1 of
 its synthesis operator carries it, with its adjoint (``pinv``): a Riesz
-basis (T^-1, checked at load), the benign gallery frame (U^-1, explicit)
-and every canonical dual of such a frame.  There T+ f is one
-application, S^-1 = (T+)* T+, and the canonical dual is read off.  A
-finite vector on a finite section is solved exactly.  Otherwise S^-1 f
-is computed by one driver, :func:`_conjugate_gradients`, behind
-:func:`frame_algorithm` (always) and the stages of :func:`inverse_apply`:
-one loop of conjugate gradients in fixed point, restarted from the true
-residual, that returns an iterate only once an exact residual
-certificate holds.  A step that refutes S = S* with A <= S <= B, or a
-run that spends its proved step budget, raises :class:`FalseBoundsError`.
+basis (T^-1, checked at load) and the benign gallery frame (U^-1,
+explicit).  There T+ f is one application, S^-1 = (T+)* T+, and the
+canonical dual is read off.  A finite vector on a finite section is
+solved exactly.  Otherwise S^-1 f is computed by one driver,
+:func:`_conjugate_gradients`, behind :func:`frame_algorithm` (always)
+and the stages of :func:`inverse_apply`: one loop of conjugate
+gradients in fixed point, restarted from the true residual, that
+returns an iterate only once an exact residual certificate holds.  A
+step that refutes S = S* with A <= S <= B, or a run that spends its
+proved step budget, raises :class:`FalseBoundsError`.
 """
 
 from __future__ import annotations
