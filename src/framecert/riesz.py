@@ -58,8 +58,8 @@ class RieszBasisName(Immutable):
 def riesz_as_frame(R: RieszBasisName) -> CertifiedFrame:
     """The basis as a certified frame: A = 1/||T^-1||^2, B = ||T||^2.
 
-    T is a bijection, so T+ = T^-1; with the rows of T^-1 the frame
-    carries (T^-1, (T^-1)*) as its pseudo-inverse and its adjoint.
+    T is a bijection, so T+ = T^-1: the frame carries (T^-1, (T^-1)*),
+    the adjoint's columns being the rows of T^-1.
     """
     lower = 1 / (R.T_inv.norm_bound * R.T_inv.norm_bound)
     upper = R.T.norm_bound * R.T.norm_bound
