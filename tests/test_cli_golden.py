@@ -1,10 +1,11 @@
 """Every CLI command on every fixture, recorded once and held fixed.
 
 ``cli_golden.json`` holds stdout, stderr and the exit code of
-``bounds``, ``dual``, ``dual -p 64``, ``reconstruct`` and ``analyze`` of
-one vector, and the four ``verify`` suites, on each file in
-``fixtures/``.  A change of representation or speed must reproduce them
-byte for byte; a change of output must update the file and say why.
+``bounds``, ``dual``, ``dual -p 64``, ``dual --bessel`` with
+``fixtures/bessel_small.json``, ``reconstruct`` and ``analyze`` of one
+vector, and the four ``verify`` suites, on each file in ``fixtures/``.
+A change of representation or speed must reproduce them byte for byte;
+a change of output must update the file and say why.
 
 Record again with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -26,6 +27,7 @@ COMMANDS = [
     ["bounds"],
     ["dual"],
     ["dual", "-p", "64"],
+    ["dual", "--bessel", "fixtures/bessel_small.json"],
     ["reconstruct", "--vector", "0:2,2:1/3"],
     ["analyze", "--vector", "0:2,2:1/3"],
     *(["verify", "--suite", s] for s in ("duality", "projection", "gram", "rate")),
