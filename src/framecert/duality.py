@@ -18,7 +18,6 @@ from .frames import (
     CertifiedFrame,
     Frame,
     analysis,
-    bessel_synthesis,
     inverse_apply,
     restrict_to_span,
     synthesis,
@@ -33,15 +32,21 @@ class DualityVerificationError(ValueError):
 
 
 class BesselSequence(Immutable):
-    """Sequence oracle, memoized as ``elem``, with a rational Bessel bound certificate."""
+    """A Bessel sequence as its synthesis operator, with a rational Bessel
+    bound certificate D >= 0.
 
-    __slots__ = ("elem", "bessel_bound")
+    ``T`` is c -> sum_k c_k h_k, with norm bound sqrt(D) rounded up;
+    ``elem`` is its column oracle k -> h_k, the one memo of the sequence.
+    """
+
+    __slots__ = ("T", "elem", "bessel_bound")
 
     def __init__(self, elem: Callable[[int], VectorName], bessel_bound):
-        object.__setattr__(self, "elem", _memoized(elem))
         object.__setattr__(self, "bessel_bound", Fraction(bessel_bound))
         if self.bessel_bound < 0:
             raise ValueError("Bessel bound must be nonnegative")
+        object.__setattr__(self, "T", OperatorName(elem, sqrt_upper(self.bessel_bound)))
+        object.__setattr__(self, "elem", self.T.col)
 
     @staticmethod
     def zero() -> "BesselSequence":
@@ -137,7 +142,7 @@ def dual_from_bessel(CF: CertifiedFrame, h: BesselSequence) -> DualPair:
     def elem(k: int) -> VectorName:
         fk_dual = tilde.elem(k)
         row = analysis(CF, fk_dual)
-        corr = bessel_synthesis(h.elem, h.bessel_bound, row)
+        corr = synthesis(h, row)
         return linear_combo(
             [
                 (RealName.from_fraction(1), fk_dual),
@@ -147,7 +152,7 @@ def dual_from_bessel(CF: CertifiedFrame, h: BesselSequence) -> DualPair:
         )
 
     # ||g_k|| <= 1/sqrt(A) + sqrt(D) (1 + sqrt(B/A)) gives the upper bound
-    sqD = sqrt_upper(h.bessel_bound)
+    sqD = h.T.norm_bound
     u = sqrt_upper(1 / A) + sqD * (1 + sqrt_upper(B / A))
     upper = max(Fraction(u * u), 1 / B)
     return DualPair(CF, Frame(elem, 1 / B, upper))
@@ -230,12 +235,7 @@ def frame_from_coeff_operator(
 def biorthogonal_dual_riesz(R) -> Callable[[int], VectorName]:
     """The unique biorthogonal family of a Riesz basis (x_k) = (T e_k).
 
-    g_k = (T^-1)* e_k = S^-1 x_k, so the family is the canonical dual of
-    the basis viewed as a frame.  That frame carries (T+, (T+)*) =
-    (T^-1, (T^-1)*), so the family is read off as the columns of
-    (T^-1)*, the rows of T^-1.
+    g_k = (T^-1)* e_k = S^-1 x_k: the canonical dual of the basis viewed
+    as a frame, read off as the rows of T^-1 that the basis carries.
     """
-    from .riesz import riesz_as_frame
-
-    dual = canonical_dual(riesz_as_frame(R))
-    return dual.elem
+    return R.T_inv_adjoint_rows

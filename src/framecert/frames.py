@@ -1,7 +1,8 @@
 """Frames with certified bounds, synthesis/analysis, and S^-1 by iteration.
 
-A :class:`Frame` is an element oracle n -> f_n, memoized, with rational
-frame bounds as caller-supplied certificates; a :class:`CertifiedFrame`
+A :class:`Frame` is its synthesis operator T, whose memoized columns
+are the elements f_n, with rational frame bounds A <= B as
+caller-supplied certificates (||T|| <= sqrt(B)); a :class:`CertifiedFrame`
 is a frame that also carries a full operator name for the analysis
 operator T*.  Without that certificate only coefficientwise analysis is
 available (a :class:`WeakVectorName`): the type system encodes the
@@ -44,26 +45,29 @@ from .vectors import (
 
 
 class Frame(Immutable):
-    """Element oracle plus rational frame bounds 0 < A <= B.
+    """A frame as its synthesis operator, with rational bounds 0 < A <= B.
 
-    ``elem`` is the memoized oracle i -> f_i itself (see :func:`_memoized`).
+    ``T`` is the synthesis operator c -> sum_k c_k f_k, with norm bound
+    sqrt(B) rounded up; ``elem`` is its column oracle i -> f_i, the one
+    memo of the elements (see :func:`_memoized`).
     """
 
-    __slots__ = ("elem", "lower", "upper")
+    __slots__ = ("T", "elem", "lower", "upper")
 
     def __init__(self, elem: Callable[[int], VectorName], lower, upper):
-        object.__setattr__(self, "elem", _memoized(elem))
         object.__setattr__(self, "lower", Fraction(lower))
         object.__setattr__(self, "upper", Fraction(upper))
         if not 0 < self.lower <= self.upper:
             raise ValueError("frame bounds must satisfy 0 < A <= B")
+        object.__setattr__(self, "T", OperatorName(elem, sqrt_upper(self.upper)))
+        object.__setattr__(self, "elem", self.T.col)
 
 
 class CertifiedFrame(Frame):
     """A frame that also carries an operator name for its analysis operator T*.
 
-    It takes the element oracle and bounds of ``frame`` as they are, so
-    both frames share one element memo.  ``finite_section`` optionally
+    It takes the synthesis operator and bounds of ``frame`` as they are,
+    so both frames share one element memo.  ``finite_section`` optionally
     carries the exact rational vectors of an embedded finite-dimensional
     frame: :func:`inverse_apply` solves finite vectors on it exactly, and
     the verify suites compare with its exact projection.  ``pinv``
@@ -123,10 +127,10 @@ class FrameCoeffName(VectorName):
 
 
 def frame_from_onb() -> CertifiedFrame:
-    """The orthonormal frame (e_i): A = B = 1, analysis = identity."""
-    return CertifiedFrame(
-        Frame(VectorName.basis, 1, 1), OperatorName.identity()
-    )
+    """The orthonormal frame (e_i): A = B = 1, analysis = identity; its
+    elements are the identity's columns, one memo of the basis."""
+    I = OperatorName.identity()
+    return CertifiedFrame(Frame(I.col, 1, 1), I)
 
 
 def frame_from_operator(
@@ -173,29 +177,17 @@ def restrict_to_span(CF: CertifiedFrame, v: FiniteVector) -> FiniteVector:
 # -- synthesis / analysis --------------------------------------------
 
 
-def bessel_synthesis(
-    elem: Callable[[int], VectorName],
-    bessel_bound: Fraction,
-    c: VectorName,
-) -> VectorName:
-    """Name of sum_k c_k h_k for a Bessel family; tails absorbed by sqrt(D)."""
-    return apply(OperatorName(elem, sqrt_upper(Fraction(bessel_bound))), c)
-
-
 def synthesis(F: Frame, c: VectorName) -> VectorName:
-    """Name of sum_k c_k f_k (the synthesis operator applied to c)."""
-    return bessel_synthesis(F.elem, F.upper, c)
-
-
-def synthesis_operator(F: Frame) -> OperatorName:
-    return OperatorName(F.elem, sqrt_upper(F.upper))
+    """Name of sum_k c_k f_k: the synthesis operator ``F.T`` of a frame or
+    of a Bessel sequence applied to c, its norm bound absorbing c's tail."""
+    return apply(F.T, c)
 
 
 def analysis_coeffs(F: Frame, f: VectorName) -> WeakVectorName:
     """Coefficientwise analysis: computable without any certificate."""
     return WeakVectorName(
         lambda i: inner(f, F.elem(i)),
-        sqrt_upper(F.upper) * f.norm.mag,
+        F.T.norm_bound * f.norm.mag,
     )
 
 
@@ -212,7 +204,7 @@ def frame_operator(CF: CertifiedFrame) -> OperatorName:
     The columns hold T and T*, not CF: no cycle keeps a dropped frame.
     """
     if CF._S is None:
-        T, Tstar = synthesis_operator(CF), CF.analysis_op
+        T, Tstar = CF.T, CF.analysis_op
         object.__setattr__(CF, "_S", OperatorName(lambda n: apply(T, Tstar.col(n)), CF.upper))
     return CF._S
 

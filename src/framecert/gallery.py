@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .dyadic import Dyadic, Immutable, _smallest, clog2, round_fraction, sqrt_upper
 from .frames import CertifiedFrame, Frame
-from .operators import OperatorName, banded_adjoint
+from .operators import OperatorName
 from .realnames import ONE_NAME, ZERO_NAME, RealName, _memoized, lift_arith
 from .vectors import (
     FiniteVector,
@@ -185,7 +185,7 @@ def upper_row_frame(g: SequenceGen) -> CertifiedFrame:
 
     bound = 1 + _tail_norm_upper(g)
     pinv = (OperatorName(inv_col, bound), OperatorName(inv_adjoint_col, bound))
-    analysis_op = banded_adjoint(rows, Fraction(3))
+    analysis_op = OperatorName(rows, Fraction(3))
     return CertifiedFrame(Frame(U.col, lower, upper), analysis_op, pinv=pinv)
 
 

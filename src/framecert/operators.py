@@ -88,10 +88,3 @@ def finite_columns(vectors: Sequence[FiniteVector]) -> Callable[[int], VectorNam
         return names[k] if k < len(names) else VectorName.zero()
 
     return col
-
-
-def banded_adjoint(
-    rows: Callable[[int], VectorName], norm_bound: Fraction
-) -> OperatorName:
-    """Adjoint supplied as row data: col(n) of U* is row n of U."""
-    return OperatorName(rows, norm_bound)

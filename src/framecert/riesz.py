@@ -52,7 +52,7 @@ class RieszBasisName(Immutable):
     @staticmethod
     def identity() -> "RieszBasisName":
         I = OperatorName.identity()
-        return RieszBasisName(I, I, VectorName.basis, VectorName.basis)
+        return RieszBasisName(I, I, I.col, I.col)
 
 
 def riesz_as_frame(R: RieszBasisName) -> CertifiedFrame:

@@ -15,7 +15,7 @@ from framecert.duality import (
     frame_from_coeff_operator,
     verify_duality,
 )
-from framecert.frames import Frame, frame_from_onb, synthesis_operator
+from framecert.frames import Frame, frame_from_onb
 from framecert.operators import OperatorName
 from framecert.oracle import ExactFrame, embed, exact_frame_solve, projection_matrix
 from framecert.riesz import RieszBasisName, riesz_from_matrix
@@ -86,7 +86,7 @@ class TestCanonicalDual:
 class TestDualFromLeftInverse:
     def test_canonical_synthesis_passes(self):
         CF = mercedes()
-        V = synthesis_operator(canonical_dual(CF).frame)
+        V = canonical_dual(CF).T
         pair = dual_from_left_inverse(CF, V)
         rep = verify_duality(pair, [fv("0:1"), fv("0:2 1:-1")], tol(30))
         assert rep.passed
@@ -105,7 +105,7 @@ class TestDualFromLeftInverse:
             "bounds": ["1", "3"],
         }))
         CF = load_spec(str(spec)).certified
-        V = synthesis_operator(canonical_dual(CF).frame)
+        V = canonical_dual(CF).T
         pair = dual_from_left_inverse(CF, V)
         rep = verify_duality(pair, [fv("0:1"), fv("0:1/3 1:-2")], tol(30))
         assert rep.passed, rep.worst

@@ -25,7 +25,7 @@ from framecert.frames import (
     richardson_steps,
     synthesis,
 )
-from framecert.operators import OperatorName, banded_adjoint, finite_columns
+from framecert.operators import OperatorName, finite_columns
 from framecert.oracle import ExactFrame, embed
 from framecert.realnames import RealName
 from framecert.specfile import load_spec
@@ -264,7 +264,7 @@ class TestRangeProjection:
 
 class TestGenericPath:
     def test_frame_without_finite_section(self):
-        # Mercedes wired by hand through banded_adjoint: exercises the
+        # Mercedes wired by hand from the rows of T*: exercises the
         # inexact S-application path rather than the exact fast path.
         vecs = {0: "0:1", 1: "1:1", 2: "0:1 1:1"}
 
@@ -275,7 +275,7 @@ class TestGenericPath:
             cols = {0: "0:1 2:1", 1: "1:1 2:1"}
             return vec(cols[n]) if n in cols else VectorName.zero()
 
-        Tstar = banded_adjoint(rows, sqrt_upper_3())
+        Tstar = OperatorName(rows, sqrt_upper_3())
         CF = CertifiedFrame(
             Frame(elem, Fraction(1, 2), Fraction(7, 2)), Tstar
         )

@@ -4,7 +4,6 @@ from math import isqrt
 from framecert.operators import (
     OperatorName,
     apply,
-    banded_adjoint,
     compose,
     finite_columns,
 )
@@ -160,8 +159,11 @@ class TestFromFiniteMatrix:
 
 
 class TestBandedAdjoint:
+    # an adjoint supplied as row data is the operator of its rows: col(n)
+    # of U* is row n of U
+
     def test_identity_rows(self):
-        A = banded_adjoint(VectorName.basis, Fraction(1))
+        A = OperatorName(VectorName.basis, Fraction(1))
         assert A.col(3).finite == FiniteVector.parse("3:1")
 
     def test_benign_first_row(self):
@@ -174,7 +176,7 @@ class TestBandedAdjoint:
                 )
             return VectorName.basis(n)
 
-        A = banded_adjoint(rows, Fraction(3))
+        A = OperatorName(rows, Fraction(3))
         col0 = A.col(0)
         assert abs(approx(col0.coeff(2), 30) - Fraction(1, 4)) <= tol(30)
         assert abs(approx(col0.norm, 30) - sqrt_oracle(Fraction(4, 3))) <= 2 * tol(30)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from framecert.duality import BesselSequence
 from framecert.dyadic import Dyadic, round_fraction
-from framecert.frames import Frame, frame_from_onb, synthesis_operator
+from framecert.frames import Frame, frame_from_onb
 from framecert.gallery import benign_sequence, specker_sequence
 from framecert.operators import OperatorName
 from framecert.realnames import (
@@ -22,7 +22,7 @@ from framecert.realnames import (
     scale,
     sqrt_name,
 )
-from framecert.riesz import renorm_to, riesz_from_matrix
+from framecert.riesz import renorm_to, riesz_as_frame, riesz_from_matrix
 from framecert.vectors import FiniteVector, VectorName, WeakVectorName
 
 
@@ -258,7 +258,7 @@ _ACCESSORS = {
     "RieszBasisName.elem": lambda: _riesz().elem,
     "RieszBasisName.T_adjoint_rows": lambda: _riesz().T_adjoint_rows,
     "RieszBasisName.T_inv_adjoint_rows": lambda: _riesz().T_inv_adjoint_rows,
-    "synthesis_operator(CF).col": lambda: synthesis_operator(frame_from_onb()).col,
+    "CF.T.col": lambda: frame_from_onb().T.col,
     "RenormedVectorName.coeff": lambda: renorm_to(_riesz(), VectorName.basis(0)).coeff,
 }
 
@@ -276,8 +276,28 @@ def test_a_memo_is_wrapped_once():
     # the synthesis operator reads the frame's own element memo (its
     # negative-index check is in the table above)
     CF = frame_from_onb()
-    assert synthesis_operator(CF).col is CF.elem
+    assert CF.T.col is CF.elem
     assert _memoized(CF.elem) is CF.elem
+
+
+def test_no_datum_is_cached_twice():
+    # a frame and a Bessel sequence are their synthesis operators: the
+    # elements are T's columns, in one memo
+    for F in (Frame(VectorName.basis, 1, 2), BesselSequence(VectorName.basis, 1), frame_from_onb()):
+        assert F.T.col is F.elem
+    R = _riesz()
+    assert riesz_as_frame(R).T.col is R.T.col
+    # the orthonormal frame's elements are its analysis operator's columns
+    CF = frame_from_onb()
+    assert CF.elem is CF.analysis_op.col
+
+
+def test_bad_bounds_raise_their_own_error():
+    # the bounds are checked before sqrt(B) or sqrt(D) is taken
+    with pytest.raises(ValueError, match="^frame bounds must satisfy 0 < A <= B$"):
+        Frame(VectorName.basis, 1, -1)
+    with pytest.raises(ValueError, match="^Bessel bound must be nonnegative$"):
+        BesselSequence(VectorName.basis, -1)
 
 
 def test_magnitude_soundness():
