@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .dyadic import Immutable
 from .realnames import RealName, _memoized
-from .vectors import FiniteVector, VectorName, finite_stage, linear_combo, truncate
+from .vectors import FiniteVector, VectorName, exact_combo, finite_stage, linear_combo, truncate
 
 
 class OperatorName(Immutable):
@@ -50,17 +50,18 @@ class OperatorName(Immutable):
 
 
 def apply(U: OperatorName, x: VectorName) -> VectorName:
-    """Name of Ux: the exact combination of U's columns for a finite x.
+    """Name of Ux.  For a finite x, sum_i x_i U e_i: one :func:`exact_combo`
+    of x's integer numerators over finite columns, else :func:`linear_combo`.
 
-    Otherwise stage k truncates x within 2^-(k+1)/||U|| and combines the
-    columns within 2^-(k+1), so it lies within 2^-k of Ux.
+    For any other x, stage k truncates x within 2^-(k+1)/||U|| and combines
+    the columns within 2^-(k+1), so it lies within 2^-k of Ux.
     """
     if U.norm_bound == 0:
         return VectorName.zero()
     if x.finite is not None:
-        return linear_combo(
-            [(RealName.from_fraction(q), U.col(i)) for i, q in x.finite.entries]
-        )
+        v, cols = x.finite, [(n, U.col(i)) for i, n in x.finite.nums.items()]
+        return exact_combo(cols, v.den) or linear_combo(
+            [(RealName.from_fraction(Fraction(n, v.den)), c) for n, c in cols])
 
     def stage(k: int) -> FiniteVector:
         v, _ = truncate(x, Fraction(1, 1 << (k + 1)) / U.norm_bound)

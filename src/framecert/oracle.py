@@ -1,21 +1,21 @@
 """Exact rational ground truth for finitely many frame vectors in Q^d.
 
 The frame operator, its inverse (and so the canonical dual), Gram/projection
-matrices and frame-bound enclosures are exact: Fractions go in and come
-out (finite vectors for ``solve``), and in between a matrix's
-denominators are cleared once (an ExactFrame's at construction, kept as
-its integer form) and one fraction-free (Bareiss) elimination runs on
-integers.  Its symmetric mode without pivoting decides (semi)definiteness:
-the span test of ExactFrame (the vectors span Q^d exactly when S is
-positive definite), each step of the enclosure search (also on a Riesz
-block's M M^T, for its norm bounds), and checks of declared frame bounds.  Its Gauss-Jordan mode with row pivoting gives
-determinants and adjugates.
+matrices and frame-bound enclosures are exact: Fractions go in and come out
+(finite vectors for ``solve`` and the projection's columns), and in between
+a matrix's denominators are cleared once (an ExactFrame's at construction,
+kept as its integer form) and one fraction-free (Bareiss) elimination runs
+on integers.  Its symmetric mode without pivoting decides (semi)definiteness:
+the span test of ExactFrame (S positive definite), each step of the
+enclosure search (also on a Riesz block's M M^T, for its norm bounds), and
+checks of declared frame bounds; its Gauss-Jordan mode with row pivoting
+gives determinants and adjugates.
 The kernel is validated against this module, so every value it returns
 is decided exactly; floating point only picks the grid point where the
 enclosure search starts (a bad start costs tests, not correctness).
 
-A frame's solution (bound enclosure, inverse) lives on its ExactFrame,
-computed on first read; nothing is cached across frames.
+A frame's solution (bound enclosure, inverse, the projection's integer
+columns) lives on its ExactFrame, computed on first read, never shared.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class ExactFrame(Immutable):
     """Rational (int or Fraction) vectors spanning Q^d, cleared once into
     the integers every reader uses: the rows of ``N`` over ``D``, and S =
     N^T N / D^2 as ``G`` over ``E`` (cut by their gcd, which nothing read
-    depends on).  ``bounds_enclosure`` and ``inverse`` = (R, c), S^-1 = c R
-    with R integer, are computed on first read (two threads may both compute it).
+    depends on).  ``bounds_enclosure``, ``inverse`` = (R, c), S^-1 = c R with
+    R integer, and ``projection`` are computed on first read (by one thread or two).
     """
 
-    __slots__ = ("N", "D", "d", "G", "E", "_bounds", "_inverse")
+    __slots__ = ("N", "D", "d", "G", "E", "_bounds", "_inverse", "_projection")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         N, D = _cleared(vectors)
@@ -60,7 +60,7 @@ class ExactFrame(Immutable):
         g = gcd(D * D, *(x for row in G for x in row))
         G = tuple(tuple(x // g for x in row) for row in G)
         for k, v in (("N", tuple(map(tuple, N))), ("D", D), ("d", d), ("G", G), ("E", D * D // g),
-                     ("_bounds", None), ("_inverse", None)):
+                     ("_bounds", None), ("_inverse", None), ("_projection", None)):
             object.__setattr__(self, k, v)
 
     def __len__(self) -> int:
@@ -82,6 +82,13 @@ class ExactFrame(Immutable):
         if self._inverse is None:
             object.__setattr__(self, "_inverse", _inverse(self.G, self.E))
         return self._inverse
+
+    @property
+    def projection(self) -> tuple[FiniteVector, ...]:
+        """Column k of the projection onto the range of T*: (<f_l, S^-1 f_k>)_l."""
+        if self._projection is None:
+            object.__setattr__(self, "_projection", cross_gram_columns(self, self))
+        return self._projection
 
     @property
     def lower(self) -> Fraction:
@@ -305,17 +312,24 @@ def projection_matrix(F: ExactFrame) -> Matrix:
 
 
 def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
-    """u[l][k] = <phi_l, S^-1 f_k> for the cross-frame coefficient operator.
+    """u[l][k] = <phi_l, S^-1 f_k>, read from F.projection when Phi is F."""
+    cols = F.projection if Phi is F else cross_gram_columns(F, Phi)
+    return [[v.coefficient(l) for v in cols] for l in range(len(Phi))]
 
-    With S^-1 = c R and the frames' integer forms N / D and P / E, u[l][k]
-    is c (P_l . R N_k) / (D E): integer products, then one Fraction per entry.
+
+def cross_gram_columns(F: ExactFrame, Phi: ExactFrame) -> tuple[FiniteVector, ...]:
+    """Column k = (<phi_l, S^-1 f_k>)_l of the cross-frame coefficient operator.
+
+    With S^-1 = c R and the frames' integer forms N / D and P / E, entry l
+    is c (P_l . R N_k) / (D E): one integer product, each column over one denominator.
     """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
     R, c = F.inverse
     dual = [[sum(map(mul, row, n)) for row in R] for n in F.N]
     num, den = c.numerator, c.denominator * F.D * Phi.D
-    return [[Fraction(num * sum(map(mul, p, g)), den) for g in dual] for p in Phi.N]
+    return tuple(FiniteVector.over(((l, num * sum(map(mul, p, g))) for l, p in enumerate(Phi.N)), den)
+                 for g in dual)
 
 
 def embed(F: ExactFrame):

@@ -114,8 +114,8 @@ class FiniteVector(Immutable):
         return Fraction(total, self.den * other.den)
 
     @staticmethod
-    def combination(terms) -> "FiniteVector":
-        """sum_k q_k v_k over (rational q_k, FiniteVector v_k) pairs: integer
+    def combination(terms, den: int = 1) -> "FiniteVector":
+        """sum_k q_k v_k / den over (rational q_k, FiniteVector v_k) pairs: integer
         multiply-adds over the lcm L of the terms' denominators, reduced once."""
         scaled, L = [], 1
         for q, v in terms:
@@ -128,7 +128,7 @@ class FiniteVector(Immutable):
             f = a * (L // d)
             for i, n in nums.items():
                 acc[i] = acc.get(i, 0) + f * n
-        return FiniteVector.over(acc.items(), L)
+        return FiniteVector.over(acc.items(), L * den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
@@ -414,19 +414,22 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
     return FiniteVector.over(((i, div_nearest(n << g, v.den)) for i, n in v.nums.items()), 1 << g)
 
 
+def exact_combo(terms, den: int = 1) -> Optional[VectorName]:
+    """The finite name of sum_k q_k v_k / den over (rational or None, VectorName)
+    pairs if no q_k is None and every v_k is finite, else None (exactness rule)."""
+    if all(q is not None and v.finite is not None for q, v in terms):
+        return VectorName.from_finite(FiniteVector.combination(((q, v.finite) for q, v in terms), den))
+
+
 def linear_combo(terms: Sequence[tuple[RealName, VectorName]]) -> VectorName:
     """Name of sum_k scalar_k * vector_k (finite list).
 
-    Exact when every scalar and vector is; otherwise stage j is
-    :func:`finite_stage` at j.
+    Exact (:func:`exact_combo`) when every scalar and vector is; otherwise
+    stage j is :func:`finite_stage` at j.
     """
     terms = list(terms)
-    if all(s.exact is not None and v.finite is not None for s, v in terms):
-        return VectorName.from_finite(
-            FiniteVector.combination((s.exact, v.finite) for s, v in terms)
-        )
     bounds = [v.support_bound for _, v in terms]
-    return VectorName.from_stage(
+    return exact_combo([(s.exact, v) for s, v in terms]) or VectorName.from_stage(
         partial(finite_stage, terms),
         sum((s.mag * v.norm.mag for s, v in terms), Fraction(0)),
         None if None in bounds else max(bounds),

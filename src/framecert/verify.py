@@ -65,32 +65,30 @@ def duality_suite(CF: CertifiedFrame) -> SuiteReport:
 
 
 def projection_suite(CF: CertifiedFrame) -> SuiteReport:
-    """P idempotent, symmetric (against exact ground truth when present,
-    else entrywise on e_0..e_{K-1}, K <= 10, with the analysis certificate
-    checked there as the adjoint), and identity on analysis images."""
+    """P idempotent, symmetric, and identity on analysis images.
+
+    On a finite section, stage p of each P e_k minus the exact column k is
+    one integer difference, whose largest entry, less 2^-p unless P e_k is
+    exact, is the residual.  Otherwise P is checked symmetric entrywise on
+    e_0..e_{K-1}, K <= 10, with the analysis certificate as the adjoint.
+    """
     p = clog2(4 / TOL)
     P = range_projection(CF)
     lines = []
 
-    cs = ["0:1", "1:1", "0:1 2:-1"]
-    for text in cs:
+    for text in ("0:1", "1:1", "0:1 2:-1"):
         c = VectorName.from_finite(FiniteVector.parse(text))
         Pc = apply(P, c)
         r = distance_bound(apply(P, Pc), Pc, p)
         lines.append((f"idempotent on {text}", r, r <= TOL))
 
     if CF.finite_section is not None:
-        from .oracle import projection_matrix
-
-        M = projection_matrix(CF.finite_section)
-        K = len(CF.finite_section)
         worst = Fraction(0)
-        for k in range(K):
+        for k, exact in enumerate(CF.finite_section.projection):
             col = P.col(k)
-            for l in range(K):
-                got = col.coeff(l).approx(p).as_fraction()
-                worst = max(worst, abs(got - M[l][k]) - Fraction(1, 1 << p))
-        worst = max(worst, Fraction(0))
+            gap = FiniteVector.combination([(1, col.stage(p)), (-1, exact)])
+            top = Fraction(max(map(abs, gap.nums.values()), default=0), gap.den)
+            worst = max(worst, top if col.finite is not None else top - Fraction(1, 1 << p))
         lines.append(("matches exact symmetric projection", worst, worst <= TOL))
     else:
         K = min(CF.analysis_op.support_bound or 3, 10)
@@ -123,25 +121,24 @@ def gram_suite(CF: CertifiedFrame) -> SuiteReport:
     determines the whole row energy in closed form.  Compare it against
     the independently computed energy ||P e_n||^2, which equals p_n
     whenever P is an orthogonal projection, and for finite frames also
-    against the exact ground truth.  A false adjoint certificate that keeps
-    S = T T* self-adjoint makes P oblique, which this can catch.
+    against the exact column's integer energy, with no 2^-p slack when p_n
+    is exact.  A false adjoint certificate that keeps S = T T* self-adjoint
+    makes P oblique, which this can catch.
     """
     p = clog2(4 / TOL)
-    K, exact_M = 4, None
-    if CF.finite_section is not None:
-        from .oracle import projection_matrix
-
-        exact_M = projection_matrix(CF.finite_section)
-        K = len(exact_M)
+    exact = None if CF.finite_section is None else CF.finite_section.projection
+    K = 4 if exact is None else len(exact)
 
     lines = []
     P = range_projection(CF)
     for n in range(min(K, 10)):
         Pe = P.col(n)
-        got = complete_dual_gram_row(Pe.coeff, n).approx(p).as_fraction()
-        if exact_M is not None:
-            want = sum(q * q for q in exact_M[n])
-            r = max(abs(got - want) - Fraction(1, 1 << p), Fraction(0))
+        diagonal = complete_dual_gram_row(Pe.coeff, n)
+        got = diagonal.approx(p).as_fraction()
+        if exact is not None:
+            want = exact[n].norm_squared()
+            r = abs(diagonal.exact - want) if diagonal.exact is not None else max(
+                abs(got - want) - Fraction(1, 1 << p), Fraction(0))
             lines.append((f"row {n} energy vs exact", r, r <= TOL))
         energy = inner(Pe, Pe).approx(p).as_fraction()
         r = max(abs(got - energy) - Fraction(1, 1 << (p - 1)), Fraction(0))

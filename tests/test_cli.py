@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert.cli import cmd_reconstruct, main
-from framecert.frames import CertifiedFrame, FalseBoundsError, Frame
+from framecert.frames import CertifiedFrame, FalseBoundsError, Frame, range_projection
 from framecert.operators import OperatorName
-from framecert.oracle import eigenvalue_enclosures
+from framecert.oracle import eigenvalue_enclosures, projection_matrix
 from framecert.specfile import (
     InvalidFrameError,
     LoadedSpec,
@@ -28,7 +28,7 @@ from framecert.specfile import (
     parse_vector_text,
 )
 from framecert.vectors import FiniteVector, VectorName
-from framecert.verify import max_iterations, run_suite
+from framecert.verify import TOL, max_iterations, run_suite
 from fraction_matrices import is_positive_definite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -209,6 +209,51 @@ class TestVerifySuites:
         diagonal = [ok for label, _, ok in rep.lines if label.endswith("energy equals diagonal")]
         assert diagonal == [False, False, False]
         assert not rep.passed
+
+    def test_exact_lines_fail_with_exact_residuals_on_false_certificate(self):
+        # the same tampered Mercedes: every column of P is exact, so the exact
+        # lines carry the true gaps, with no 2^-p slack taken off
+        CF = load_spec(str(FIXTURES / "mercedes.json")).certified
+        T = CF.analysis_op
+        false_col = VectorName.from_finite(FiniteVector.parse("0:2 2:1"))
+        tampered = CertifiedFrame(
+            CF.frame,
+            OperatorName(lambda n: false_col if n == 0 else T.col(n), Fraction(3), T.support_bound),
+            finite_section=CF.finite_section,
+        )
+        # S = [[2, 1], [1, 2]], so S^-1 f_k = (2, -1)/3, (-1, 2)/3, (1, 1)/3, and
+        # column k of P is sum_i (S^-1 f_k)_i T* e_i, with T* e_0 = (2, 0, 1)
+        duals = [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)], [Fraction(1, 3)] * 2]
+        images = [[2, 0, 1], [0, 1, 1]]
+        P = [[sum(g[i] * images[i][l] for i in range(2)) for g in duals] for l in range(3)]
+        M = projection_matrix(CF.finite_section)
+        gap = max(abs(P[l][k] - M[l][k]) for l in range(3) for k in range(3))
+        assert gap == Fraction(2, 3)
+        rep = run_suite("projection", tampered)
+        assert ("matches exact symmetric projection", gap, False) in rep.lines
+        rep = run_suite("gram", tampered)
+        want = [abs(P[n][n] - sum(q * q for q in M[n])) for n in range(3)]
+        assert [(r, ok) for label, r, ok in rep.lines if label.endswith("vs exact")] == [
+            (w, w <= TOL) for w in want]
+        assert want == [Fraction(2, 3), 0, 0]
+
+    @pytest.mark.parametrize("fixture", ["mercedes.json", "scaled_frame.json", "operator_spanning.json"])
+    def test_exact_lines_pass_with_a_staged_analysis_column(self, fixture):
+        # analysis column 1 served as a staged name of the same exact column:
+        # P's columns take the staged path, and the exact lines still pass
+        CF = load_spec(str(FIXTURES / fixture)).certified
+        T, exact = CF.analysis_op, CF.analysis_op.col(1).finite
+        staged = VectorName.from_stage(lambda k: exact, exact.norm_squared() + 1, exact.support)
+        SF = CertifiedFrame(
+            CF.frame,
+            OperatorName(lambda n: staged if n == 1 else T.col(n), T.norm_bound, T.support_bound),
+            finite_section=CF.finite_section,
+        )
+        assert range_projection(SF).col(0).finite is None
+        for suite in ("projection", "gram"):
+            rep = run_suite(suite, SF)
+            assert rep.passed and rep.worst <= Fraction(1, 2**32)
+            assert all(r == 0 for label, r, _ in rep.lines if "exact" in label)
 
 
 class TestCliCommands:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import isqrt
 
+from hypothesis import assume, given, settings, strategies as st
+
 from framecert.operators import (
     OperatorName,
     apply,
@@ -14,6 +16,7 @@ from framecert.vectors import (
     sqrt_of_fraction,
     linear_combo,
 )
+from test_vectors import from_model, models
 
 
 def tol(n):
@@ -180,3 +183,58 @@ class TestBandedAdjoint:
         col0 = A.col(0)
         assert abs(approx(col0.coeff(2), 30) - Fraction(1, 4)) <= tol(30)
         assert abs(approx(col0.norm, 30) - sqrt_oracle(Fraction(4, 3))) <= 2 * tol(30)
+
+
+# -- apply on a finite input over finite columns, against a dict[int, Fraction] model ----
+
+# inputs whose entries share one denominator, zero numerators included
+shared = st.builds(
+    lambda nums, den: {i: Fraction(n, den) for i, n in nums.items()},
+    st.dictionaries(st.integers(0, 8), st.integers(-6, 6), max_size=6),
+    st.sampled_from([1, 2, 6, 12, 2**40]),
+)
+inputs = st.one_of(models, shared)
+
+
+def model_apply(x: dict, cols: list) -> dict:
+    """sum_i x_i cols[i], a column past the list being zero."""
+    want: dict[int, Fraction] = {}
+    for i, q in x.items():
+        for l, c in (cols[i] if i < len(cols) else {}).items():
+            want[l] = want.get(l, Fraction(0)) + q * c
+    return want
+
+
+def frobenius_bound(cols: list) -> Fraction:
+    """1 + sum ||col||^2, at least the Frobenius norm and so a true norm bound."""
+    return sum((from_model(c).norm_squared() for c in cols), Fraction(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs, st.lists(models, max_size=6))
+def test_apply_finite_over_finite_columns_matches_the_fraction_model(x, cols):
+    U = OperatorName(finite_columns([from_model(c) for c in cols]), frobenius_bound(cols))
+    y = apply(U, VectorName.from_finite(from_model(x)))
+    assert y.finite == from_model(model_apply(x, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs, st.lists(models, min_size=1, max_size=4), st.data())
+def test_apply_finite_over_mixed_columns_is_staged(x, cols, data):
+    # one column served as a staged name of itself: the image is staged, and
+    # it is the combination linear_combo stages from x's entries as names
+    k = data.draw(st.integers(0, len(cols) - 1))
+    assume(x.get(k))
+    exact = [from_model(c) for c in cols]
+    staged = VectorName.from_stage(lambda j: exact[k], exact[k].norm_squared() + 1)
+    col = finite_columns(exact)
+    U = OperatorName(lambda i: staged if i == k else col(i), frobenius_bound(cols))
+    v = from_model(x)
+    y = apply(U, VectorName.from_finite(v))
+    assert y.finite is None
+    by_names = linear_combo([(RealName.from_fraction(q), U.col(i)) for i, q in v.entries])
+    want = from_model(model_apply(x, cols))
+    for j in (0, 8, 30):
+        assert y.stage(j) == by_names.stage(j)
+        gap = FiniteVector.combination([(1, y.stage(j)), (-1, want)])
+        assert gap.norm_squared() <= Fraction(1, 4**j)

@@ -13,6 +13,7 @@ from framecert.oracle import (
     ENCLOSURE_WIDTH,
     ExactFrame,
     NonSpanningError,
+    cross_gram_columns,
     cross_gram_matrix,
     eigenvalue_enclosures,
     embed,
@@ -22,7 +23,7 @@ from framecert.oracle import (
     projection_matrix,
 )
 from framecert.vectors import FiniteVector
-from fraction_matrices import cofactor_det, mat_mul
+from fraction_matrices import cofactor_det, mat_mul, mat_vec
 from test_cli_golden import COMMANDS, run
 from test_oracle_golden import seeded_S
 
@@ -502,6 +503,34 @@ def test_integer_form_matches_fractions(vecs):
     assert [CF.elem(k).finite for k in range(len(vecs))] == [FiniteVector(enumerate(v)) for v in vecs]
     assert [CF.analysis_op.col(i).finite for i in range(d)] == [
         FiniteVector(enumerate(c)) for c in zip(*vecs)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spanning_vectors(), st.data())
+def test_projection_columns_match_the_fraction_matrices(vecs, data):
+    F, d = ExactFrame(vecs), len(vecs[0])
+    cols = F.projection
+    assert cols is F.projection
+    assert all(type(n) is int for v in cols for n in v.nums.values())
+    M = [[v.coefficient(l) for v in cols] for l in range(len(vecs))]
+    assert M == projection_matrix(F) == cross_gram_matrix(F, F)
+    # the orthogonal projection onto the range of T*: symmetric, idempotent,
+    # of rank d, and fixing each analysis image T* e_i = (f_l[i])_l
+    assert M == [list(row) for row in zip(*M)] and mat_mul(M, M) == M
+    assert sum(M[k][k] for k in range(len(M))) == d
+    for i in range(d):
+        image = [Fraction(v[i]) for v in vecs]
+        assert mat_vec(M, image) == image
+    # against the standard basis, column k is S^-1 f_k; against any other
+    # frame Phi, entry l is <phi_l, S^-1 f_k>
+    onb = ExactFrame([[int(i == j) for j in range(d)] for i in range(d)])
+    duals = cross_gram_columns(F, onb)
+    S = [[sum((Fraction(v[i]) * v[j] for v in vecs), Fraction(0)) for j in range(d)] for i in range(d)]
+    assert [mat_vec(S, g.dense(d)) for g in duals] == [[Fraction(q) for q in v] for v in vecs]
+    phi = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), max_size=3))
+    phi += [[int(i == j) for j in range(d)] for i in range(d)]
+    assert cross_gram_matrix(F, ExactFrame(phi)) == [
+        [sum((p[i] * g.coefficient(i) for i in range(d)), Fraction(0)) for g in duals] for p in phi]
 
 
 @pytest.mark.parametrize("fixture", ["mercedes.json", "scaled_frame.json"])
