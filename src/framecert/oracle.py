@@ -4,18 +4,18 @@ The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures are exact: Fractions go in and come out
 (finite vectors for ``solve`` and the projection's columns), and in between
 a matrix's denominators are cleared once (an ExactFrame's at construction,
-kept as its integer form) and one fraction-free (Bareiss) elimination runs
-on integers.  Its symmetric mode without pivoting decides (semi)definiteness:
-the span test of ExactFrame (S positive definite), each step of the
-enclosure search (also on a Riesz block's M M^T, for its norm bounds), and
-checks of declared frame bounds; its Gauss-Jordan mode with row pivoting
-gives determinants and adjugates.
-The kernel is validated against this module, so every value it returns
-is decided exactly; floating point only picks the grid point where the
-enclosure search starts (a bad start costs tests, not correctness).
+kept as its integer form) and fraction-free (Bareiss) eliminations run on
+integers.  Its symmetric mode without pivoting decides (semi)definiteness:
+the end of each side of the enclosure search (which is also ExactFrame's
+span test, and bounds a Riesz block's M M^T), and checks of declared frame
+bounds; its Gauss-Jordan mode with row pivoting gives determinants and
+adjugates.  The kernel is validated against this module, so every value it
+returns is decided exactly; floating point only picks the witness vectors
+whose exact Rayleigh quotients settle the rest of the enclosure search (a
+bad witness costs tests, not correctness).
 
-A frame's solution (bound enclosure, inverse, the projection's integer
-columns) lives on its ExactFrame, computed on first read, never shared.
+A frame's bound enclosure is computed at construction, its inverse and the
+projection's integer columns on first read; none is shared between frames.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class ExactFrame(Immutable):
     """Rational (int or Fraction) vectors spanning Q^d, cleared once into
     the integers every reader uses: the rows of ``N`` over ``D``, and S =
     N^T N / D^2 as ``G`` over ``E`` (cut by their gcd, which nothing read
-    depends on).  ``bounds_enclosure``, ``inverse`` = (R, c), S^-1 = c R with
+    depends on).  ``bounds_enclosure`` is computed here, and its search
+    refuses vectors that do not span; ``inverse`` = (R, c), S^-1 = c R with
     R integer, and ``projection`` are computed on first read (by one thread or two).
     """
 
-    __slots__ = ("N", "D", "d", "G", "E", "_bounds", "_inverse", "_projection")
+    __slots__ = ("N", "D", "d", "G", "E", "bounds_enclosure", "_inverse", "_projection")
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]]):
         N, D = _cleared(vectors)
@@ -54,13 +55,12 @@ class ExactFrame(Immutable):
             raise ValueError("vectors must share a positive dimension")
         cols = list(zip(*N))
         G = [[sum(map(mul, u, v)) for v in cols] for u in cols]
-        # the vectors span Q^d exactly when S = sum v v^T is positive definite
-        if not _bareiss([list(row) for row in G], strict=True):
-            raise NonSpanningError(f"vectors do not span Q^{d}")
         g = gcd(D * D, *(x for row in G for x in row))
-        G = tuple(tuple(x // g for x in row) for row in G)
-        for k, v in (("N", tuple(map(tuple, N))), ("D", D), ("d", d), ("G", G), ("E", D * D // g),
-                     ("_bounds", None), ("_inverse", None), ("_projection", None)):
+        G, E = tuple(tuple(x // g for x in row) for row in G), D * D // g
+        # the vectors span Q^d exactly when S = sum v v^T is positive definite
+        bounds = _enclosures(G, E, f"vectors do not span Q^{d}")
+        for k, v in (("N", tuple(map(tuple, N))), ("D", D), ("d", d), ("G", G), ("E", E),
+                     ("bounds_enclosure", bounds), ("_inverse", None), ("_projection", None)):
             object.__setattr__(self, k, v)
 
     def __len__(self) -> int:
@@ -69,13 +69,6 @@ class ExactFrame(Immutable):
     @property
     def S(self) -> Matrix:
         return [[Fraction(x, self.E) for x in row] for row in self.G]
-
-    @property
-    def bounds_enclosure(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        if self._bounds is None:
-            # S proven definite above
-            object.__setattr__(self, "_bounds", _enclosures(self.G, self.E))
-        return self._bounds
 
     @property
     def inverse(self) -> tuple[list[list[int]], Fraction]:
@@ -195,47 +188,61 @@ def eigenvalue_enclosures(S: Matrix) -> tuple[Fraction, Fraction, Fraction, Frac
     tests; the outer endpoints are strictly outside the spectrum, so
     char-poly signs at them are determined.  Where lambda_min is at most
     one step, the lower pair is (s, 2 s), s the largest step / 2^k below it.
+    NonSpanningError where S is not positive definite.
     """
-    N, D = _cleared(S)
-    if not _bareiss([list(row) for row in N], strict=True):
-        raise NonSpanningError("frame operator is not positive definite")
-    return _enclosures(N, D)
+    return _enclosures(*_cleared(S))
 
 
-def _enclosures(N: Sequence[Sequence[int]], D: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """eigenvalue_enclosures of S = N / D, for integer N positive definite.
+def _enclosures(N: Sequence[Sequence[int]], D: int, refusal: str = "frame operator is not positive definite"
+                ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """eigenvalue_enclosures of S = N / D for symmetric integer N, or
+    NonSpanningError(refusal) where S is not positive definite.
 
     For trace + 1 = T / D, level E is the first with step T / (D 2^E) <=
     ENCLOSURE_WIDTH.  Index a stands for lam = a T / (D 2^E), tested on
     the integer matrix +-(2^E N - a T I) = +-D 2^E (S - lam I).  Each side
     returns the unique largest a with lam < lambda_min (resp. lam <=
-    lambda_max), so its enclosure is fixed by S alone; the search starts
-    from _estimate's index and finds a by doubling and then bisection.
-    A lower a = 0 moves to the first finer level whose index 1 is below
-    lambda_min (levels found by doubling and bisection too), where a = 1.
+    lambda_max), so its enclosure is fixed by S alone.  The Rayleigh
+    quotient q / n = x^T N x / x^T x of _estimate's witness x for the side
+    settles every index beyond it with no test: 2^E q - a T n <= 0 proves
+    lam >= lambda_min, and >= 0 proves lam <= lambda_max.  The search
+    starts there and finds a by doubling and then bisection (one test per
+    side for a good witness, and the same a for any).  A trace <= 0 or a
+    lower a = -1 (lambda_min <= 0) refuses S.  A lower a = 0 moves to the
+    first finer level whose index 1 is below lambda_min, found alike.
     """
     T = sum(N[i][i] for i in range(len(N))) + D
+    if T <= D:
+        raise NonSpanningError(refusal)
     E = 0
     while D << E < T << 20:
         E += 1
+    try:
+        xs = [[int(v) for v in x] for x in _estimate(N)]
+    except (ArithmeticError, ValueError):  # overflow, underflow to a zero divisor, NaN
+        xs = [[], []]
+    # (x^T N x, x^T x) for each side; (0, 0) settles nothing
+    rayleigh = [(sum(v * sum(map(mul, r, x)) for v, r in zip(x, N)), sum(v * v for v in x)) for x in xs]
 
     def below(a: int, sign: int, e: int = E) -> bool:
+        q, n = rayleigh[sign < 0]
+        if n and sign * ((q << e) - a * T * n) <= 0 or a < 0:
+            return sign < 0 or a < 0  # settled by the quotient, or lam < 0
         c = a * T
-        m = [[sign * ((q << e) - c * (i == j)) for j, q in enumerate(r)]
+        m = [[sign * ((g << e) - c * (i == j)) for j, g in enumerate(r)]
              for i, r in enumerate(N)]
         # pd(S - lam I) iff lam < lambda_min; pd(lam I - S) iff lam > lambda_max
         return (_bareiss(m, strict=True) > 0) == (sign > 0)
 
-    try:
-        starts = [min(max(round(x), 0), (1 << E) - 1) for x in _estimate(N, T, E)]
-    except (ArithmeticError, ValueError):  # overflow, underflow to a zero divisor, NaN
-        starts = [0, 0]
     out = ()
-    for sign, h in zip((1, -1), starts):
+    for sign, (q, n) in zip((1, -1), rayleigh):
+        h = (q << E) // (T * n) if n else 0
         if below(h, sign):
             a = h + _smallest(lambda k: not below(h + k, sign)) - 1
         else:
             a = h - _smallest(lambda k: below(h - k, sign))
+        if a < 0:
+            raise NonSpanningError(refusal)
         out += (Fraction(a * T, D << E), Fraction((a + 1) * T, D << E))
     if not out[0]:  # lambda_min <= one step: index 1 of the first finer level below it
         e = E + _smallest(lambda k: below(1, 1, E + k))
@@ -243,66 +250,78 @@ def _enclosures(N: Sequence[Sequence[int]], D: int) -> tuple[Fraction, Fraction,
     return out
 
 
-def _estimate(N: Sequence[Sequence[int]], T: int, E: int) -> tuple[float, float]:
-    """Float estimates of lambda_min(N) and lambda_max(N) in units of T / 2^E.
+def _estimate(N: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Integer approximations of eigenvectors of lambda_min(N) and lambda_max(N).
 
     N scaled by its largest entry is reduced to a tridiagonal matrix by
-    Householder reflections, whose extreme eigenvalues a Sturm count
-    brackets by bisection to a quarter unit.  The estimate only chooses
-    where the exact search of _enclosures starts.
+    Householder reflections.  Twelve steps of bisection on a Sturm count,
+    from a bracket read off the tridiagonal, put a shift near each extreme
+    eigenvalue; three steps of inverse iteration from there find its
+    eigenvector, and the reflections carry that back.  The estimate only
+    chooses where the exact search of _enclosures starts.
     """
     n = len(N)
     top = max(abs(q) for row in N for q in row)
     a = [[q / top for q in row] for row in N]
-    diag, off2 = [], [0.0]
+    diag, off, reflections = [], [0.0], []
     for k in range(n - 1):
-        x = [a[i][k] for i in range(k + 1, n)]
+        diag.append(a[0][0])
+        x, a = a[0][1:], [row[1:] for row in a[1:]]
         s = hypot(*x)
-        diag.append(a[k][k])
-        off2.append(s * s)
-        if k == n - 2 or s == 0:
+        if len(x) == 1 or s == 0:
+            off.append(x[0])
             continue
-        # H = I - v v^T / h maps x to -sign(x_0) s e_0; A <- H A H on rows/columns > k
+        # H = I - v v^T / h maps x to -sign(x_0) s e_0; a <- H a H
         v = [x[0] + copysign(s, x[0])] + x[1:]
         h = s * (s + abs(x[0]))
-        rows = range(k + 1, n)
-        p = [sum(map(mul, a[i][k + 1:], v)) / h for i in rows]
+        off.append(-copysign(s, x[0]))
+        reflections.append((k + 1, v, h))
+        p = [sum(map(mul, row, v)) / h for row in a]
         K = sum(map(mul, v, p)) / (2 * h)
         w = [pi - K * vi for pi, vi in zip(p, v)]
-        for i, vi, wi in zip(rows, v, w):
-            a[i][k + 1:] = [q - vi * wj - wi * vj for q, vj, wj in zip(a[i][k + 1:], v, w)]
-    diag.append(a[n - 1][n - 1])
+        a = [[q - vi * wj - wi * vj for q, vj, wj in zip(row, v, w)] for row, vi, wi in zip(a, v, w)]
+    diag.append(a[0][0])
 
     def count(t: float) -> int:
         """Eigenvalues below t: negative pivots of the tridiagonal minus t I."""
         c, q = 0, 1.0
-        for dk, ek in zip(diag, off2):
-            q = dk - t - ek / q
-            if q < 0:
-                c += 1
-            elif q == 0:
-                q = 1e-300
+        for dk, ek in zip(diag, off):
+            q = dk - t - ek * ek / q or 1e-300
+            c += q < 0
         return c
 
-    unit = (top << E) / T  # grid units per scaled unit
-
-    def eigenvalue(k: int) -> float:
-        """The k-th smallest, in grid units."""
-        lo, hi = 0.0, float(n)  # N / top is definite with entries in [-1, 1]
-        while (hi - lo) * unit > 0.25 and lo < (lo + hi) / 2 < hi:
+    def vector(k: int, lo: float, hi: float) -> list[int]:
+        """Eigenvector of the k-th smallest eigenvalue (in [lo, hi]), to 2^-20 of its largest entry."""
+        for _ in range(12):
             mid = (lo + hi) / 2
-            if count(mid) > k:
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2 * unit
+            lo, hi = (lo, mid) if count(mid) > k else (mid, hi)
+        t, y = (lo + hi) / 2, [1.0 + i / n for i in range(n)]  # not all ones: see [[2, 1], [1, 2]]
+        for _ in range(3):
+            # y <- (tridiagonal - t I)^-1 y, unpivoted, a zero pivot made tiny
+            p = [diag[0] - t or 1e-300]
+            for i in range(1, n):
+                r = off[i] / p[-1]
+                p.append(diag[i] - t - r * off[i] or 1e-300)
+                y[i] -= r * y[i - 1]
+            y[n - 1] /= p[n - 1]
+            for i in range(n - 2, -1, -1):
+                y[i] = (y[i] - off[i + 1] * y[i + 1]) / p[i]
+            m = max(map(abs, y))
+            y = [c / m for c in y]
+        for j, v, h in reversed(reflections):
+            f = sum(map(mul, y[j:], v)) / h
+            y[j:] = [c - f * vi for c, vi in zip(y[j:], v)]
+        m = 2**20 / max(map(abs, y))
+        return [round(c * m) for c in y]
 
-    return eigenvalue(0), eigenvalue(n - 1)
+    # lambda_min <= the least diagonal entry <= the largest <= lambda_max <= a Gershgorin bound
+    gershgorin = max(map(lambda dk, e, f: dk + abs(e) + abs(f), diag, off, off[1:] + [0.0]))
+    return vector(0, 0.0, min(diag)), vector(n - 1, max(diag), gershgorin)
 
 
 def exact_frame_solve(F: ExactFrame) -> ExactFrame:
-    """F, with its bound enclosure and inverse computed."""
-    F.bounds_enclosure, F.inverse
+    """F, with its inverse computed; its bound enclosure was computed with F."""
+    F.inverse
     return F
 
 

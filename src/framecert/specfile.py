@@ -71,34 +71,35 @@ class LoadedSpec(Immutable):
 def parse_rational(value, field: str) -> Fraction:
     """Rational from "p/q" (or "p") with q != 0, or a JSON integer."""
     try:
-        return _rational(value)
+        return Fraction(_rational(value))
     except TypeError:
         raise SpecFileError(f"{field}: expected a rational string, got {value!r}") from None
     except (ValueError, ZeroDivisionError) as e:
         raise SpecFileError(f"{field}: invalid rational {value!r} ({e})") from None
 
 
-def _rational(value) -> Fraction:
-    """:func:`parse_rational` without the field: TypeError for a value that
-    is neither a string nor an integer, ValueError or ZeroDivisionError for
-    a string that is not a rational.  ASCII "-?digits" and "-?digits/digits"
-    with a nonzero denominator are read by int(); every other string by
-    Fraction, which so decides what is accepted and the error text."""
+def _rational(value) -> int | Fraction:
+    """:func:`parse_rational` without the field, an int for an integer or
+    ASCII "-?digits": TypeError for a value that is neither a string nor an
+    integer, ValueError or ZeroDivisionError for a string that is not a
+    rational.  "-?digits/digits" with a nonzero denominator is read by int(),
+    every other string by Fraction, which so decides what is accepted and the error text."""
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num)
             if den.isascii() and den.isdigit() and den.strip("0"):
                 return Fraction(int(num), int(den))
         return Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     raise TypeError(value)
 
 
 def parse_matrix(value, field: str):
+    """Non-empty rows of equal length; an entry is an int where it is one."""
     if not isinstance(value, list) or not value:
         raise SpecFileError(f"{field}: expected a non-empty list of rows")
     rows = []

@@ -91,6 +91,25 @@ class TestSpecParsing:
         with pytest.raises(SpecFileError, match=re.escape("M[0][1]: expected a rational string, got True")):
             parse_matrix([["1", True, "x"]], "M")
 
+    def test_matrix_reads_integer_text_as_int(self):
+        # parse_rational still returns a Fraction for the same text
+        assert parse_matrix([["-2", "-3/6"]], "M") == [[Fraction(-2), Fraction(-1, 2)]]
+        assert [type(q) for q in parse_matrix([["-2", "-3/6", 7]], "M")[0]] == [int, Fraction, int]
+        assert type(parse_rational("-2", "x")) is Fraction
+
+    @pytest.mark.parametrize("fixture", ["operator_spanning.json", "riesz_shear.json"])
+    @pytest.mark.parametrize("argv", [["bounds"], ["dual", "-p", "20"], ["analyze", "--vector", "0:2,1:-1/3"],
+                                      ["verify", "--suite", "projection"]], ids=" ".join)
+    def test_integer_entries_print_as_their_fractions(self, tmp_path, fixture, argv):
+        # the spec with every integer entry written "n/1" is read into Fractions
+        doc = json.loads((FIXTURES / fixture).read_text())
+        for key in ("matrix", "T", "T_inv"):
+            if key in doc:
+                doc[key] = [[q if "/" in q else f"{q}/1" for q in row] for row in doc[key]]
+        as_fractions = tmp_path / fixture
+        as_fractions.write_text(json.dumps(doc))
+        assert run_cli(argv[0], str(as_fractions), *argv[1:]) == run_cli(argv[0], str(FIXTURES / fixture), *argv[1:])
+
     def test_vector_text(self):
         v = parse_vector_text("0:1/2, 3:-2")
         assert v.coefficient(0) == Fraction(1, 2)

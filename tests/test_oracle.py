@@ -1,8 +1,13 @@
 import json
 import math
 import random
+import re
+import tempfile
+from contextlib import redirect_stderr
 from fractions import Fraction
+from io import StringIO
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,8 +27,9 @@ from framecert.oracle import (
     mat_inv,
     projection_matrix,
 )
+from framecert.specfile import InvalidFrameError, load_spec
 from framecert.vectors import FiniteVector
-from fraction_matrices import cofactor_det, mat_mul, mat_vec
+from fraction_matrices import cofactor_det, ldlt_positive_definite, mat_mul, mat_vec
 from test_cli_golden import COMMANDS, run
 from test_oracle_golden import seeded_S
 
@@ -43,6 +49,10 @@ def definite(m, strict: bool) -> bool:
 def shift(S, lam):
     """S - lam*I."""
     return [[q - lam * (i == j) for j, q in enumerate(row)] for i, row in enumerate(S)]
+
+
+def negated(m):
+    return [[-q for q in row] for row in m]
 
 
 class TestExactFrame:
@@ -102,6 +112,12 @@ class TestEigenvalueEnclosures:
         )
         assert am < Fraction(1, 4) <= ap
         assert bm <= 5 < bp
+
+    @pytest.mark.parametrize("S", [[[-1]], [[0]], [[-5, 0], [0, 1]], [[1, 2], [2, 1]], [[0, 0], [0, 3]]])
+    def test_refuses_matrices_not_positive_definite(self, S):
+        # traces -1, 0, -4 (no grid to search), then an indefinite and a singular one
+        with pytest.raises(NonSpanningError, match="^frame operator is not positive definite$"):
+            eigenvalue_enclosures([[Fraction(q) for q in row] for row in S])
 
     def test_soundness_outer_endpoints(self):
         # det(S - lam I) has a determined sign outside the spectrum
@@ -320,6 +336,45 @@ def test_exact_frame_spans_iff_some_full_minor(vecs):
             ExactFrame(vecs)
 
 
+@st.composite
+def non_spanning_vectors(draw):
+    """Vectors in Q^d, d = 1..8, that do not span it: in a drawn hyperplane,
+    or fewer than d vectors repeated; either with a zero vector among them."""
+    d = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # v - (v.u / u.u) u is orthogonal to the drawn normal u != 0
+        u = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any))
+        vecs = []
+        for _ in range(draw(st.integers(1, d + 3))):
+            v = [draw(entries) for _ in range(d)]
+            c = sum((a * b for a, b in zip(v, u)), Fraction(0)) / sum(b * b for b in u)
+            vecs.append([a - c * b for a, b in zip(v, u)])
+    else:
+        base = [[draw(entries) for _ in range(d)] for _ in range(draw(st.integers(0, d - 1)))]
+        vecs = base * draw(st.integers(1, 3))
+    if not vecs or draw(st.booleans()):
+        vecs.insert(draw(st.integers(0, len(vecs))), [Fraction(0)] * d)
+    return vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_spanning_vectors())
+def test_non_spanning_frames_are_refused(vecs):
+    # the enclosure search decides the span: each reader refuses with its own message
+    d = len(vecs[0])
+    with pytest.raises(NonSpanningError, match=f"^{re.escape(f'vectors do not span Q^{d}')}$"):
+        ExactFrame(vecs)
+    S = [[sum((v[i] * v[j] for v in vecs), Fraction(0)) for j in range(d)] for i in range(d)]
+    with pytest.raises(NonSpanningError, match="^frame operator is not positive definite$"):
+        eigenvalue_enclosures(S)
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err):
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps({"kind": "finite", "vectors": [[str(q) for q in v] for v in vecs]}))
+        assert main(["bounds", str(spec)]) == 3
+    assert err.getvalue() == f"error: invalid frame: vectors do not span Q^{d}\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(vector_lists(), st.data())
 def test_frame_bounds_hold_matches_shifted_frame_operator(vecs, data):
@@ -403,9 +458,13 @@ def diagonal_on_grid(draw):
 @settings(max_examples=200, deadline=None)
 @given(spanning_frames())
 def test_enclosures_match_bisection_on_frames(F):
-    expected = bisected_enclosures(F.S)
-    assert eigenvalue_enclosures(F.S) == expected == F.bounds_enclosure
-    assert expected[0] > 0
+    S = F.S
+    am, ap, bm, bp = expected = bisected_enclosures(S)
+    assert eigenvalue_enclosures(S) == expected == F.bounds_enclosure
+    assert am > 0
+    # bisected_enclosures shares _bareiss with the search; LDL^T in Fractions does not
+    assert ldlt_positive_definite(shift(S, am)) and not ldlt_positive_definite(shift(S, ap))
+    assert ldlt_positive_definite(negated(shift(S, bp))) and not ldlt_positive_definite(negated(shift(S, bm)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -424,20 +483,32 @@ HINT_MATRICES = [
     seeded_S(6, rational=True),
 ]
 
-# start indices as functions of the level E
-HINTS = {"0": lambda E: 0.0, "-1": lambda E: -1.0, "2^E-1": lambda E: float(2**E - 1),
-         "2^E": lambda E: float(2**E), "nan": lambda E: math.nan,
-         "inf": lambda E: math.inf, "-inf": lambda E: -math.inf,
-         "raises": lambda E: 1 / 0.0}
+# fake witness pairs (lambda_min side, lambda_max side) as functions of N;
+# "swapped" and "2^1000" wrap the real estimate
+REAL_ESTIMATE = oracle._estimate
+WITNESSES = {
+    "0": lambda N: ([0] * len(N),) * 2,  # no witness
+    "e_0": lambda N: ([1] + [0] * (len(N) - 1),) * 2,
+    # the all-ones line is orthogonal to the lambda_min eigenvector (1, -1) of [[2, 1], [1, 2]]
+    "-1": lambda N: ([-1] * len(N),) * 2,
+    "swapped": lambda N: REAL_ESTIMATE(N)[::-1],
+    "2^1000": lambda N: tuple([(x << 980) + 1 for x in w] for w in REAL_ESTIMATE(N)),
+    "nan": lambda N: ([math.nan] * len(N),) * 2,
+    "inf": lambda N: ([math.inf] * len(N),) * 2,
+    "-inf": lambda N: ([1] * (len(N) - 1) + [-math.inf],) * 2,
+    "raises": lambda N: 1 / 0.0,
+}
 
 
-@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("hint", WITNESSES)
 @pytest.mark.parametrize("k", range(len(HINT_MATRICES)))
 def test_enclosures_do_not_depend_on_the_estimate(monkeypatch, hint, k):
     S = HINT_MATRICES[k]
     expected = eigenvalue_enclosures(S)
-    monkeypatch.setattr(oracle, "_estimate", lambda N, T, E: (HINTS[hint](E),) * 2)
+    monkeypatch.setattr(oracle, "_estimate", WITNESSES[hint])
     assert eigenvalue_enclosures(S) == expected == bisected_enclosures(S)
+    F = ExactFrame(S)  # the frame of S's rows: its span is decided with the fake too
+    assert F.bounds_enclosure == bisected_enclosures(F.S)
 
 
 def test_enclosures_when_the_estimate_underflows(tmp_path, capsys):
@@ -476,12 +547,26 @@ def test_lambda_min_below_one_grid_step_is_certified(tmp_path, capsys, small):
 
 @pytest.mark.parametrize("d", [8, 12, 16])
 def test_enclosures_take_few_eliminations(monkeypatch, d):
-    # plain bisection takes 65, 67 and 69 here
+    # plain bisection takes 65, 67 and 69 here; the witnesses leave one
+    # elimination per side, and the search decides the span with them
     calls = []
     bareiss = oracle._bareiss
     monkeypatch.setattr(oracle, "_bareiss", lambda *a, **k: calls.append(1) or bareiss(*a, **k))
     eigenvalue_enclosures(seeded_S(d, rational=False))
-    assert len(calls) <= 6
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("fixture", ["mercedes.json", "scaled_frame.json", "non_spanning.json"])
+def test_finite_loads_take_two_eliminations(monkeypatch, fixture):
+    # loading a finite spec decides its span and both bounds in one search
+    calls = []
+    bareiss = oracle._bareiss
+    monkeypatch.setattr(oracle, "_bareiss", lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    try:
+        load_spec(f"fixtures/{fixture}").section.bounds_enclosure
+    except InvalidFrameError:
+        assert fixture == "non_spanning.json"
+    assert len(calls) <= 2
 
 
 # -- the integer form: a frame is cleared once, and its readers agree ----
