@@ -12,8 +12,9 @@ A certified frame whose data certify the pseudo-inverse T+ = T* S^-1 of
 its synthesis operator carries it, with its adjoint (``pinv``): a Riesz
 basis (T^-1, checked at load) and the benign gallery frame (U^-1,
 explicit).  There T+ f is one application, S^-1 = (T+)* T+, and the
-canonical dual is read off.  A finite vector on a finite section is
-solved exactly.  Otherwise S^-1 f is computed by one driver,
+canonical dual is read off.  A finite section solves every name of f
+exactly: a finite vector at once, any other name with one integer
+product per stage.  Otherwise S^-1 f is computed by one driver,
 :func:`_conjugate_gradients`, behind :func:`frame_algorithm` (always)
 and the stages of :func:`inverse_apply`: one loop of conjugate
 gradients in fixed point, restarted from the true residual, that
@@ -69,8 +70,9 @@ class CertifiedFrame(Frame):
     It takes the synthesis operator and bounds of ``frame`` as they are,
     so both frames share one element memo.  ``finite_section`` optionally
     carries the exact rational vectors of an embedded finite-dimensional
-    frame: :func:`inverse_apply` solves finite vectors on it exactly, and
-    the verify suites compare with its exact projection.  ``pinv``
+    frame: :func:`inverse_apply` solves every signal on it exactly, a name
+    that is not a finite vector stage by stage, and the verify suites
+    compare with its exact projection.  ``pinv``
     optionally carries (V, V*): V = T+ = T* S^-1, the pseudo-inverse of
     the synthesis operator T, as a certificate of the frame's data; the
     solvers then apply it instead of running the driver.  Neither is
@@ -506,21 +508,28 @@ def _columns(S: OperatorName):
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
-    """Genuine name of S^-1 f: stage k is a frame-algorithm run at target >= k.
+    """Genuine name of S^-1 f, with ||S^-1 f|| <= ||f||/A bounding it beforehand.
 
-    A finite f on a frame with a finite section is solved exactly; its
+    On a frame with a finite section every f is solved exactly, and its
     coordinates from the section's dimension d on lie outside the frame's
-    space and are dropped.  A frame carrying (V, V*) = (T+, (T+)*) gives
-    V* V f, as S^-1 = (T+)* T+.  Otherwise nothing runs until a stage is read
-    (||S^-1 f|| <= ||f||/A bounds it beforehand), and coefficients and
-    norm are read from the stages.  Stage k is the run at the smallest
-    target t >= k already computed, being within 2^-t <= 2^-k; without
-    one, a certified run at target k (:func:`_conjugate_gradients`)
-    starts from the finest run computed so far.
+    space and are dropped: a finite f at once, any other f at stage k as
+    ``section.solve`` of f truncated within A 2^-k, one integer product
+    within ||S^-1|| A 2^-k <= 2^-k.  A frame carrying (V, V*) = (T+,
+    (T+)*) gives V* V f, as S^-1 = (T+)* T+.  Otherwise stage k is a
+    frame-algorithm run at target >= k, and nothing runs until a stage is
+    read: the run at the smallest target t >= k already computed, being
+    within 2^-t <= 2^-k; without one, a certified run at target k
+    (:func:`_conjugate_gradients`) starts from the finest run computed so
+    far.  Coefficients and norm are read from the stages.
     """
     section = CF.finite_section
-    if section is not None and f.finite is not None:
-        return VectorName.from_finite(section.solve(f.finite))
+    if section is not None:
+        if f.finite is not None:
+            return VectorName.from_finite(section.solve(f.finite))
+        A = section.lower
+        return VectorName.from_stage(
+            lambda k: section.solve(truncate(f, A / (1 << k))[0]), f.norm.mag / A, section.d
+        )
     if CF.pinv is not None:
         V, Vstar = CF.pinv
         return apply(Vstar, apply(V, f))
@@ -538,9 +547,7 @@ def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
                 cache[k], _ = _conjugate_gradients(CF, f, g, k)
         return cache[k]
 
-    return VectorName.from_stage(
-        stage, f.norm.mag / CF.lower, None if section is None else section.d
-    )
+    return VectorName.from_stage(stage, f.norm.mag / CF.lower)
 
 
 # -- representation converters and recovery ---------------------------

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .dyadic import Immutable
 from .realnames import RealName, _memoized
-from .vectors import FiniteVector, VectorName, exact_combo, finite_stage, linear_combo, truncate
+from .vectors import FiniteVector, VectorName, exact_combo, finite_stage, linear_combo, on_grid, truncate
 
 
 class OperatorName(Immutable):
@@ -54,7 +54,11 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
     of x's integer numerators over finite columns, else :func:`linear_combo`.
 
     For any other x, stage k truncates x within 2^-(k+1)/||U|| and combines
-    the columns within 2^-(k+1), so it lies within 2^-k of Ux.
+    the columns within 2^-(k+1), so it lies within 2^-k of Ux: by
+    :func:`finite_stage`, or, when every column the truncation v needs is
+    finite, as one integer combination of v's numerators over its
+    denominator (the :func:`exact_combo` rule) rounded by :func:`on_grid`,
+    which equals what :func:`finite_stage` computes from those terms.
     """
     if U.norm_bound == 0:
         return VectorName.zero()
@@ -65,8 +69,11 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
 
     def stage(k: int) -> FiniteVector:
         v, _ = truncate(x, Fraction(1, 1 << (k + 1)) / U.norm_bound)
+        cols = [(n, U.col(i)) for i, n in v.nums.items()]
+        if all(c.finite is not None for _, c in cols):
+            return on_grid(FiniteVector.combination(((n, c.finite) for n, c in cols), v.den), k + 1)
         return finite_stage(
-            [(RealName.from_fraction(q), U.col(i)) for i, q in v.entries], k + 1
+            [(RealName.from_fraction(Fraction(n, v.den)), c) for n, c in cols], k + 1
         )
 
     return VectorName.from_stage(stage, U.norm_bound * x.norm.mag, U.support_bound)

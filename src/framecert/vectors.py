@@ -249,7 +249,9 @@ class VectorName(Immutable):
 
     @staticmethod
     def basis(i: int) -> "VectorName":
-        return VectorName.from_finite(FiniteVector([(i, Fraction(1))]))
+        if i < 0:
+            raise ValueError("negative index in finite vector")
+        return VectorName.from_finite(FiniteVector.over(((i, 1),)))
 
     @staticmethod
     def zero() -> "VectorName":
@@ -393,10 +395,9 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
 
     Each term gets budget (3/4) 2^-j / len(terms): an exact scalar is
     used as is, and any other is rounded so that |s - sd| (||v|| + e) +
-    |s| e stays within it, for a truncation of v within e.  A combination
-    with N nonzero entries and a denominator above 2^g, g = j + 1 +
-    clog2(isqrt(N) + 2), is rounded onto 2^-g, within sqrt(N) 2^-(g+1) <
-    2^-j / 4, so nested stages do not pile up their scalars' bits.
+    |s| e stays within it, for a truncation of v within e.  The
+    combination is rounded by :func:`on_grid`, within 2^-j / 4, so nested
+    stages do not pile up their scalars' bits.
     """
     if not terms:
         return FiniteVector()
@@ -407,7 +408,13 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
         if sd is None:
             sd = s.approx(max(0, clog2(2 * (v.norm.mag + 1) / half))).as_fraction()
         parts.append((sd, truncate(v, half / (s.mag + 1))[0]))
-    v = FiniteVector.combination(parts)
+    return on_grid(FiniteVector.combination(parts), j)
+
+
+def on_grid(v: FiniteVector, j: int) -> FiniteVector:
+    """v as a stage within 2^-j / 4 of it: v itself when its denominator is
+    at most 2^g, g = j + 1 + clog2(isqrt(N) + 2) for its N nonzero entries,
+    else its entries rounded onto 2^-g, within sqrt(N) 2^-(g+1) < 2^-j / 4."""
     g = j + 1 + clog2(isqrt(len(v.nums)) + 2)
     if v.den <= 1 << g:
         return v

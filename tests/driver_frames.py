@@ -1,10 +1,11 @@
-"""Two fixture frames built without the certified pseudo-inverse.
+"""Fixture frames built without their certified inverse.
 
 ``riesz_shear.json`` and the benign gallery frame carry (T+, (T+)*) when
-loaded, so ``inverse_apply`` on them applies it.  Built here with the
-same elements, bounds and analysis operator but no ``pinv``, they keep
-running the conjugate-gradient driver, which the tests that pin its runs
-and its integers need.
+loaded, and a finite spec carries its exact section, so ``inverse_apply``
+on them applies the one or solves on the other.  Built here with the
+same elements, bounds and analysis operator but neither ``pinv`` nor a
+section, they keep running the conjugate-gradient driver, which the
+tests that pin its runs and its integers need.
 """
 
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 from framecert.frames import CertifiedFrame, Frame
 from framecert.gallery import benign_sequence, example_upper_row, upper_row_bounds, upper_row_frame
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
-from framecert.specfile import parse_matrix
+from framecert.specfile import load_spec, parse_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,3 +33,10 @@ def benign_by_driver() -> CertifiedFrame:
     return CertifiedFrame(
         Frame(example_upper_row(g).col, *upper_row_bounds(g)), upper_row_frame(g).analysis_op
     )
+
+
+def finite_by_driver(name: str) -> CertifiedFrame:
+    """The frame of the finite spec ``name``.json, its elements with its analysis
+    operator and no section."""
+    CF = load_spec(str(FIXTURES / f"{name}.json")).certified
+    return CertifiedFrame(CF, CF.analysis_op)

@@ -7,11 +7,11 @@ denominator and step count of ``frame_algorithm`` at p = 20, 64, 128 and
 first is warm-started).  The frames cover integer columns (Mercedes,
 Riesz shear), columns over 18 and 2 (scaled frame), dyadic stages (the
 benign gallery frame) and declared bounds that a step refutes.  Riesz
-shear and the benign frame are built without their pseudo-inverse, so
-that ``inverse_apply`` runs the driver on them too.  The
-signal is given by its stage alone, so that ``inverse_apply`` runs the
-driver on finite sections too.  A faster kernel must reproduce every
-integer; a change of output must record the file again and say why.
+shear and the benign frame are built without their pseudo-inverse, and
+Mercedes and the scaled frame without their finite section, so that
+``inverse_apply`` runs the driver on them too.  The signal is given by
+its stage alone.  A faster kernel must reproduce every integer; a change
+of output must record the file again and say why.
 
 Record again with ``PYTHONPATH=src python tests/test_driver_golden.py``.
 """
@@ -25,7 +25,7 @@ import pytest
 from framecert.frames import FalseBoundsError, frame_algorithm, inverse_apply
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
-from driver_frames import benign_by_driver, riesz_shear_by_driver
+from driver_frames import benign_by_driver, finite_by_driver, riesz_shear_by_driver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "driver_golden.json"
@@ -40,9 +40,9 @@ def fixture(name: str):
 
 # each frame, built afresh per run, and its signal's entries
 FRAMES = {
-    "mercedes": (fixture("mercedes"), "0:1 1:-1/3 2:2/7"),
+    "mercedes": (lambda: finite_by_driver("mercedes"), "0:1 1:-1/3 2:2/7"),
     "riesz_shear": (riesz_shear_by_driver, "0:1 1:-1/3 2:2/7"),
-    "scaled_frame": (fixture("scaled_frame"), "0:1 1:-1/3 2:2/7"),
+    "scaled_frame": (lambda: finite_by_driver("scaled_frame"), "0:1 1:-1/3 2:2/7"),
     "benign": (benign_by_driver, "0:1 1:-1/3 2:2/7"),
     # a signal on which the first run's steps already refute the bounds
     "refuted_bounds": (fixture("refuted_bounds"), "0:3/7 1:-9/8 2:-1/4"),
@@ -87,6 +87,13 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exis
 
 def test_every_frame_is_recorded():
     assert sorted(GOLDEN) == sorted(FRAMES)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_every_ladder_runs_the_driver(name):
+    # a section or a pseudo-inverse would answer the ladder without a run
+    CF = FRAMES[name][0]()
+    assert CF.finite_section is None and CF.pinv is None
 
 
 def test_refuted_bounds_are_recorded_as_refuted():

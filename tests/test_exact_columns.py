@@ -33,7 +33,7 @@ from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName
 from framecert.verify import max_iterations
-from driver_frames import benign_by_driver, riesz_shear_by_driver
+from driver_frames import benign_by_driver, finite_by_driver, riesz_shear_by_driver
 from fraction_matrices import cofactor_det, mat_mul, mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -274,17 +274,17 @@ def test_sequence_stage_rounds_inexact_terms():
 # -- one frame operator per frame ------------------------------------
 
 
-# the Riesz and benign frames without their pseudo-inverse, so that
-# inverse_apply runs the driver on them
+# Mercedes without its finite section, and the Riesz and benign frames
+# without their pseudo-inverse, so that inverse_apply runs the driver on them
 SHARED = {
-    "mercedes": lambda: load_spec(str(FIXTURES / "mercedes.json")).certified,
+    "mercedes": lambda: finite_by_driver("mercedes"),
     "riesz-shear": riesz_shear_by_driver,
     "benign": benign_by_driver,
 }
 
 
 def staged_signal() -> VectorName:
-    """(1, -1/3) given by its stage alone, so the driver runs on a finite section too."""
+    """(1, -1/3) given by its stage alone, not as a finite vector."""
     v = FiniteVector.parse("0:1 1:-1/3")
     return VectorName.from_stage(lambda k: v, Fraction(4, 3))
 
@@ -301,6 +301,7 @@ def test_runs_share_the_frame_operator(label, monkeypatch):
     # column, and every stage of a column that is not finite, from the
     # first ones, and see the same values
     CF = SHARED[label]()
+    assert CF.finite_section is None and CF.pinv is None
     assert frames.frame_operator(CF) is frames.frame_operator(CF)
     f = staged_signal()
     first = solve_and_ladder(CF, f)

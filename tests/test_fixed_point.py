@@ -73,7 +73,7 @@ def err_sq(v: FiniteVector, exact: list[Fraction]) -> Fraction:
 
 
 def hidden(q: Fraction) -> RealName:
-    """A name of q that hides its exact value, so inverse_apply iterates."""
+    """A name of q that hides its exact value."""
     return RealName(lambda n: round_fraction(q, n), abs(q))
 
 
@@ -90,9 +90,10 @@ def finite_cases(draw):
     CF, section = draw(spanning_frames(entry=st.integers(min_value=-3, max_value=3) | rationals))
     f = signal(draw, section.d)
     exact = mat_vec(mat_inv(section.S), f)
-    # hidden entries make inverse_apply iterate instead of solving exactly
+    # without its section the frame leaves inverse_apply to the driver, and
+    # hidden entries keep the signal from being a finite vector
     fv = linear_combo([(hidden(q), VectorName.basis(i)) for i, q in enumerate(f)])
-    return CF, fv, lambda v: err_sq(v, exact)
+    return CertifiedFrame(CF, CF.analysis_op), fv, lambda v: err_sq(v, exact)
 
 
 def staged_beyond(CF: CertifiedFrame, d: int) -> CertifiedFrame:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert.operators import (
@@ -9,12 +11,16 @@ from framecert.operators import (
     compose,
     finite_columns,
 )
+from framecert.gallery import benign_sequence, upper_row_frame
 from framecert.realnames import RealName
+from framecert.specfile import load_spec
 from framecert.vectors import (
     FiniteVector,
     VectorName,
+    finite_stage,
     sqrt_of_fraction,
     linear_combo,
+    truncate,
 )
 from test_vectors import from_model, models
 
@@ -238,3 +244,40 @@ def test_apply_finite_over_mixed_columns_is_staged(x, cols, data):
         assert y.stage(j) == by_names.stage(j)
         gap = FiniteVector.combination([(1, y.stage(j)), (-1, want)])
         assert gap.norm_squared() <= Fraction(1, 4**j)
+
+
+# -- a staged input over finite columns: one integer combination ------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+FINITE_COLUMN_OPERATORS = {
+    "mercedes T*": lambda: load_spec(str(FIXTURES / "mercedes.json")).certified.analysis_op,
+    "riesz_shear T^-1": lambda: load_spec(str(FIXTURES / "riesz_shear.json")).certified.pinv[0],
+    "benign U^-1": lambda: upper_row_frame(benign_sequence()).pinv[0],
+}
+
+
+def staged_inputs() -> list[VectorName]:
+    """A finite vector with non-dyadic entries given by its stage alone, and
+    x_i = 3^-i given by stage k = (x_0, ..., x_k), within 3^-(k+1) (9/8)^(1/2)
+    <= 2^-k of x."""
+    v = FiniteVector.parse("0:1 1:-1/3 2:2/7 4:5")
+    return [
+        VectorName.from_stage(lambda k: v, Fraction(7)),
+        VectorName.from_stage(lambda k: FiniteVector([(i, Fraction(1, 3**i)) for i in range(k + 1)]), Fraction(2)),
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(FINITE_COLUMN_OPERATORS))
+def test_apply_stage_over_finite_columns_equals_finite_stage(label):
+    # the integer combination rounds as finite_stage does from the
+    # truncation's entries as exact scalars: the same nums and den
+    U = FINITE_COLUMN_OPERATORS[label]()
+    for x in staged_inputs():
+        y = apply(U, x)
+        for k in range(81):
+            v, _ = truncate(x, Fraction(1, 1 << (k + 1)) / U.norm_bound)
+            assert all(U.col(i).finite is not None for i in v.nums)
+            old = finite_stage([(RealName.from_fraction(q), U.col(i)) for i, q in v.entries], k + 1)
+            new = y.stage(k)
+            assert (dict(new.nums), new.den) == (dict(old.nums), old.den), (label, k)

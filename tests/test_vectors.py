@@ -132,6 +132,14 @@ def test_numerators_are_read_only():
         assert v == FiniteVector.parse("0:1/2")
 
 
+def test_basis_is_the_exact_unit_vector():
+    for i in (0, 1, 7, 200):
+        e = VectorName.basis(i)
+        assert e.finite == FiniteVector([(i, 1)]) and e.support_bound == i + 1
+    with pytest.raises(ValueError):
+        VectorName.basis(-1)
+
+
 class TestTailNorm:
     def test_basis_vector_tails(self):
         e0 = VectorName.basis(0)
