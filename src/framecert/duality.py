@@ -83,8 +83,7 @@ def canonical_dual(CF: CertifiedFrame) -> CertifiedFrame:
     <= ||f||^2 / A bounds its norm.  A frame carrying (V, V*) = (T+,
     (T+)*) gives the dual at once: its elements are the columns of V* =
     S^-1 T and its analysis operator is V.  Otherwise the oracles run
-    :func:`inverse_apply`, which on a frame with a finite section reaches
-    the exact solve.
+    :func:`inverse_apply`.
     """
     A, B = CF.lower, CF.upper
     if CF.pinv is not None:

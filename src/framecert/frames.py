@@ -9,18 +9,17 @@ available (a :class:`WeakVectorName`): the type system encodes the
 boundary between what is and is not computable from frame data alone.
 
 A certified frame whose data certify the pseudo-inverse T+ = T* S^-1 of
-its synthesis operator carries it, with its adjoint (``pinv``): a Riesz
-basis (T^-1, checked at load) and the benign gallery frame (U^-1,
-explicit).  There T+ f is one application, S^-1 = (T+)* T+, and the
-canonical dual is read off.  A finite section solves every name of f
-exactly: a finite vector at once, any other name with one integer
-product per stage.  Otherwise S^-1 f is computed by one driver,
-:func:`_conjugate_gradients`, behind :func:`frame_algorithm` (always)
-and the stages of :func:`inverse_apply`: one loop of conjugate
-gradients in fixed point, restarted from the true residual, that
-returns an iterate only once an exact residual certificate holds.  A
-step that refutes S = S* with A <= S <= B, or a run that spends its
-proved step budget, raises :class:`FalseBoundsError`.
+its synthesis operator carries it, with its adjoint (``pinv``): the
+orthonormal and doubled bases (I, T*/2), an embedded finite frame (read
+off its exact canonical dual), a Riesz basis (T^-1, checked at load) and
+the benign gallery frame (U^-1).  There T+ f is one application, S^-1 =
+(T+)* T+, and the canonical dual is read off.  Otherwise S^-1 f is
+computed by one driver, :func:`_conjugate_gradients`, behind
+:func:`frame_algorithm` (always) and the stages of :func:`inverse_apply`:
+one loop of conjugate gradients in fixed point, restarted from the true
+residual, that returns an iterate only once an exact residual
+certificate holds.  A step that refutes S = S* with A <= S <= B, or a
+run that spends its proved step budget, raises :class:`FalseBoundsError`.
 """
 
 from __future__ import annotations
@@ -68,17 +67,14 @@ class CertifiedFrame(Frame):
     """A frame that also carries an operator name for its analysis operator T*.
 
     It takes the synthesis operator and bounds of ``frame`` as they are,
-    so both frames share one element memo.  ``finite_section`` optionally
-    carries the exact rational vectors of an embedded finite-dimensional
-    frame: :func:`inverse_apply` solves every signal on it exactly, a name
-    that is not a finite vector stage by stage, and the verify suites
-    compare with its exact projection.  ``pinv``
-    optionally carries (V, V*): V = T+ = T* S^-1, the pseudo-inverse of
-    the synthesis operator T, as a certificate of the frame's data; the
-    solvers then apply it instead of running the driver.  Neither is
-    taken from ``frame``, so a frame built with another analysis operator
-    has none.  The frame keeps S once :func:`frame_operator` builds it,
-    so every solver run on it shares S's columns and stages.
+    so both frames share one element memo.  ``pinv`` optionally carries
+    (V, V*), V = T+ = T* S^-1, as a certificate of the frame's data: the
+    solvers apply it instead of running the driver.  ``finite_section``
+    optionally carries an embedded finite frame's exact vectors, the
+    ground truth of the verify suites' exact lines.  Neither is taken from
+    ``frame``, so a frame built with another analysis operator has none.
+    The frame keeps S once :func:`frame_operator` builds it, so every
+    solver run on it shares S's columns and stages.
     """
 
     __slots__ = ("analysis_op", "finite_section", "pinv", "_S")
@@ -129,10 +125,10 @@ class FrameCoeffName(VectorName):
 
 
 def frame_from_onb() -> CertifiedFrame:
-    """The orthonormal frame (e_i): A = B = 1, analysis = identity; its
-    elements are the identity's columns, one memo of the basis."""
+    """The orthonormal frame (e_i): A = B = 1, analysis = identity = T+;
+    its elements are the identity's columns, one memo of the basis."""
     I = OperatorName.identity()
-    return CertifiedFrame(Frame(I.col, 1, 1), I)
+    return CertifiedFrame(Frame(I.col, 1, 1), I, pinv=(I, I))
 
 
 def frame_from_operator(
@@ -510,26 +506,14 @@ def _columns(S: OperatorName):
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:
     """Genuine name of S^-1 f, with ||S^-1 f|| <= ||f||/A bounding it beforehand.
 
-    On a frame with a finite section every f is solved exactly, and its
-    coordinates from the section's dimension d on lie outside the frame's
-    space and are dropped: a finite f at once, any other f at stage k as
-    ``section.solve`` of f truncated within A 2^-k, one integer product
-    within ||S^-1|| A 2^-k <= 2^-k.  A frame carrying (V, V*) = (T+,
-    (T+)*) gives V* V f, as S^-1 = (T+)* T+.  Otherwise stage k is a
+    A frame carrying (V, V*) = (T+, (T+)*) gives V* V f, as S^-1 = (T+)*
+    T+: exact for a finite f over finite columns.  Otherwise stage k is a
     frame-algorithm run at target >= k, and nothing runs until a stage is
     read: the run at the smallest target t >= k already computed, being
     within 2^-t <= 2^-k; without one, a certified run at target k
     (:func:`_conjugate_gradients`) starts from the finest run computed so
     far.  Coefficients and norm are read from the stages.
     """
-    section = CF.finite_section
-    if section is not None:
-        if f.finite is not None:
-            return VectorName.from_finite(section.solve(f.finite))
-        A = section.lower
-        return VectorName.from_stage(
-            lambda k: section.solve(truncate(f, A / (1 << k))[0]), f.norm.mag / A, section.d
-        )
     if CF.pinv is not None:
         V, Vstar = CF.pinv
         return apply(Vstar, apply(V, f))

@@ -323,15 +323,14 @@ def toeplitz_primal_element(g: SequenceGen, i: int) -> VectorName:
 
 
 def doubled_onb() -> CertifiedFrame:
-    """Each basis vector listed twice: a tight frame with A = B = 2."""
+    """Each basis vector listed twice: a tight frame, S = 2 I, with T+ = T*/2."""
 
-    def elem(k: int) -> VectorName:
-        return VectorName.basis(k // 2)
+    def elem(k: int, q: Fraction = Fraction(1)) -> VectorName:
+        return VectorName.from_finite(FiniteVector([(k // 2, q)]))
 
-    def col(n: int) -> VectorName:
-        return VectorName.from_finite(
-            FiniteVector([(2 * n, Fraction(1)), (2 * n + 1, Fraction(1))])
-        )
+    def col(n: int, q: Fraction = Fraction(1)) -> VectorName:
+        return VectorName.from_finite(FiniteVector([(2 * n, q), (2 * n + 1, q)]))
 
-    analysis_op = OperatorName(col, sqrt_upper(Fraction(2)))
-    return CertifiedFrame(Frame(elem, 2, 2), analysis_op)
+    half, bound = Fraction(1, 2), sqrt_upper(Fraction(1, 2))
+    pinv = (OperatorName(lambda n: col(n, half), bound), OperatorName(lambda k: elem(k, half), bound))
+    return CertifiedFrame(Frame(elem, 2, 2), OperatorName(col, sqrt_upper(Fraction(2))), pinv=pinv)

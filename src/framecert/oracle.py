@@ -2,7 +2,7 @@
 
 The frame operator, its inverse (and so the canonical dual), Gram/projection
 matrices and frame-bound enclosures are exact: Fractions go in and come out
-(finite vectors for ``solve`` and the projection's columns), and in between
+(finite vectors for the projection's columns), and in between
 a matrix's denominators are cleared once (an ExactFrame's at construction,
 kept as its integer form) and fraction-free (Bareiss) eliminations run on
 integers.  Its symmetric mode without pivoting decides (semi)definiteness:
@@ -15,12 +15,14 @@ whose exact Rayleigh quotients settle the rest of the enclosure search (a
 bad witness costs tests, not correctness).
 
 A frame's bound enclosure is computed at construction, its inverse and the
-projection's integer columns on first read; none is shared between frames.
+projection's integer columns on first read; none is shared between frames.  :func:`embed`
+gives the frame its pseudo-inverse T+, read off the canonical dual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import copysign, gcd, hypot, lcm
 from operator import mul
 from typing import Sequence
@@ -77,6 +79,14 @@ class ExactFrame(Immutable):
         return self._inverse
 
     @property
+    def dual(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(M, m) with S^-1 f_k = M[k] / m: for S^-1 = c R, c = a/b, and f_k =
+        N_k / D, M[k] = a R N_k and m = b D, one integer product."""
+        R, c = self.inverse
+        M = tuple(tuple(c.numerator * sum(map(mul, row, n)) for row in R) for n in self.N)
+        return M, c.denominator * self.D
+
+    @property
     def projection(self) -> tuple[FiniteVector, ...]:
         """Column k of the projection onto the range of T*: (<f_l, S^-1 f_k>)_l."""
         if self._projection is None:
@@ -90,13 +100,6 @@ class ExactFrame(Immutable):
     @property
     def upper(self) -> Fraction:
         return self.bounds_enclosure[3]
-
-    def solve(self, v: FiniteVector) -> FiniteVector:
-        """S^-1 v, v's coordinates from d on dropped: one integer product."""
-        R, c = self.inverse
-        n = [v.nums.get(i, 0) for i in range(self.d)]
-        m = [c.numerator * sum(map(mul, row, n)) for row in R]
-        return FiniteVector.over(enumerate(m), c.denominator * v.den)
 
 
 # -- exact linear algebra --------------------------------------------
@@ -162,14 +165,15 @@ def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
     """A*I <= M M^T <= B*I, decided exactly (M holds synthesis columns).
 
     M = N / D is cleared once, so D^2 M M^T is the integer G = N N^T, and
-    a bound q = a/c holds on one side when +-(c G - a D^2 I) >= 0.
+    a bound q = a/c holds on one side when +-(c G - a D^2 I) >= 0.  A
+    Gram matrix is >= 0, so A <= 0 (a Bessel bound's check) takes no test.
     """
     N, D = _cleared(M)
     G = [[sum(map(mul, u, v)) for v in N] for u in N]
     return all(
         _bareiss([[s * (q.denominator * g - q.numerator * D * D * (i == j)) for j, g in enumerate(row)]
                   for i, row in enumerate(G)], strict=False) > 0
-        for q, s in ((A, 1), (B, -1))
+        for q, s in ((A, 1), (B, -1)) if s < 0 or q > 0
     )
 
 
@@ -339,24 +343,36 @@ def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
 def cross_gram_columns(F: ExactFrame, Phi: ExactFrame) -> tuple[FiniteVector, ...]:
     """Column k = (<phi_l, S^-1 f_k>)_l of the cross-frame coefficient operator.
 
-    With S^-1 = c R and the frames' integer forms N / D and P / E, entry l
-    is c (P_l . R N_k) / (D E): one integer product, each column over one denominator.
+    With F's canonical dual M[k] / m and Phi's integer form P / E, entry l
+    is (P_l . M[k]) / (m E): one integer product, each column over one denominator.
     """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
-    R, c = F.inverse
-    dual = [[sum(map(mul, row, n)) for row in R] for n in F.N]
-    num, den = c.numerator, c.denominator * F.D * Phi.D
-    return tuple(FiniteVector.over(((l, num * sum(map(mul, p, g))) for l, p in enumerate(Phi.N)), den)
-                 for g in dual)
+    M, m = F.dual
+    return tuple(FiniteVector.over(((l, sum(map(mul, p, g))) for l, p in enumerate(Phi.N)), m * Phi.D)
+                 for g in M)
 
 
 def embed(F: ExactFrame):
-    """Bridge to the name world: a certified frame over the span of e_0..e_{d-1}."""
+    """Bridge to the name world: a certified frame over the span of e_0..e_{d-1}.
+
+    It carries F as its section and (V, V*) = (T+, (T+)*), with norms
+    1/sqrt(A), built from F's canonical dual on first read: column k of V*
+    is S^-1 f_k, column n of V is ((S^-1 f_k)_n)_k, zero past K and d.
+    """
     from .frames import CertifiedFrame, Frame
     from .operators import OperatorName, finite_columns
 
     elem = finite_columns([FiniteVector.over(enumerate(v), F.D) for v in F.N])
     analysis_col = finite_columns([FiniteVector.over(enumerate(c), F.D) for c in zip(*F.N)])
     analysis_op = OperatorName(analysis_col, sqrt_upper(F.upper), support_bound=len(F))
-    return CertifiedFrame(Frame(elem, F.lower, F.upper), analysis_op, finite_section=F)
+
+    @cache
+    def pinv_cols():  # the column oracles of V and V*
+        M, m = F.dual
+        return [finite_columns([FiniteVector.over(enumerate(c), m) for c in cols]) for cols in (zip(*M), M)]
+
+    bound = sqrt_upper(1 / F.lower)
+    V = OperatorName(lambda n: pinv_cols()[0](n), bound, support_bound=len(F))
+    Vstar = OperatorName(lambda k: pinv_cols()[1](k), bound, support_bound=F.d)
+    return CertifiedFrame(Frame(elem, F.lower, F.upper), analysis_op, finite_section=F, pinv=(V, Vstar))

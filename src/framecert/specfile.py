@@ -2,7 +2,7 @@
 
 A spec file declares one frame: an orthonormal one, finite rational
 vectors or a finite matrix of synthesis columns (both loaded as an
-:class:`ExactFrame`, exact ground truth that solves finite vectors), a
+:class:`ExactFrame`, exact ground truth, with its pseudo-inverse), a
 gallery instance, or a Riesz basis; a Bessel file, a bound and finite
 vectors.  Rationals travel as strings "p/q", and vectors (the
 ``--vector`` flag too) as "i:p/q" text.  Parse errors carry the

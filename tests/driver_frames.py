@@ -1,11 +1,11 @@
 """Fixture frames built without their certified inverse.
 
-``riesz_shear.json`` and the benign gallery frame carry (T+, (T+)*) when
-loaded, and a finite spec carries its exact section, so ``inverse_apply``
-on them applies the one or solves on the other.  Built here with the
-same elements, bounds and analysis operator but neither ``pinv`` nor a
-section, they keep running the conjugate-gradient driver, which the
-tests that pin its runs and its integers need.
+``riesz_shear.json``, the benign gallery frame and every finite spec carry
+(T+, (T+)*) when loaded (a finite spec's read off its exact section), so
+``inverse_apply`` on them applies it.  Built here with the same elements,
+bounds and analysis operator but neither ``pinv`` nor a section, they
+keep running the conjugate-gradient driver, which the tests that pin its
+runs and its integers need.
 """
 
 import json

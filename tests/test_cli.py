@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from framecert.cli import cmd_reconstruct, main
 from framecert.frames import CertifiedFrame, FalseBoundsError, Frame, range_projection
+from framecert import oracle
 from framecert.operators import OperatorName
 from framecert.oracle import eigenvalue_enclosures, projection_matrix
 from framecert.specfile import (
@@ -22,6 +23,7 @@ from framecert.specfile import (
     LoadedSpec,
     MissingCertificateError,
     SpecFileError,
+    load_bessel,
     load_spec,
     parse_matrix,
     parse_rational,
@@ -213,9 +215,9 @@ class TestVerifySuites:
         assert rep.worst >= Fraction(1, 4)
 
     def test_gram_diagonal_line_fails_on_false_certificate(self):
-        # Mercedes with T* e_0 = (2, 0, 1) instead of (1, 0, 1): the exact
-        # section still solves S^-1 f_k correctly, but P = T*_false S^-1 T
-        # is oblique, so ||P e_n||^2 differs from the diagonal entry
+        # Mercedes with T* e_0 = (2, 0, 1) instead of (1, 0, 1): the true T+
+        # still gives S^-1 f_k correctly, but P = T*_false S^-1 T is
+        # oblique, so ||P e_n||^2 differs from the diagonal entry
         CF = load_spec(str(FIXTURES / "mercedes.json")).certified
         T = CF.analysis_op
         false_col = VectorName.from_finite(FiniteVector.parse("0:2 2:1"))
@@ -223,6 +225,7 @@ class TestVerifySuites:
             CF.frame,
             OperatorName(lambda n: false_col if n == 0 else T.col(n), Fraction(3), T.support_bound),
             finite_section=CF.finite_section,
+            pinv=CF.pinv,
         )
         rep = run_suite("gram", tampered)
         diagonal = [ok for label, _, ok in rep.lines if label.endswith("energy equals diagonal")]
@@ -239,6 +242,7 @@ class TestVerifySuites:
             CF.frame,
             OperatorName(lambda n: false_col if n == 0 else T.col(n), Fraction(3), T.support_bound),
             finite_section=CF.finite_section,
+            pinv=CF.pinv,
         )
         # S = [[2, 1], [1, 2]], so S^-1 f_k = (2, -1)/3, (-1, 2)/3, (1, 1)/3, and
         # column k of P is sum_i (S^-1 f_k)_i T* e_i, with T* e_0 = (2, 0, 1)
@@ -345,6 +349,27 @@ class TestCliCommands:
         if code == 0:
             # on a Riesz basis every Bessel-parametrized dual is S^-1 f_k
             assert "g_0: (1 ± 2^-20, -1 ± 2^-20, 0 ± 2^-20," in out
+
+    @pytest.mark.parametrize("bound, holds", [("0", False), ("2", False), ("9/4", True), ("3", True)])
+    def test_bessel_load_runs_one_elimination(self, tmp_path, monkeypatch, bound, holds):
+        # H H^T >= 0 holds for every H, so a load tests only bound I - H H^T >= 0;
+        # here H H^T = [[2, -1/2], [-1/2, 5/4]] has eigenvalues 1 and 9/4
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"bound": bound, "elements": ["0:1", "1:1", "0:1 1:-1/2"]}))
+        calls = []
+        bareiss = oracle._bareiss
+
+        def counted(m, strict=None):
+            calls.append(strict)
+            return bareiss(m, strict)
+
+        monkeypatch.setattr(oracle, "_bareiss", counted)
+        if holds:
+            assert load_bessel(str(h)).bessel_bound == Fraction(bound)
+        else:
+            with pytest.raises(InvalidFrameError):
+                load_bessel(str(h))
+        assert calls == [False]
 
     @pytest.mark.parametrize("doc", [
         {"bound": "-1", "elements": ["0:1"]},
@@ -620,7 +645,7 @@ def test_projection_suite_passes_exactly_on_a_true_adjoint(doc):
         assert code in (1, 3)
 
 
-# -- operator specs with a true adjoint solve on their exact section ------
+# -- operator specs with a true adjoint solve by their exact pseudo-inverse ------
 
 
 TRUE_ADJOINT_SPECS = {

@@ -5,7 +5,9 @@
 ``fixtures/bessel_small.json``, ``reconstruct`` and ``analyze`` of one
 vector, and the four ``verify`` suites, on each file in ``fixtures/``.
 A change of representation or speed must reproduce them byte for byte;
-a change of output must update the file and say why.
+a change of output must update the file and say why.  The same sweep
+pins which commands reach the conjugate-gradient driver: the rate suite,
+and any other command only on a frame that carries no pseudo-inverse.
 
 Record again with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -18,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from framecert import frames
 from framecert.cli import main
+from framecert.specfile import load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "cli_golden.json"
@@ -62,6 +66,44 @@ def test_every_command_is_recorded():
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_cli_output_unchanged(command):
     assert run(command.split(" ")) == GOLDEN[command]
+
+
+# fixtures whose frame loads without a certified inverse: a false adjoint
+# certificate, or declared bounds that a run of the driver refutes
+WITHOUT_INVERSE = ("corrupted_dual", "false_adjoint_oblique", "false_adjoint_symmetric", "refuted_bounds")
+
+
+def test_the_driver_runs_only_where_no_inverse_is_certified(monkeypatch):
+    # the rate suite runs the driver on purpose; every other command reaches it
+    # only on a frame that carries no pseudo-inverse
+    certified = {}
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        try:
+            CF = load_spec(str(path)).certified
+        except ValueError:
+            continue
+        if CF is not None:
+            certified[path.stem] = CF
+    assert {n for n, CF in certified.items() if CF.pinv is None} == set(WITHOUT_INVERSE)
+    want = {f"verify fixtures/{n}.json --suite rate" for n in certified} | {
+        f"verify fixtures/{n}.json --suite {s}" for n in WITHOUT_INVERSE for s in ("duality", "projection", "gram")}
+    assert len(want) == 23
+
+    runs = []
+    driver = frames._conjugate_gradients
+
+    def counted(*args):
+        runs.append(args)
+        return driver(*args)
+
+    monkeypatch.setattr(frames, "_conjugate_gradients", counted)
+    reached = set()
+    for argv in sweep_argvs():
+        runs.clear()
+        run(argv)
+        if runs:
+            reached.add(" ".join(argv))
+    assert reached == want
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ denominator and step count of ``frame_algorithm`` at p = 20, 64, 128 and
 first is warm-started).  The frames cover integer columns (Mercedes,
 Riesz shear), columns over 18 and 2 (scaled frame), dyadic stages (the
 benign gallery frame) and declared bounds that a step refutes.  Riesz
-shear and the benign frame are built without their pseudo-inverse, and
-Mercedes and the scaled frame without their finite section, so that
-``inverse_apply`` runs the driver on them too.  The signal is given by
+shear, the benign frame, Mercedes and the scaled frame are built without
+their pseudo-inverse (and the last two without their finite section), so
+that ``inverse_apply`` runs the driver on them too.  The signal is given by
 its stage alone.  A faster kernel must reproduce every integer; a change
 of output must record the file again and say why.
 

@@ -274,8 +274,8 @@ def test_sequence_stage_rounds_inexact_terms():
 # -- one frame operator per frame ------------------------------------
 
 
-# Mercedes without its finite section, and the Riesz and benign frames
-# without their pseudo-inverse, so that inverse_apply runs the driver on them
+# Mercedes, the Riesz and the benign frames without their pseudo-inverse,
+# so that inverse_apply runs the driver on them
 SHARED = {
     "mercedes": lambda: finite_by_driver("mercedes"),
     "riesz-shear": riesz_shear_by_driver,

@@ -90,7 +90,7 @@ def finite_cases(draw):
     CF, section = draw(spanning_frames(entry=st.integers(min_value=-3, max_value=3) | rationals))
     f = signal(draw, section.d)
     exact = mat_vec(mat_inv(section.S), f)
-    # without its section the frame leaves inverse_apply to the driver, and
+    # without its pseudo-inverse the frame leaves inverse_apply to the driver, and
     # hidden entries keep the signal from being a finite vector
     fv = linear_combo([(hidden(q), VectorName.basis(i)) for i, q in enumerate(f)])
     return CertifiedFrame(CF, CF.analysis_op), fv, lambda v: err_sq(v, exact)

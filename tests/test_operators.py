@@ -3,7 +3,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framecert.operators import (
     OperatorName,
@@ -230,7 +230,8 @@ def test_apply_finite_over_mixed_columns_is_staged(x, cols, data):
     # one column served as a staged name of itself: the image is staged, and
     # it is the combination linear_combo stages from x's entries as names
     k = data.draw(st.integers(0, len(cols) - 1))
-    assume(x.get(k))
+    if not x.get(k):  # drawn, not filtered: filtering most inputs fails a health check
+        x = {**x, k: data.draw(st.fractions(-6, 6, max_denominator=12).filter(bool))}
     exact = [from_model(c) for c in cols]
     staged = VectorName.from_stage(lambda j: exact[k], exact[k].norm_squared() + 1)
     col = finite_columns(exact)

@@ -129,13 +129,19 @@ class TestEigenvalueEnclosures:
         assert cofactor_det(shift(S, bp)) > 0
 
 
+def canonical_dual(F: ExactFrame) -> list[list[Fraction]]:
+    """S^-1 f_k for each k, as the columns of (T+)* that embed(F) carries."""
+    Vstar = embed(F).pinv[1]
+    return [Vstar.col(k).finite.dense(F.d) for k in range(len(F))]
+
+
 class TestExactSolve:
     def test_mercedes_inverse_and_dual(self):
         sol = exact_frame_solve(mercedes())
         third = Fraction(1, 3)
         R, c = sol.inverse
         assert [[c * x for x in row] for row in R] == [[2 * third, -third], [-third, 2 * third]]
-        assert [sol.solve(FiniteVector(enumerate(v))).dense(2) for v in MERCEDES] == [
+        assert canonical_dual(sol) == [
             [2 * third, -third],
             [-third, 2 * third],
             [third, third],
@@ -145,11 +151,10 @@ class TestExactSolve:
     def test_dual_reconstruction_identity(self):
         # sum_k <x, dual_k> f_k = x for every x in Q^2
         F = mercedes()
-        sol = exact_frame_solve(F)
+        duals = canonical_dual(exact_frame_solve(F))
         for x in ([Fraction(1), Fraction(0)], [Fraction(2), Fraction(-3)]):
             out = [Fraction(0), Fraction(0)]
-            for v in MERCEDES:
-                g = sol.solve(FiniteVector(enumerate(v))).dense(2)
+            for v, g in zip(MERCEDES, duals):
                 c = sum(x[i] * g[i] for i in range(2))
                 for i in range(2):
                     out[i] += c * v[i]
@@ -184,11 +189,11 @@ class TestCrossGram:
         F = mercedes()
         Phi = ExactFrame([[1, 0], [0, 1]])
         u = cross_gram_matrix(F, Phi)
-        sol = exact_frame_solve(F)
+        duals = canonical_dual(F)
         # row l is just dual_k coordinate l
         for l in range(2):
             for k in range(3):
-                assert u[l][k] == sol.solve(FiniteVector(enumerate(MERCEDES[k]))).coefficient(l)
+                assert u[l][k] == duals[k][l]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -208,6 +213,23 @@ class TestEmbed:
         col0 = CF.analysis_op.col(0)
         assert col0.finite.entries == ((0, Fraction(1)), (2, Fraction(1)))
         assert CF.analysis_op.col(5).finite.entries == ()
+
+    def test_pseudo_inverse_columns(self):
+        F = mercedes()
+        CF = embed(F)
+        V, Vstar = CF.pinv
+        # nothing is inverted until a column is read
+        assert F._inverse is None
+        third = Fraction(1, 3)
+        # column n of V is coordinate n of every S^-1 f_k, zero past d = 2
+        assert V.col(0).finite.dense(3) == [2 * third, -third, third]
+        assert V.col(1).finite.dense(3) == [-third, 2 * third, third]
+        assert V.col(2).finite.entries == () and V.support_bound == 3
+        # column k of V* is S^-1 f_k, zero past K = 3
+        assert Vstar.col(2).finite.dense(2) == [third, third]
+        assert Vstar.col(3).finite.entries == () and Vstar.support_bound == 2
+        # ||T+||^2 = 1/lambda_min(S) <= 1/A
+        assert V.norm_bound == Vstar.norm_bound and V.norm_bound**2 >= 1 / F.lower
 
 
 # -- both modes of the elimination kernel against cofactor expansion ----

@@ -1,10 +1,11 @@
-"""A finite section solves every name of a signal exactly, stage by stage.
+"""An embedded finite frame solves every name of a signal by its pseudo-inverse.
 
-On a frame embedded from finitely many rational vectors, stage k of
-``inverse_apply(CF, f)`` is the section's exact solve of f truncated
-within A 2^-k, for any name of f, and the conjugate-gradient driver never
-runs.  Answers are checked against ``perfbench/reference.py``, which is
-exact and independent of ``framecert.oracle``.
+A frame embedded from finitely many rational vectors carries (T+, (T+)*),
+read off its exact canonical dual, so ``inverse_apply(CF, f)`` is (T+)*
+T+ f for any name of f: exact for a finite f, within 2^-k at stage k
+otherwise, and the conjugate-gradient driver never runs.  Answers are
+checked against ``perfbench/reference.py``, which is exact and
+independent of ``framecert.oracle``.
 """
 
 import importlib.util
@@ -24,14 +25,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PRECISIONS = (0, 20, 64, 300)
 
 
-def _reference():
+def load_reference():
     spec = importlib.util.spec_from_file_location("reference", ROOT / "perfbench" / "reference.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-FiniteRef = _reference().FiniteRef
+FiniteRef = load_reference().FiniteRef
 
 
 def no_driver(*args):
@@ -113,14 +114,15 @@ def test_section_stages_against_the_reference(vectors, data):
                 assert abs(c.coeff(k).approx(p).as_fraction() - want) <= e
 
 
-def test_a_section_stage_is_one_solve_of_a_truncation():
-    # stage k solves f's stage at clog2(2^k / A), here k + 1 as 1/2 < A < 1,
-    # and the result's support bound is the section's dimension
-    section = ExactFrame([[1, 0], [0, 1], [1, 1]])
-    f = stage_only({0: Fraction(1), 1: Fraction(-1, 3), 3: Fraction(2, 7)}, 1)
+def test_a_finite_signal_is_solved_exactly():
+    # (T+)* T+ f over finite columns is the exact S^-1 f, coordinate 3 (past
+    # d = 2) dropped; a staged f keeps the section's dimension as support bound
+    vectors = [[1, 0], [0, 1], [1, 1]]
+    x = {0: Fraction(1), 1: Fraction(-1, 3), 3: Fraction(2, 7)}
+    want = FiniteRef(vectors).s_inv({i: q for i, q in x.items() if i < 2})
+    CF = embed(ExactFrame(vectors))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frames, "_conjugate_gradients", no_driver)
-        g = inverse_apply(embed(section), f)
-        assert g.support_bound == section.d == 2
-        assert Fraction(1, 2) < section.lower < 1
-        assert g.stage(10) == section.solve(f.stage(11))
+        g = inverse_apply(CF, VectorName.from_finite(FiniteVector(sorted(x.items()))))
+        assert g.finite == FiniteVector(sorted(want.items()))
+        assert inverse_apply(CF, stage_only(x, 1)).support_bound == 2
