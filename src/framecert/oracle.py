@@ -15,14 +15,13 @@ whose exact Rayleigh quotients settle the rest of the enclosure search (a
 bad witness costs tests, not correctness).
 
 A frame's bound enclosure is computed at construction, its inverse and the
-projection's integer columns on first read; none is shared between frames.  :func:`embed`
-gives the frame its pseudo-inverse T+, read off the canonical dual.
+projection's integer columns on first read; none is shared between frames.
+:func:`embed` gives the frame its pseudo-inverse T+, read off the canonical dual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import copysign, gcd, hypot, lcm
 from operator import mul
 from typing import Sequence
@@ -78,13 +77,11 @@ class ExactFrame(Immutable):
             object.__setattr__(self, "_inverse", _inverse(self.G, self.E))
         return self._inverse
 
-    @property
-    def dual(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(M, m) with S^-1 f_k = M[k] / m: for S^-1 = c R, c = a/b, and f_k =
-        N_k / D, M[k] = a R N_k and m = b D, one integer product."""
+    def dual(self, k: int) -> tuple[list[int], int]:
+        """(x, m) with S^-1 f_k = x / m: for S^-1 = c R, c = a/b, and f_k =
+        N_k / D, x = a R N_k and m = b D, one integer product."""
         R, c = self.inverse
-        M = tuple(tuple(c.numerator * sum(map(mul, row, n)) for row in R) for n in self.N)
-        return M, c.denominator * self.D
+        return [c.numerator * sum(map(mul, row, self.N[k])) for row in R], c.denominator * self.D
 
     @property
     def projection(self) -> tuple[FiniteVector, ...]:
@@ -343,36 +340,40 @@ def cross_gram_matrix(F: ExactFrame, Phi: ExactFrame) -> Matrix:
 def cross_gram_columns(F: ExactFrame, Phi: ExactFrame) -> tuple[FiniteVector, ...]:
     """Column k = (<phi_l, S^-1 f_k>)_l of the cross-frame coefficient operator.
 
-    With F's canonical dual M[k] / m and Phi's integer form P / E, entry l
-    is (P_l . M[k]) / (m E): one integer product, each column over one denominator.
+    With F's canonical dual x_k / m and Phi's integer form P / E, entry l
+    is (P_l . x_k) / (m E): one integer product, each column over one denominator.
     """
     if Phi.d != F.d:
         raise ValueError("frames must share the ambient dimension")
-    M, m = F.dual
-    return tuple(FiniteVector.over(((l, sum(map(mul, p, g))) for l, p in enumerate(Phi.N)), m * Phi.D)
-                 for g in M)
+    return tuple(FiniteVector.over(((l, sum(map(mul, p, x))) for l, p in enumerate(Phi.N)), m * Phi.D)
+                 for x, m in map(F.dual, range(len(F))))
 
 
 def embed(F: ExactFrame):
     """Bridge to the name world: a certified frame over the span of e_0..e_{d-1}.
 
-    It carries F as its section and (V, V*) = (T+, (T+)*), with norms
-    1/sqrt(A), built from F's canonical dual on first read: column k of V*
-    is S^-1 f_k, column n of V is ((S^-1 f_k)_n)_k, zero past K and d.
+    It carries F as its section and (V, V*) = (T+, (T+)*), norms 1/sqrt(A),
+    built a column at a time on first read: V* e_k = S^-1 f_k and V e_n =
+    (<f_k, S^-1 e_n>)_k, S^-1 e_n being row n of S^-1; zero past K and d.
     """
     from .frames import CertifiedFrame, Frame
     from .operators import OperatorName, finite_columns
+    from .vectors import VectorName
 
     elem = finite_columns([FiniteVector.over(enumerate(v), F.D) for v in F.N])
     analysis_col = finite_columns([FiniteVector.over(enumerate(c), F.D) for c in zip(*F.N)])
     analysis_op = OperatorName(analysis_col, sqrt_upper(F.upper), support_bound=len(F))
 
-    @cache
-    def pinv_cols():  # the column oracles of V and V*
-        M, m = F.dual
-        return [finite_columns([FiniteVector.over(enumerate(c), m) for c in cols]) for cols in (zip(*M), M)]
+    def pinv_col(n: int) -> VectorName:
+        R, c = F.inverse
+        x = [c.numerator * sum(map(mul, R[n], v)) for v in F.N] if n < F.d else []
+        return VectorName.from_finite(FiniteVector.over(enumerate(x), c.denominator * F.D))
+
+    def dual_col(k: int) -> VectorName:
+        x, m = F.dual(k) if k < len(F) else ([], 1)
+        return VectorName.from_finite(FiniteVector.over(enumerate(x), m))
 
     bound = sqrt_upper(1 / F.lower)
-    V = OperatorName(lambda n: pinv_cols()[0](n), bound, support_bound=len(F))
-    Vstar = OperatorName(lambda k: pinv_cols()[1](k), bound, support_bound=F.d)
+    V = OperatorName(pinv_col, bound, support_bound=len(F))
+    Vstar = OperatorName(dual_col, bound, support_bound=F.d)
     return CertifiedFrame(Frame(elem, F.lower, F.upper), analysis_op, finite_section=F, pinv=(V, Vstar))
