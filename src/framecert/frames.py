@@ -10,8 +10,8 @@ boundary between what is and is not computable from frame data alone.
 
 A certified frame whose data certify the pseudo-inverse T+ = T* S^-1 of
 its synthesis operator carries it, with its adjoint (``pinv``): the
-orthonormal and doubled bases (I, T*/2), an embedded finite frame (read
-off its exact canonical dual), a Riesz basis (T^-1, checked at load) and
+orthonormal and doubled bases (I, T*/2), an embedded finite frame (built
+from its exact inverse), a Riesz basis (T^-1, checked at load) and
 the benign gallery frame (U^-1).  There T+ f is one application, S^-1 =
 (T+)* T+, and the canonical dual is read off.  Otherwise S^-1 f is
 computed by one driver, :func:`_conjugate_gradients`, behind
