@@ -130,8 +130,12 @@ ZERO = Dyadic(0)
 
 def round_fraction(q: Fraction, n: int) -> Dyadic:
     """Nearest multiple of 2^-n to ``q`` (ties to even); error <= 2^-(n+1)."""
-    num = q.numerator << n if n >= 0 else q.numerator
-    den = q.denominator if n >= 0 else q.denominator << -n
+    return round_ratio(q.numerator, q.denominator, n)
+
+
+def round_ratio(num: int, den: int, n: int) -> Dyadic:
+    """Nearest multiple of 2^-n to num/den for den > 0 (ties to even), in integers."""
+    num, den = (num << n, den) if n >= 0 else (num, den << -n)
     m, rem = divmod(num, den)
     # round half to even on the scaled value
     twice = 2 * rem
@@ -149,12 +153,14 @@ def clog2(q: Fraction) -> int:
     """Smallest integer g with 2**g >= q (q > 0)."""
     if q <= 0:
         raise ValueError("clog2 requires a positive argument")
-    num, den = q.numerator, q.denominator
-    # num/den < 2**(bl(num) - bl(den) + 1) always holds
-    g = num.bit_length() - den.bit_length() + 1
-    while _pow2_ge(g - 1, num, den):
-        g -= 1
-    return g
+    return clog2_ratio(q.numerator, q.denominator)
+
+
+def clog2_ratio(num: int, den: int) -> int:
+    """Smallest integer g with 2**g >= num/den (num, den > 0), in integers."""
+    g = num.bit_length() - den.bit_length()  # so 2**(g-1) < num/den < 2**(g+1)
+    fits = (den << g) >= num if g >= 0 else den >= (num << -g)
+    return g if fits else g + 1
 
 
 def _smallest(fits: Callable[[int], bool]) -> int:
@@ -175,13 +181,6 @@ def _smallest(fits: Callable[[int], bool]) -> int:
         else:
             lo = mid
     return N
-
-
-def _pow2_ge(g: int, num: int, den: int) -> bool:
-    """2**g >= num/den ?"""
-    if g >= 0:
-        return (den << g) >= num
-    return den >= (num << -g)
 
 
 def sqrt_upper(q: Fraction, bits: int = 24) -> Fraction:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import repeat
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from operator import mul
 from typing import Callable, Optional
 
-from .dyadic import Immutable, _smallest, clog2, div_nearest, sqrt_upper
+from .dyadic import Immutable, _smallest, clog2, clog2_ratio, div_nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
 from .operators import OperatorName, apply
 from .vectors import (
@@ -40,7 +40,6 @@ from .vectors import (
     WeakVectorName,
     inner,
     strengthen,
-    truncate,
 )
 
 
@@ -73,11 +72,11 @@ class CertifiedFrame(Frame):
     optionally carries an embedded finite frame's exact vectors, the
     ground truth of the verify suites' exact lines.  Neither is taken from
     ``frame``, so a frame built with another analysis operator has none.
-    The frame keeps S once :func:`frame_operator` builds it, so every
-    solver run on it shares S's columns and stages.
+    The frame keeps S (:func:`frame_operator`) and the driver's grid
+    (:func:`_driver_grid`) once built, so every run on it shares them.
     """
 
-    __slots__ = ("analysis_op", "finite_section", "pinv", "_S")
+    __slots__ = ("analysis_op", "finite_section", "pinv", "_S", "_grid")
 
     def __init__(
         self,
@@ -91,7 +90,8 @@ class CertifiedFrame(Frame):
         object.__setattr__(self, "analysis_op", analysis_op)
         object.__setattr__(self, "finite_section", finite_section)
         object.__setattr__(self, "pinv", pinv)
-        object.__setattr__(self, "_S", None)
+        for name in ("_S", "_grid"):
+            object.__setattr__(self, name, None)
 
     @property
     def frame(self) -> "CertifiedFrame":
@@ -253,6 +253,7 @@ def _conjugate_gradients(
     without the coordinates n whose analysis column T* e_n is exactly zero
     (S e_n = 0, so each step would add them again).  :func:`_columns`
     reads S within b for a check's y = S x, within bd for a step's q = S p.
+    All but G depend on A and B alone: :func:`_driver_grid`, kept per frame.
 
     Steps.  Hestenes-Stiefel steps on integer mantissas of x, the residual
     r and the direction p.  A check sets p = r = m(f_G) - m(y) and starts
@@ -290,18 +291,17 @@ def _conjugate_gradients(
     it refutes the hypothesis and raises; cap and budget, both at least
     target + 2, are read only from step target + 2 on.
     """
-    A, B = CF.lower, CF.upper
-    kappa = -(-B.numerator * A.denominator // (B.denominator * A.numerator))
-    b = A / (1 << (target + 4 + kappa.bit_length()))
-    bd = b if A + B >= 1 else (A + B) * b
-    G = clog2(max(Fraction(1), (A + B) / 2) / bd) + GUARD_BITS
-    f_fin, _ = truncate(f, A / (1 << (target + 4)))
+    if CF._grid is None:
+        object.__setattr__(CF, "_grid", _driver_grid(CF.lower, CF.upper))
+    gshift, fshift, kappa, unit, unit_d, sigma, sd, within_bounds, bound, num, den = CF._grid
+    A, B, G = CF.lower, CF.upper, target + gshift
+    f_fin = f.stage(max(0, target + fshift))
     fm = {i: m for i, m in _to_grid(f_fin, G).items() if not _outside_span(CF, i)}
     apply_s = _columns(frame_operator(CF))
 
     def residual(m: dict[int, int]) -> dict[int, int]:
         out = dict(fm)
-        for i, w in apply_s(m, G, b).items():
+        for i, w in apply_s(m, unit).items():
             t = out.get(i, 0) - w
             if t:
                 out[i] = t
@@ -309,10 +309,6 @@ def _conjugate_gradients(
                 out.pop(i, None)
         return out
 
-    sigma, sd = -(-b.numerator << G) // b.denominator, -(-bd.numerator << G) // bd.denominator + 1
-    within_bounds = _bounds_test(A, B, sd)
-    bound = (A * Fraction(7, 1 << (target + 4)) - 5 * b / 4) * (1 << G)
-    num, den = bound.numerator**2, bound.denominator**2
     x, first, steps, k, held, goal = _to_grid(g, G), 0, 0, -1, None, None
     cap = budget = target + 2  # lower bounds of both, until a run reaches them
     while True:
@@ -341,7 +337,7 @@ def _conjugate_gradients(
                 f"declared frame bounds A = {A}, B = {B} are false or S is not self-adjoint: "
                 f"{steps} steps spent the budget of {budget} without a certificate"
             )
-        q = apply_s(p, G, bd)
+        q = apply_s(p, unit_d)
         pp, pq = _dot(p, p), _dot(p, q)
         if not within_bounds(pp, pq):
             raise FalseBoundsError(
@@ -358,6 +354,24 @@ def _conjugate_gradients(
             held, p0, q0, pp0 = (x, rr, pq), p, q, pp
         rr, old = _dot(r, r), rr
         p, k, steps = _combine(r, p, rr, old), k + 1, steps + 1
+
+
+def _driver_grid(A: Fraction, B: Fraction) -> tuple:
+    """The constants of :func:`_conjugate_gradients` on bounds A <= B, for every target.
+
+    With b = A 2^-h, h = target + 4 + clog2(1+kappa), the grid G = h + e is
+    target + gshift, and f is read at stage max(0, target + fshift), within
+    A 2^-(target+4).  It returns (gshift, fshift, kappa, b 2^G, bd 2^G, sigma
+    = floor(b 2^G), sd = floor(bd 2^G) + 1, the bounds test with slack sd,
+    theta 2^G, and (theta 2^G)^2 as num, den).
+    """
+    kappa = -(-B.numerator * A.denominator // (B.denominator * A.numerator))
+    m = 1 if A + B >= 1 else A + B  # bd = m b
+    e = clog2(max(Fraction(1), (A + B) / 2) / (m * A)) + GUARD_BITS
+    unit, unit_d = A * (1 << e), m * A * (1 << e)
+    sd, bound = floor(unit_d) + 1, 7 * A * (1 << (kappa.bit_length() + e)) - 5 * unit / 4
+    return (4 + kappa.bit_length() + e, 4 + clog2(1 / A), kappa, unit, unit_d, floor(unit), sd,
+            _bounds_test(A, B, sd), bound, bound.numerator**2, bound.denominator**2)
 
 
 def richardson_steps(A: Fraction, B: Fraction, goal: Fraction) -> int:
@@ -436,13 +450,13 @@ def _outside_span(CF: CertifiedFrame, n: int) -> bool:
 def _columns(S: OperatorName):
     """The one way to apply S in the driver, read from its columns.
 
-    The contract is a callable (m, G, budget) -> y taking integer
-    mantissas m of x = m 2^-G (a dict index -> int) to mantissas y on the
-    same grid with ||y 2^-G - S x|| <= budget in l2; callers keep
-    G >= clog2(1/budget) + GUARD_BITS, so rounding onto the grid fits in
+    The contract is a callable (m, budget) -> y taking integer mantissas
+    m of x = m 2^-G (a dict index -> int) to mantissas y on the same grid
+    with ||y - S m|| <= budget in l2, budget a rational in grid steps 2^-G;
+    callers keep budget >= 2^GUARD_BITS, so rounding onto the grid fits in
     the budget.  Column n of S is read on first use, and kept as its
     integer numerators over its denominator: exactly when it is a finite
-    vector, else at stage k, where 2^-k sum |x_n| <= budget/2 with the sum
+    vector, else at stage k, where 2^-k sum |m_n| <= budget/2 with the sum
     over the columns that are not finite, so their errors add up to at
     most budget/2; it is read again at a finer stage when a later x needs
     one.  sum_n m_n col_n is accumulated in plain integers over the lcm L
@@ -463,7 +477,7 @@ def _columns(S: OperatorName):
     staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
     L = 1
 
-    def apply_s(x: dict[int, int], G: int, budget: Fraction) -> dict[int, int]:
+    def apply_s(x: dict[int, int], budget: Fraction) -> dict[int, int]:
         nonlocal L
         read: dict[int, FiniteVector] = {}
         for n in x.keys() - cols.keys() - staged.keys():
@@ -474,7 +488,7 @@ def _columns(S: OperatorName):
                 read[n] = c
         if staged:
             mass = sum(abs(x[n]) for n in staged if n in x)
-            k = max(0, clog2(Fraction(2 * mass, 1 << G) / budget)) if mass else 0
+            k = max(0, clog2_ratio(2 * mass * budget.denominator, budget.numerator)) if mass else 0
             for n, held in staged.items():
                 if held < k and n in x:
                     read[n], staged[n] = S.col(n).stage(k), k

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .dyadic import Immutable
+from .dyadic import Immutable, clog2
 from .realnames import RealName, _memoized
-from .vectors import FiniteVector, VectorName, exact_combo, finite_stage, linear_combo, on_grid, truncate
+from .vectors import FiniteVector, VectorName, exact_combo, finite_stage, linear_combo, on_grid
 
 
 class OperatorName(Immutable):
@@ -53,12 +53,13 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
     """Name of Ux.  For a finite x, sum_i x_i U e_i: one :func:`exact_combo`
     of x's integer numerators over finite columns, else :func:`linear_combo`.
 
-    For any other x, stage k truncates x within 2^-(k+1)/||U|| and combines
-    the columns within 2^-(k+1), so it lies within 2^-k of Ux: by
-    :func:`finite_stage`, or, when every column the truncation v needs is
-    finite, as one integer combination of v's numerators over its
-    denominator (the :func:`exact_combo` rule) rounded by :func:`on_grid`,
-    which equals what :func:`finite_stage` computes from those terms.
+    For any other x, stage k reads x at stage k + 1 + clog2(||U||), within
+    2^-(k+1)/||U||, and combines the columns within 2^-(k+1), so it lies
+    within 2^-k of Ux: by :func:`finite_stage`, or, when every column the
+    truncation v needs is finite, as one integer combination of v's
+    numerators over its denominator (the :func:`exact_combo` rule)
+    rounded by :func:`on_grid`, which equals what :func:`finite_stage`
+    computes from those terms.
     """
     if U.norm_bound == 0:
         return VectorName.zero()
@@ -67,8 +68,10 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
         return exact_combo(cols, v.den) or linear_combo(
             [(RealName.from_fraction(Fraction(n, v.den)), c) for n, c in cols])
 
+    shift = 1 + clog2(U.norm_bound)
+
     def stage(k: int) -> FiniteVector:
-        v, _ = truncate(x, Fraction(1, 1 << (k + 1)) / U.norm_bound)
+        v = x.stage(max(0, k + shift))
         cols = [(n, U.col(i)) for i, n in v.nums.items()]
         if all(c.finite is not None for _, c in cols):
             return on_grid(FiniteVector.combination(((n, c.finite) for n, c in cols), v.den), k + 1)

@@ -38,7 +38,7 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyadic import ZERO, Dyadic, Immutable, clog2, div_nearest, round_fraction
+from .dyadic import ZERO, Dyadic, Immutable, clog2, clog2_ratio, div_nearest, round_fraction, round_ratio
 from .realnames import (
     RealName,
     ZERO_NAME,
@@ -240,9 +240,11 @@ class VectorName(Immutable):
         stage = _memoized(stage)
 
         def coeff(i: int) -> RealName:
-            return RealName(
-                lambda n: round_fraction(stage(n + 1).coefficient(i), n + 1), mag
-            )
+            def fn(n: int) -> Dyadic:
+                v = stage(n + 1)
+                return round_ratio(v.nums.get(i, 0), v.den, n + 1)
+
+            return RealName(fn, mag)
 
         norm = limit_fast(lambda j: sqrt_of_fraction(stage(j).norm_squared()), mag)
         return VectorName(coeff, norm, support_bound=support_bound, stage=stage)
@@ -334,11 +336,11 @@ def _oracle_stage(x: VectorName, k: int) -> FiniteVector:
     tail(N) -> 0, however slowly.  The sum is carried from N to 2N and
     read again only when m grows.
     """
-    N, budget = x.support_bound, Fraction(1, 1 << k)
+    N, b = x.support_bound, k
     if N is None:
-        N, budget = _tail_cut(x, k), budget / 2
-    # per-coordinate error e with sqrt(N) * e <= budget
-    pc = max(0, clog2(2 * Fraction(isqrt(N) + 1) / budget))
+        N, b = _tail_cut(x, k), k + 1
+    # per-coordinate error 2^-pc: sqrt(N) 2^-pc <= 2^-(b+1), half the budget 2^-b
+    pc = b + 1 + isqrt(N).bit_length()
     ds = [x.coeff(i).approx(pc) for i in range(N)]
     e = min([0] + [d.exponent for d in ds])  # the stage's denominator is 2^-e
     pairs = ((i, d.mantissa << (d.exponent - e)) for i, d in enumerate(ds))
@@ -347,10 +349,10 @@ def _oracle_stage(x: VectorName, k: int) -> FiniteVector:
 
 def _tail_cut(x: VectorName, k: int) -> int:
     """The first N = 1, 2, 4, ... with U(N) <= 4^-(k+1) (see :func:`_oracle_stage`)."""
-    goal, mag = Dyadic(1, -2 * k - 2), x.norm.mag
+    goal, mag = Dyadic(1, -2 * k - 2), x.norm.mag + 1
     N, m, read = 1, -1, 0
     while True:
-        need = 2 * k + 7 + clog2((mag + 1) * (isqrt(N) + 2))
+        need = 2 * k + 7 + clog2_ratio(mag.numerator * (isqrt(N) + 2), mag.denominator)
         if need > m:
             m, read, energy = need, 0, ZERO
             e = Dyadic(1, -m)
@@ -380,12 +382,10 @@ def inner(x: VectorName, y: VectorName) -> RealName:
     if x.finite is not None and y.finite is not None:
         return RealName.from_fraction(x.finite.dot(y.finite))
     mx, my = x.norm.mag, y.norm.mag
+    c = 2 + clog2(mx + my + 1)  # stage n + c is within 2^-(n+2) / (mx + my + 1)
 
     def fn(n: int) -> Dyadic:
-        eps = min(Fraction(1), Fraction(1, 1 << (n + 2)) / (mx + my + 1))
-        u, _ = truncate(x, eps)
-        v, _ = truncate(y, eps)
-        return round_fraction(u.dot(v), n + 2)
+        return round_fraction(x.stage(n + c).dot(y.stage(n + c)), n + 2)
 
     return RealName(fn, mx * my)
 
@@ -401,13 +401,12 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
     """
     if not terms:
         return FiniteVector()
-    half = Fraction(1, 1 << (j + 1)) / len(terms)
-    parts = []
+    parts, n = [], len(terms)  # a term's half budget is 2^-(j+1) / n
     for s, v in terms:
         sd = s.exact
         if sd is None:
-            sd = s.approx(max(0, clog2(2 * (v.norm.mag + 1) / half))).as_fraction()
-        parts.append((sd, truncate(v, half / (s.mag + 1))[0]))
+            sd = s.approx(j + 2 + clog2((v.norm.mag + 1) * n)).as_fraction()
+        parts.append((sd, v.stage(j + 1 + clog2((s.mag + 1) * n))))
     return on_grid(FiniteVector.combination(parts), j)
 
 
@@ -461,7 +460,7 @@ def limit_vectors(
     2^-(k+1) + 2^-(k+1) = 2^-k of L, and ||L|| <= ||s(0)|| + 1.
     """
     return VectorName.from_stage(
-        lambda k: truncate(s(k + 1), Fraction(1, 1 << (k + 1)))[0],
+        lambda k: s(k + 1).stage(k + 1),
         s(0).norm.mag + 1,
         support_bound,
     )

@@ -10,8 +10,9 @@ with B/A up to 160^2; the errors raised on refuted frame bounds, on an S
 that is not self-adjoint and on a spent step budget; a cycle made to lose
 ground, which the run abandons for its first step; the column reader of
 the benign frame against its l2 budget; the integer kernel (column
-accumulation, the rounded update) against Fraction models; and the
-rounding of one step.
+accumulation, the rounded update) against Fraction models; the rounding
+of one step; the claim of a run's certificate on signals given by stages
+alone; and the grid a frame keeps against its Fraction formulas.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert import frames
-from framecert.dyadic import clog2, div_nearest, round_fraction
+from framecert.dyadic import clog2, clog2_ratio, div_nearest, round_fraction
 from framecert.frames import (
     GUARD_BITS,
     CertifiedFrame,
@@ -31,6 +32,7 @@ from framecert.frames import (
     _bounds_test,
     _columns,
     _combine,
+    _driver_grid,
     frame_algorithm,
     frame_operator,
     inverse_apply,
@@ -43,6 +45,7 @@ from framecert.riesz import riesz_as_frame, riesz_from_matrix
 from framecert.specfile import load_spec
 from framecert.vectors import FiniteVector, VectorName, linear_combo
 from framecert.verify import max_iterations
+from driver_frames import riesz_shear_by_driver
 from fraction_matrices import cofactor_det, mat_vec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -169,6 +172,56 @@ def test_inverse_apply_ladder_against_oracle(case):
         assert err(x.stage(p - 1)) <= Fraction(1, 1 << (2 * p))
 
 
+# -- signals read through stages, at the certificate's scale ----------
+
+
+def off_by_a_stage(x: dict[int, Fraction], j: int) -> VectorName:
+    """x given by stages alone, stage k = x + 2^-k e_j: each a full 2^-k from x,
+    as tests/test_section_stages.py draws its signals."""
+
+    def stage(k: int) -> FiniteVector:
+        y = dict(x)
+        y[j] = y.get(j, 0) + Fraction(1, 1 << k)
+        return FiniteVector(sorted((i, q) for i, q in y.items() if q))
+
+    return VectorName.from_stage(stage, sum((abs(q) for q in x.values()), Fraction(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_frames(), st.integers(min_value=0, max_value=60), st.data())
+def test_staged_signal_is_solved_within_half_the_target(frame, t, data):
+    # the certificate's claim: a run returns x within 2^-(t+1) of S^-1 f.  The
+    # signal sits at the scale of its threshold 7 A 2^-(t+4), where a run may
+    # return at its first check, so little of the claim is left to spare
+    section_frame, section = frame
+    CF = CertifiedFrame(section_frame, section_frame.analysis_op)
+    u = CF.lower / (1 << (t + 4))
+    q = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+    x = data.draw(st.dictionaries(st.integers(min_value=0, max_value=section.d - 1), q))
+    x = {i: c * u for i, c in x.items() if c}
+    j = data.draw(st.integers(min_value=0, max_value=section.d - 1))
+    g = frame_algorithm(CF, off_by_a_stage(x, j), t).vector.finite
+    exact = mat_vec(mat_inv(section.S), [x.get(i, Fraction(0)) for i in range(section.d)])
+    assert err_sq(g, exact) <= Fraction(1, 4 ** (t + 1))
+
+
+@pytest.mark.parametrize("rows", [[[1]], [[1], [2]], [[2], [2], [1]]])
+@pytest.mark.parametrize("t", [0, 7, 30])
+def test_first_check_on_a_staged_signal_is_within_half_the_target(rows, t):
+    # S = s on Q^1 and x = -c A 2^-(t+4), each stage's error against x's sign.
+    # For c up to about 7 plus that error over A 2^-(t+4), the run returns 0 at
+    # its first check, x/s away: within 2^-(t+1) only because f is read within
+    # A 2^-(t+4).  Read within A 2^-(t+2), some c > 8 s/A would return 0 too
+    section = ExactFrame(rows)
+    E = embed(section)
+    CF = CertifiedFrame(E, E.analysis_op)
+    s = section.S[0][0]
+    for c in range(8 * 14):
+        x = -Fraction(c, 8) * CF.lower / (1 << (t + 4))
+        g = frame_algorithm(CF, off_by_a_stage({0: x} if x else {}, 0), t).vector.finite
+        assert err_sq(g, [x / s]) <= Fraction(1, 4 ** (t + 1)), c
+
+
 def diagonal_frame(d: int) -> CertifiedFrame:
     """f_i = (i+1) e_i in Q^d, so B/A = d^2; frame_algorithm runs the driver on it."""
     return embed(ExactFrame([[i + 1 if j == i else 0 for j in range(d)] for i in range(d)]))
@@ -271,7 +324,7 @@ def benign_s(x: dict[int, Fraction], j: int) -> Fraction:
 def test_benign_columns_within_budget(data):
     # column 0 of S is read at a stage and every other one exactly, all over
     # one denominator D > 1, so the output is rounded onto the grid; draw
-    # (m, G, budget) and check ||y - S x|| <= budget
+    # (m, G, budget), pass the budget in grid steps and check ||y - S x|| <= budget
     s_action = _columns(frame_operator(upper_row_frame(benign_sequence())))
     k = data.draw(st.integers(min_value=10, max_value=140))
     budget = Fraction(data.draw(st.integers(min_value=1, max_value=1000)), 1 << k)
@@ -283,7 +336,7 @@ def test_benign_columns_within_budget(data):
     # |x_0| in [2^-8, 8] or 0: the tail a_j x_0 reaches far past the budget
     x0 = st.integers(min_value=size >> 11, max_value=size)
     m[0] = data.draw(st.just(0) | x0 | x0.map(lambda v: -v))
-    y = s_action(m, G, budget)
+    y = s_action(m, budget * (1 << G))
     assert all(isinstance(v, int) for v in y.values())
     x = {i: Fraction(v, 1 << G) for i, v in m.items()}
     x0 = x.get(0, Fraction(0))
@@ -354,7 +407,7 @@ def test_columns_round_as_the_rational_combination(cols, data):
         m = data.draw(st.dictionaries(
             st.integers(min_value=0, max_value=len(cols) - 1), mantissa, max_size=len(cols)
         ))
-        y = apply_s(m, 40, Fraction(1, 1 << 20))
+        y = apply_s(m, Fraction(1 << 20))
         assert all(type(v) is int for v in y.values())
         want = rational_apply(cols, m)
         assert {i: v for i, v in y.items() if v} == {i: v for i, v in want.items() if v}
@@ -396,6 +449,60 @@ def test_bounds_test_is_the_rational_test(A, B, s, pp, data):
     end = data.draw(st.sampled_from([lo, hi]))
     pq = floor(end) + data.draw(st.integers(min_value=-2, max_value=2))
     assert _bounds_test(A, B, s)(pp, pq) == (lo <= pq <= hi)
+
+
+# -- the grid, computed once per frame --------------------------------
+
+
+def grid_in_fractions(A: Fraction, B: Fraction, target: int) -> dict:
+    """The driver's grid at one target from its Fraction formulas: the reference for _driver_grid."""
+    kappa = -(-B.numerator * A.denominator // (B.denominator * A.numerator))
+    b = A / (1 << (target + 4 + kappa.bit_length()))
+    bd = b if A + B >= 1 else (A + B) * b
+    G = clog2(max(Fraction(1), (A + B) / 2) / bd) + GUARD_BITS
+    bound = (A * Fraction(7, 1 << (target + 4)) - 5 * b / 4) * (1 << G)
+    return {
+        "G": G, "f_stage": max(0, clog2(1 / (A / (1 << (target + 4))))), "kappa": kappa,
+        "b": b, "bd": bd, "sigma": -(-b.numerator << G) // b.denominator,
+        "sd": -(-bd.numerator << G) // bd.denominator + 1, "bound": bound,
+        "num": bound.numerator**2, "den": bound.denominator**2,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, positive, st.integers(min_value=0, max_value=300), st.data())
+def test_driver_grid_is_the_fraction_grid(A, B, target, data):
+    A, B = min(A, B), max(A, B)
+    want = grid_in_fractions(A, B, target)
+    gshift, fshift, kappa, unit, unit_d, sigma, sd, within_bounds, bound, num, den = _driver_grid(A, B)
+    G = target + gshift
+    assert (G, max(0, target + fshift), kappa) == (want["G"], want["f_stage"], want["kappa"])
+    assert (unit, unit_d) == (want["b"] * (1 << G), want["bd"] * (1 << G))
+    assert (sigma, sd, bound, num, den) == tuple(want[k] for k in ("sigma", "sd", "bound", "num", "den"))
+    pp = data.draw(st.integers(min_value=0, max_value=1 << 200))
+    pq = data.draw(st.integers(min_value=-(1 << 200), max_value=1 << 200))
+    assert within_bounds(pp, pq) == _bounds_test(A, B, want["sd"])(pp, pq)
+    # the stage _columns reads for a mass of mantissas, with the budget in grid steps
+    mass = data.draw(st.integers(min_value=1, max_value=1 << (G + 64)))
+    for budget, real in ((unit, want["b"]), (unit_d, want["bd"])):
+        k = clog2_ratio(2 * mass * budget.denominator, budget.numerator)
+        assert k == clog2(Fraction(2 * mass, 1 << G) / real)
+
+
+def test_a_frame_computes_its_grid_once(monkeypatch):
+    # a second run, at another target, reads the grid the first one kept;
+    # a fresh frame with the same elements and bounds computes it again
+    calls = []
+    driver_grid = frames._driver_grid
+    monkeypatch.setattr(frames, "_driver_grid", lambda A, B: calls.append((A, B)) or driver_grid(A, B))
+    CF = riesz_shear_by_driver()
+    f = VectorName.from_finite(FiniteVector.parse("0:1 1:-1/3 2:2/7"))
+    first = frame_algorithm(CF, f, 20)
+    kept = CF._grid
+    frame_algorithm(CF, f, 64)
+    assert calls == [(CF.lower, CF.upper)] and CF._grid is kept
+    again = frame_algorithm(riesz_shear_by_driver(), f, 20)
+    assert len(calls) == 2 and again.vector.finite == first.vector.finite
 
 
 def test_warmed_benign_run_builds_no_finite_vector(monkeypatch):

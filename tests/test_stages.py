@@ -57,6 +57,8 @@ def test_precision_amplification_ceiling(fixture, p):
     # both frames leave coordinate 1 of the signal in place: (T^-1 x)_1 = x_1
     assert abs(got.as_fraction() - Fraction(3, 8)) <= Fraction(1, 1 << p)
     assert max(asked) <= 2 * p + 64
+    # and exactly these bits, which pins every stage index on the way
+    assert max(asked) == 2 * p + 18
 
 
 def staged_signal(asked: list[int]) -> VectorName:
@@ -83,6 +85,7 @@ def test_staged_input_amplification_is_additive(fixture, p):
     got = pseudo_inverse(CF, staged_signal(asked)).coeff(1).approx(p)
     assert abs(got.as_fraction() - Fraction(3, 8)) <= Fraction(1, 1 << p)
     assert max(asked) <= p + 16
+    assert max(asked) == p + 3
 
 
 # -- truncate on staged names against the exact oracle ---------------
