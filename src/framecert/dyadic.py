@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, Mapping
 
 
 class Immutable:
@@ -147,6 +147,20 @@ def round_ratio(num: int, den: int, n: int) -> Dyadic:
 def div_nearest(num: int, den: int) -> int:
     """Nearest integer to num/den for den > 0 (ties up); error <= 1/2."""
     return (2 * num + den) // (2 * den)
+
+
+def nearest(nums: Mapping[int, int], den: int, g: int = 0) -> dict[int, int]:
+    """The nonzero nearest integers to n 2^g / den for the entries i -> n of
+    ``nums``, den > 0 and g >= 0, rounded as :func:`div_nearest` rounds:
+    one shift (n + 2^(s-1)) >> s when den = 2^(g+s)."""
+    if den & (den - 1):
+        den2 = 2 * den
+        return {i: m for i, n in nums.items() if (m := ((n << (g + 1)) + den) // den2)}
+    s = den.bit_length() - 1 - g
+    if s <= 0:
+        return {i: n << -s for i, n in nums.items() if n}
+    half = 1 << (s - 1)
+    return {i: m for i, n in nums.items() if (m := (n + half) >> s)}
 
 
 def clog2(q: Fraction) -> int:

@@ -27,13 +27,13 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import repeat
-from math import floor, isqrt, lcm
+from math import ceil, isqrt
 from operator import mul
 from typing import Callable, Optional
 
-from .dyadic import Immutable, _smallest, clog2, clog2_ratio, div_nearest, sqrt_upper
+from .dyadic import Immutable, _smallest, clog2, nearest, sqrt_upper
 from .realnames import RealName, _memoized, lift_arith
-from .operators import OperatorName, apply
+from .operators import OperatorName, apply, columns
 from .vectors import (
     FiniteVector,
     VectorName,
@@ -251,8 +251,10 @@ def _conjugate_gradients(
     GUARD_BITS: rounding onto it costs at most bd/4, and S times that at
     most b/2.  f_G is f truncated within A 2^-(target+4), on the grid,
     without the coordinates n whose analysis column T* e_n is exactly zero
-    (S e_n = 0, so each step would add them again).  :func:`_columns`
-    reads S within b for a check's y = S x, within bd for a step's q = S p.
+    (S e_n = 0, so each step would add them again).  S x is one call of
+    the :func:`columns` table kept for the run, within half the budget, put
+    on the grid by :func:`nearest` within a quarter: within b for a check's
+    y = S x, within bd for a step's q = S p.
     All but G depend on A and B alone: :func:`_driver_grid`, kept per frame.
 
     Steps.  Hestenes-Stiefel steps on integer mantissas of x, the residual
@@ -296,12 +298,12 @@ def _conjugate_gradients(
     gshift, fshift, kappa, unit, unit_d, sigma, sd, within_bounds, bound, num, den = CF._grid
     A, B, G = CF.lower, CF.upper, target + gshift
     f_fin = f.stage(max(0, target + fshift))
-    fm = {i: m for i, m in _to_grid(f_fin, G).items() if not _outside_span(CF, i)}
-    apply_s = _columns(frame_operator(CF))
+    fm = {i: m for i, m in nearest(f_fin.nums, f_fin.den, G).items() if not _outside_span(CF, i)}
+    combine = columns(frame_operator(CF))
 
     def residual(m: dict[int, int]) -> dict[int, int]:
         out = dict(fm)
-        for i, w in apply_s(m, unit).items():
+        for i, w in nearest(*combine(m, unit)).items():
             t = out.get(i, 0) - w
             if t:
                 out[i] = t
@@ -309,7 +311,7 @@ def _conjugate_gradients(
                 out.pop(i, None)
         return out
 
-    x, first, steps, k, held, goal = _to_grid(g, G), 0, 0, -1, None, None
+    x, first, steps, k, held, goal = nearest(g.nums, g.den, G), 0, 0, -1, None, None
     cap = budget = target + 2  # lower bounds of both, until a run reaches them
     while True:
         if goal is None and steps >= budget:
@@ -337,7 +339,7 @@ def _conjugate_gradients(
                 f"declared frame bounds A = {A}, B = {B} are false or S is not self-adjoint: "
                 f"{steps} steps spent the budget of {budget} without a certificate"
             )
-        q = apply_s(p, unit_d)
+        q = nearest(*combine(p, unit_d))
         pp, pq = _dot(p, p), _dot(p, q)
         if not within_bounds(pp, pq):
             raise FalseBoundsError(
@@ -362,15 +364,15 @@ def _driver_grid(A: Fraction, B: Fraction) -> tuple:
     With b = A 2^-h, h = target + 4 + clog2(1+kappa), the grid G = h + e is
     target + gshift, and f is read at stage max(0, target + fshift), within
     A 2^-(target+4).  It returns (gshift, fshift, kappa, b 2^G, bd 2^G, sigma
-    = floor(b 2^G), sd = floor(bd 2^G) + 1, the bounds test with slack sd,
+    = ceil(b 2^G), sd = ceil(bd 2^G) + 1, the bounds test with slack sd,
     theta 2^G, and (theta 2^G)^2 as num, den).
     """
     kappa = -(-B.numerator * A.denominator // (B.denominator * A.numerator))
     m = 1 if A + B >= 1 else A + B  # bd = m b
     e = clog2(max(Fraction(1), (A + B) / 2) / (m * A)) + GUARD_BITS
     unit, unit_d = A * (1 << e), m * A * (1 << e)
-    sd, bound = floor(unit_d) + 1, 7 * A * (1 << (kappa.bit_length() + e)) - 5 * unit / 4
-    return (4 + kappa.bit_length() + e, 4 + clog2(1 / A), kappa, unit, unit_d, floor(unit), sd,
+    sd, bound = ceil(unit_d) + 1, 7 * A * (1 << (kappa.bit_length() + e)) - 5 * unit / 4
+    return (4 + kappa.bit_length() + e, 4 + clog2(1 / A), kappa, unit, unit_d, ceil(unit), sd,
             _bounds_test(A, B, sd), bound, bound.numerator**2, bound.denominator**2)
 
 
@@ -436,85 +438,10 @@ def _dot(u: dict[int, int], v: dict[int, int]) -> int:
     return sum(map(mul, u.values(), map(v.get, u, repeat(0))))
 
 
-def _to_grid(v: FiniteVector, G: int) -> dict[int, int]:
-    """Nonzero mantissas of the nearest multiples of 2^-G to v's entries."""
-    return {i: m for i, n in v.nums.items() if (m := div_nearest(n << G, v.den))}
-
-
 def _outside_span(CF: CertifiedFrame, n: int) -> bool:
     """Whether the analysis column T* e_n is exactly the zero vector."""
     col = CF.analysis_op.col(n).finite
     return col is not None and not col.nums
-
-
-def _columns(S: OperatorName):
-    """The one way to apply S in the driver, read from its columns.
-
-    The contract is a callable (m, budget) -> y taking integer mantissas
-    m of x = m 2^-G (a dict index -> int) to mantissas y on the same grid
-    with ||y - S m|| <= budget in l2, budget a rational in grid steps 2^-G;
-    callers keep budget >= 2^GUARD_BITS, so rounding onto the grid fits in
-    the budget.  Column n of S is read on first use, and kept as its
-    integer numerators over its denominator: exactly when it is a finite
-    vector, else at stage k, where 2^-k sum |m_n| <= budget/2 with the sum
-    over the columns that are not finite, so their errors add up to at
-    most budget/2; it is read again at a finer stage when a later x needs
-    one.  sum_n m_n col_n is accumulated in plain integers over the lcm L
-    of the denominators of the columns read so far, which is S x 2^G L up
-    to the stages' error, and each entry v is rounded once onto the grid,
-    as (2v + L) // 2L, or (v + 2^(s-1)) >> s when L = 2^s (every stage of
-    an inexact name is dyadic); any common denominator rounds to the same
-    integer, and rounding costs at most budget/4 under the GUARD_BITS
-    rule, and nothing when L = 1.  No FiniteVector is built per call.  The
-    table is per run; S memoizes the columns and stages for every run on
-    its frame.
-    """
-    # column n as its (index, numerator) pairs over dens[n], and the factor
-    # L // dens[n] for the lcm L of the denominators held
-    cols: dict[int, tuple[tuple[int, int], ...]] = {}
-    dens: dict[int, int] = {}
-    scale: dict[int, int] = {}
-    staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
-    L = 1
-
-    def apply_s(x: dict[int, int], budget: Fraction) -> dict[int, int]:
-        nonlocal L
-        read: dict[int, FiniteVector] = {}
-        for n in x.keys() - cols.keys() - staged.keys():
-            c = S.col(n).finite
-            if c is None:
-                staged[n] = -1
-            else:
-                read[n] = c
-        if staged:
-            mass = sum(abs(x[n]) for n in staged if n in x)
-            k = max(0, clog2_ratio(2 * mass * budget.denominator, budget.numerator)) if mass else 0
-            for n, held in staged.items():
-                if held < k and n in x:
-                    read[n], staged[n] = S.col(n).stage(k), k
-        if read:
-            for n, c in read.items():
-                cols[n], dens[n] = tuple(c.nums.items()), c.den
-            grown = lcm(L, *(c.den for c in read.values()))
-            for n in read if grown == L else dens:
-                scale[n] = grown // dens[n]
-            L = grown
-        acc: dict[int, int] = {}
-        get = acc.get
-        for n, m in x.items():
-            m *= scale[n]
-            for i, v in cols[n]:
-                acc[i] = get(i, 0) + m * v
-        if L == 1:
-            return acc
-        if L & (L - 1):
-            L2 = 2 * L
-            return {i: (2 * v + L) // L2 for i, v in acc.items()}
-        s = L.bit_length() - 1
-        half = 1 << (s - 1)
-        return {i: (v + half) >> s for i, v in acc.items()}
-
-    return apply_s
 
 
 def inverse_apply(CF: CertifiedFrame, f: VectorName) -> VectorName:

@@ -35,10 +35,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm
+from operator import countOf
 from types import MappingProxyType
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .dyadic import ZERO, Dyadic, Immutable, clog2, clog2_ratio, div_nearest, round_fraction, round_ratio
+from .dyadic import ZERO, Dyadic, Immutable, clog2, clog2_ratio, nearest, round_fraction, round_ratio
 from .realnames import (
     RealName,
     ZERO_NAME,
@@ -407,17 +408,19 @@ def finite_stage(terms: Sequence[tuple[RealName, VectorName]], j: int) -> Finite
         if sd is None:
             sd = s.approx(j + 2 + clog2((v.norm.mag + 1) * n)).as_fraction()
         parts.append((sd, v.stage(j + 1 + clog2((s.mag + 1) * n))))
-    return on_grid(FiniteVector.combination(parts), j)
+    v = FiniteVector.combination(parts)
+    return on_grid(v.nums, v.den, j)
 
 
-def on_grid(v: FiniteVector, j: int) -> FiniteVector:
-    """v as a stage within 2^-j / 4 of it: v itself when its denominator is
-    at most 2^g, g = j + 1 + clog2(isqrt(N) + 2) for its N nonzero entries,
-    else its entries rounded onto 2^-g, within sqrt(N) 2^-(g+1) < 2^-j / 4."""
-    g = j + 1 + clog2(isqrt(len(v.nums)) + 2)
-    if v.den <= 1 << g:
-        return v
-    return FiniteVector.over(((i, div_nearest(n << g, v.den)) for i, n in v.nums.items()), 1 << g)
+def on_grid(nums: Mapping[int, int], den: int, j: int) -> FiniteVector:
+    """The vector i -> nums[i] / den as a stage within 2^-j / 4 of it: exact
+    when its denominator in lowest terms is at most 2^g, g = j + 1 +
+    clog2(isqrt(N) + 2) for its N nonzero entries, else its entries rounded
+    onto 2^-g by :func:`nearest`, within sqrt(N) 2^-(g+1) < 2^-j / 4."""
+    g = j + 1 + clog2(isqrt(len(nums) - countOf(nums.values(), 0)) + 2)
+    if den <= 1 << g or den // gcd(den, *nums.values()) <= 1 << g:
+        return FiniteVector.over(nums.items(), den)
+    return FiniteVector.over(nearest(nums, den, g).items(), 1 << g)
 
 
 def exact_combo(terms, den: int = 1) -> Optional[VectorName]:

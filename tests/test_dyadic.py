@@ -2,7 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framecert.duality import BesselSequence, DualPair, canonical_dual, verify_duality
 from framecert.dyadic import (
@@ -10,8 +10,10 @@ from framecert.dyadic import (
     Immutable,
     clog2,
     decimal_string,
+    div_nearest,
     fraction_string,
     int_string,
+    nearest,
     round_fraction,
     sqrt_lower,
     sqrt_upper,
@@ -73,6 +75,27 @@ def test_clog2(q):
     g = clog2(q)
     assert Fraction(2) ** g >= q
     assert Fraction(2) ** (g - 1) < q
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.integers(0, 8), st.integers(-(1 << 70), 1 << 70), max_size=6),
+    st.lists(st.integers(-(1 << 30), 1 << 30), max_size=3),
+    st.sampled_from([1, 2, 3, 6, 1 << 40, 3 << 20]) | st.integers(1, 1 << 90),
+    st.integers(-50, 50),
+)
+def test_nearest_is_div_nearest_per_entry(nums, ties, den, offset):
+    # g >= 0 on both sides of log2(den); entries at exact ties j + 1/2
+    # where n = (2j + 1) den 2^-(g+1) is an integer, and zeros that are dropped
+    g = max(0, den.bit_length() + offset)
+    for i, j in enumerate(ties, start=9):
+        n = Fraction((2 * j + 1) * den, 2) / Fraction(2) ** g
+        if n.denominator == 1:
+            nums[i] = int(n)
+    per_entry = {i: div_nearest(n << g, den) for i, n in nums.items()}
+    got = nearest(nums, den, g)
+    assert got == {i: m for i, m in per_entry.items() if m}
+    assert all(type(m) is int for m in got.values())
 
 
 @given(st.fractions(min_value=0, max_value=Fraction(10**4)))

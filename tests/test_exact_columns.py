@@ -306,9 +306,10 @@ def test_runs_share_the_frame_operator(label, monkeypatch):
     f = staged_signal()
     first = solve_and_ladder(CF, f)
     built = []
-    apply, finite_stage = frames.apply, operators.finite_stage
+    apply, columns = frames.apply, operators.columns
     monkeypatch.setattr(frames, "apply", lambda U, x: built.append(x) or apply(U, x))
-    monkeypatch.setattr(operators, "finite_stage", lambda t, j: built.append(j) or finite_stage(t, j))
+    # a stage of an operator image calls operators.columns; the driver's own table is frames.columns
+    monkeypatch.setattr(operators, "columns", lambda U: built.append(U) or columns(U))
     assert solve_and_ladder(CF, f) == first
     assert built == []
 

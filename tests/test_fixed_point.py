@@ -8,8 +8,9 @@ on finite frames, on Riesz blocks whose columns beyond the block are
 read through stages, on the benign gallery frame and on diagonal frames
 with B/A up to 160^2; the errors raised on refuted frame bounds, on an S
 that is not self-adjoint and on a spent step budget; a cycle made to lose
-ground, which the run abandons for its first step; the column reader of
-the benign frame against its l2 budget; the integer kernel (column
+ground, which the run abandons for its first step; the column kernel
+``operators.columns`` on the benign frame against its l2 budget, and the
+stage at which it reads a staged column; the integer kernel (column
 accumulation, the rounded update) against Fraction models; the rounding
 of one step; the claim of a run's certificate on signals given by stages
 alone; and the grid a frame keeps against its Fraction formulas.
@@ -23,14 +24,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framecert import frames
-from framecert.dyadic import clog2, clog2_ratio, div_nearest, round_fraction
+from framecert.dyadic import clog2, clog2_ratio, div_nearest, nearest, round_fraction
 from framecert.frames import (
     GUARD_BITS,
     CertifiedFrame,
     FalseBoundsError,
     Frame,
     _bounds_test,
-    _columns,
     _combine,
     _driver_grid,
     frame_algorithm,
@@ -38,7 +38,7 @@ from framecert.frames import (
     inverse_apply,
 )
 from framecert.gallery import benign_sequence, upper_row_frame
-from framecert.operators import OperatorName, finite_columns
+from framecert.operators import OperatorName, columns, finite_columns
 from framecert.oracle import ExactFrame, NonSpanningError, embed, mat_inv
 from framecert.realnames import RealName
 from framecert.riesz import riesz_as_frame, riesz_from_matrix
@@ -311,6 +311,12 @@ def test_false_bounds_raise():
 # -- the benign frame's columns ----------------------------------------
 
 
+def driver_apply(S: OperatorName):
+    """S applied as the driver applies it: one columns table, rounded onto the grid."""
+    combine = columns(S)
+    return lambda m, budget: nearest(*combine(m, budget))
+
+
 def benign_s(x: dict[int, Fraction], j: int) -> Fraction:
     """(Sx)_j for S = U U*, U = I + e_0 a'^T, a_i = 2^-i (square sum 4/3)."""
     x0 = x.get(0, Fraction(0))
@@ -325,7 +331,7 @@ def test_benign_columns_within_budget(data):
     # column 0 of S is read at a stage and every other one exactly, all over
     # one denominator D > 1, so the output is rounded onto the grid; draw
     # (m, G, budget), pass the budget in grid steps and check ||y - S x|| <= budget
-    s_action = _columns(frame_operator(upper_row_frame(benign_sequence())))
+    s_action = driver_apply(frame_operator(upper_row_frame(benign_sequence())))
     k = data.draw(st.integers(min_value=10, max_value=140))
     budget = Fraction(data.draw(st.integers(min_value=1, max_value=1000)), 1 << k)
     G = clog2(1 / budget) + GUARD_BITS + data.draw(st.integers(min_value=0, max_value=8))
@@ -345,6 +351,38 @@ def test_benign_columns_within_budget(data):
     err = sum((Fraction(y.get(j, 0), 1 << G) - benign_s(x, j)) ** 2 for j in range(N))
     err += x0 * x0 * Fraction(4, 3) / 4**N
     assert err <= budget * budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(1 << 80), max_value=1 << 80).filter(bool), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=5),
+    st.fractions(min_value=Fraction(1, 1 << 60), max_value=1 << 60),
+)
+def test_columns_read_staged_columns_at_half_the_budget(m, finite, budget):
+    # columns n >= finite are names whose stage k is (1 + 2^-k) e_n: each is
+    # read at k = max(0, clog2(2 mass / budget)) for the mass of the staged
+    # terms, so the sum is within budget/2, and again only at a finer stage
+    reads = []
+
+    def col(n: int) -> VectorName:
+        if n < finite:
+            return VectorName.basis(n)
+        return VectorName.from_stage(
+            lambda k: reads.append((n, k)) or FiniteVector.over(((n, (1 << k) + 1),), 1 << k), Fraction(2)
+        )
+
+    combine = columns(OperatorName(col, Fraction(2)))
+    m = dict(enumerate(m))
+    mass, held = sum(abs(a) for n, a in m.items() if n >= finite), -1
+    for b in (budget, budget / 4):
+        reads.clear()
+        acc, L = combine(m, b)
+        k = max(0, clog2(2 * mass / b)) if mass else 0
+        assert sorted(reads) == ([(n, k) for n in m if n >= finite] if k > held else [])
+        err = sum((Fraction(acc.get(n, 0), L) - a) ** 2 for n, a in m.items())
+        assert err <= b * b / 4
+        held = k
 
 
 # -- one step of the driver ------------------------------------------
@@ -401,7 +439,7 @@ def rational_apply(cols: list[FiniteVector], m: dict[int, int]) -> dict[int, int
 def test_columns_round_as_the_rational_combination(cols, data):
     # three applications on one table: later ones read new columns, whose
     # denominators may grow the common one
-    apply_s = _columns(OperatorName(finite_columns(cols), Fraction(1)))
+    apply_s = driver_apply(OperatorName(finite_columns(cols), Fraction(1)))
     mantissa = st.integers(min_value=-(1 << 80), max_value=1 << 80).filter(bool)
     for _ in range(3):
         m = data.draw(st.dictionaries(
@@ -463,8 +501,8 @@ def grid_in_fractions(A: Fraction, B: Fraction, target: int) -> dict:
     bound = (A * Fraction(7, 1 << (target + 4)) - 5 * b / 4) * (1 << G)
     return {
         "G": G, "f_stage": max(0, clog2(1 / (A / (1 << (target + 4))))), "kappa": kappa,
-        "b": b, "bd": bd, "sigma": -(-b.numerator << G) // b.denominator,
-        "sd": -(-bd.numerator << G) // bd.denominator + 1, "bound": bound,
+        "b": b, "bd": bd, "sigma": -(-(b.numerator << G) // b.denominator),
+        "sd": -(-(bd.numerator << G) // bd.denominator) + 1, "bound": bound,
         "num": bound.numerator**2, "den": bound.denominator**2,
     }
 
@@ -482,7 +520,7 @@ def test_driver_grid_is_the_fraction_grid(A, B, target, data):
     pp = data.draw(st.integers(min_value=0, max_value=1 << 200))
     pq = data.draw(st.integers(min_value=-(1 << 200), max_value=1 << 200))
     assert within_bounds(pp, pq) == _bounds_test(A, B, want["sd"])(pp, pq)
-    # the stage _columns reads for a mass of mantissas, with the budget in grid steps
+    # the stage columns reads for a mass of mantissas, with the budget in grid steps
     mass = data.draw(st.integers(min_value=1, max_value=1 << (G + 64)))
     for budget, real in ((unit, want["b"]), (unit_d, want["bd"])):
         k = clog2_ratio(2 * mass * budget.denominator, budget.numerator)

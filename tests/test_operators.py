@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from pathlib import Path
 
@@ -227,24 +228,28 @@ def test_apply_finite_over_finite_columns_matches_the_fraction_model(x, cols):
 @settings(max_examples=40, deadline=None)
 @given(inputs, st.lists(models, min_size=1, max_size=4), st.data())
 def test_apply_finite_over_mixed_columns_is_staged(x, cols, data):
-    # one column served as a staged name of itself: the image is staged, and
-    # it is the combination linear_combo stages from x's entries as names
+    # column k served as a name whose stage j is off by 2^-j in coordinate
+    # 9: the image of x, finite or given by stages off by 2^-j in
+    # coordinate k, is staged, and its stage j is within 2^-j of the model
     k = data.draw(st.integers(0, len(cols) - 1))
     if not x.get(k):  # drawn, not filtered: filtering most inputs fails a health check
         x = {**x, k: data.draw(st.fractions(-6, 6, max_denominator=12).filter(bool))}
     exact = [from_model(c) for c in cols]
-    staged = VectorName.from_stage(lambda j: exact[k], exact[k].norm_squared() + 1)
+
+    def off(v: FiniteVector, i: int, j: int) -> FiniteVector:
+        return FiniteVector.combination([(1, v), (Fraction(1, 1 << j), FiniteVector([(i, 1)]))])
+
+    staged = VectorName.from_stage(lambda j: off(exact[k], 9, j), exact[k].norm_squared() + 2)
     col = finite_columns(exact)
     U = OperatorName(lambda i: staged if i == k else col(i), frobenius_bound(cols))
     v = from_model(x)
-    y = apply(U, VectorName.from_finite(v))
-    assert y.finite is None
-    by_names = linear_combo([(RealName.from_fraction(q), U.col(i)) for i, q in v.entries])
     want = from_model(model_apply(x, cols))
-    for j in (0, 8, 30):
-        assert y.stage(j) == by_names.stage(j)
-        gap = FiniteVector.combination([(1, y.stage(j)), (-1, want)])
-        assert gap.norm_squared() <= Fraction(1, 4**j)
+    staged_x = VectorName.from_stage(partial(off, v, k), v.norm_squared() + 2)
+    for y in (apply(U, VectorName.from_finite(v)), apply(U, staged_x)):
+        assert y.finite is None
+        for j in (0, 8, 30):
+            gap = FiniteVector.combination([(1, y.stage(j)), (-1, want)])
+            assert gap.norm_squared() <= Fraction(1, 4**j)
 
 
 # -- a staged input over finite columns: one integer combination ------
