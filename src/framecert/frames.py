@@ -252,7 +252,7 @@ def _conjugate_gradients(
     most b/2.  f_G is f truncated within A 2^-(target+4), on the grid,
     without the coordinates n whose analysis column T* e_n is exactly zero
     (S e_n = 0, so each step would add them again).  S x is one call of
-    the :func:`columns` table kept for the run, within half the budget, put
+    the :func:`columns` callable kept for the run, within half the budget, put
     on the grid by :func:`nearest` within a quarter: within b for a check's
     y = S x, within bd for a step's q = S p.
     All but G depend on A and B alone: :func:`_driver_grid`, kept per frame.
@@ -340,7 +340,7 @@ def _conjugate_gradients(
                 f"{steps} steps spent the budget of {budget} without a certificate"
             )
         q = nearest(*combine(p, unit_d))
-        pp, pq = _dot(p, p), _dot(p, q)
+        pp, pq = rr if k == 0 else _dot(p, p), _dot(p, q)  # a cycle starts with p = r
         if not within_bounds(pp, pq):
             raise FalseBoundsError(
                 f"declared frame bounds A = {A}, B = {B} are false: "
@@ -355,7 +355,9 @@ def _conjugate_gradients(
         if k == 0:
             held, p0, q0, pp0 = (x, rr, pq), p, q, pp
         rr, old = _dot(r, r), rr
-        p, k, steps = _combine(r, p, rr, old), k + 1, steps + 1
+        k, steps = k + 1, steps + 1
+        if rr * den > num:  # else the next pass checks, and the check sets p = r
+            p = _combine(r, p, rr, old)
 
 
 def _driver_grid(A: Fraction, B: Fraction) -> tuple:

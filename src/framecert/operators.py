@@ -24,10 +24,15 @@ class OperatorName(Immutable):
 
     ``col`` is the memoized oracle itself (see :func:`_memoized`).
     ``support_bound``, when set, bounds the support of every column (and
-    hence of every image).
+    hence of every image).  ``_table`` is None until :func:`columns` first
+    runs on U, then (L, cols, staged): ``cols`` maps each column read so
+    far to its (index, numerator L / den) pairs, exact, over the one
+    denominator L, or to () when it is not finite, and ``staged`` holds
+    the indices of those.  It is replaced whole, never changed in place
+    but for an insert, so names on several threads may share it.
     """
 
-    __slots__ = ("col", "norm_bound", "support_bound")
+    __slots__ = ("col", "norm_bound", "support_bound", "_table")
 
     def __init__(
         self,
@@ -38,6 +43,7 @@ class OperatorName(Immutable):
         object.__setattr__(self, "col", _memoized(col))
         object.__setattr__(self, "norm_bound", Fraction(norm_bound))
         object.__setattr__(self, "support_bound", support_bound)
+        object.__setattr__(self, "_table", None)
         if self.norm_bound < 0:
             raise ValueError("operator norm bound must be nonnegative")
 
@@ -56,7 +62,7 @@ def apply(U: OperatorName, x: VectorName) -> VectorName:
 
     Otherwise stage k reads x at stage k + 1 + clog2(||U||), a v within
     2^-(k+1)/||U|| of x, takes sum_n v_n U e_n within 2^-(k+2) by
-    :func:`columns` (a table per stage call), and rounds it by
+    :func:`columns` (a callable per stage), and rounds it by
     :func:`on_grid` within 2^-(k+3): within (1 + 1/2 + 1/4) 2^-(k+1) <
     2^-k of Ux.
     """
@@ -82,56 +88,91 @@ def columns(U: OperatorName) -> Callable[[Mapping[int, int], Fraction], tuple[di
 
     It returns a callable (m, budget) -> (acc, L) taking integers m (a
     mapping index -> int) to integers acc over one denominator L with
-    ||acc/L - sum_n m_n U e_n|| <= budget/2 in l2.  Column n is read on
-    first use, and kept as its integer numerators over its denominator:
-    exactly when it is a finite vector, else at stage k, where 2^-k sum
-    |m_n| <= budget/2 with the sum over the columns that are not finite;
-    it is read again at a finer stage when a later m needs one.  The sum
-    is accumulated in plain integers over the lcm L of the denominators
-    of the columns read so far.  The table lives on the callable, so its
-    values depend on the calls made through it alone and no thread shares
-    it: a driver run keeps one, and each stage of :func:`apply` one, while
-    U memoizes the columns and stages for all of them.
+    ||acc/L - sum_n m_n U e_n|| <= budget/2 in l2.  A finite column is
+    exact and never changes, so it is read once per operator, into the
+    table U keeps (see :class:`OperatorName`) as its integer numerators
+    over the lcm of the denominators of the finite columns read so far.
+    A column that is not finite is read at stage k, where 2^-k sum |m_n|
+    <= budget/2 with the sum over such columns, and kept by the callable,
+    read again at a finer stage when a later m needs one: so its integers
+    depend on the calls made through the callable alone, and a driver
+    run, which keeps one callable, sums the same rationals acc/L whatever
+    ran on U before.  A call reads U's table once and sums in plain
+    integers, the finite columns over the table's denominator, which is
+    enlarged to the lcm with the stages' denominators only when a stage
+    needs it.
     """
-    # column n as its (index, numerator) pairs and the factor L // (its
-    # denominator), for the lcm L of the denominators held
-    cols: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-    staged: dict[int, int] = {}  # stage held in cols[n] for each column that is not finite
-    L = 1
+    held: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}  # n -> (stage, its pairs, its den)
 
     def combine(m: Mapping[int, int], budget: Fraction) -> tuple[dict[int, int], int]:
-        nonlocal L
-        read: dict[int, FiniteVector] = {}
-        for n in m.keys() - cols.keys():  # a staged column is in cols after its first call
-            c = U.col(n).finite
-            if c is None:
-                staged[n] = -1
-            else:
-                read[n] = c
-        if staged:
-            mass = sum(abs(m[n]) for n in staged if n in m)
-            k = max(0, clog2_ratio(2 * mass * budget.denominator, budget.numerator)) if mass else 0
-            for n, held in staged.items():
-                if held < k and n in m:
-                    read[n], staged[n] = U.col(n).stage(k), k
-        if read:
-            grown = lcm(L, *(c.den for c in read.values()))
-            if grown != L:
-                for n, (nums, s) in cols.items():
-                    cols[n] = nums, s * (grown // L)
-                L = grown
-            for n, c in read.items():
-                cols[n] = tuple(c.nums.items()), L // c.den
-        acc: dict[int, int] = {}
-        get = acc.get
-        for n, a in m.items():
-            nums, s = cols[n]
-            a *= s
+        table = U._table or _grow_table(U, (1, {}, {}), m)
+        while True:
+            L, cols, staged = table
+            acc: dict[int, int] = {}
+            get = acc.get
+            try:
+                for n, a in m.items():
+                    for i, v in cols[n]:  # () for a column that is not finite
+                        acc[i] = get(i, 0) + a * v
+                break
+            except KeyError:  # m has a column the table has not read yet
+                table = _grow_table(U, table, m)
+        stg = staged.keys() & m.keys() if staged else ()
+        if not stg:
+            return acc, L
+        mass = sum(abs(m[n]) for n in stg)
+        k = max(0, clog2_ratio(2 * mass * budget.denominator, budget.numerator)) if mass else 0
+        for n in stg:
+            if n not in held or held[n][0] < k:
+                c = U.col(n).stage(k)
+                held[n] = k, tuple(c.nums.items()), c.den
+        grown = lcm(L, *(held[n][2] for n in stg))
+        if grown != L:
+            s = grown // L
+            acc = {i: v * s for i, v in acc.items()}
+            get = acc.get
+        for n in stg:
+            _, nums, den = held[n]
+            a = m[n] * (grown // den)
             for i, v in nums:
                 acc[i] = get(i, 0) + a * v
-        return acc, L
+        return acc, grown
 
     return combine
+
+
+def _grow_table(U: OperatorName, table: tuple, m: Mapping[int, int]) -> tuple:
+    """``table`` with the columns of m it lacks, stored on U as its new table.
+
+    A column that is not finite enters ``staged`` and then ``cols`` as ();
+    the finite ones enter with one lcm: in place when their denominators
+    divide L, else into a copy of ``cols`` rescaled to the new L, which
+    replaces U's table whole.  So no entry of a table's dicts is ever
+    changed or removed, and a thread reads ``cols`` whole only through
+    ``dict(cols)`` and ``staged`` only through a set operation, each one
+    call in C that no other thread interrupts.
+    """
+    L, cols, staged = table
+    read: dict[int, FiniteVector] = {}
+    for n in m:
+        if n not in cols:
+            c = U.col(n).finite
+            if c is None:
+                staged[n] = None  # before cols: a reader that finds () in cols finds n here
+                cols[n] = ()
+            else:
+                read[n] = c
+    grown = lcm(L, *(c.den for c in read.values()))
+    if grown != L:
+        s = grown // L
+        cols = {n: tuple((i, v * s) for i, v in nums) for n, nums in dict(cols).items()}
+    for n, c in read.items():
+        s = grown // c.den
+        cols[n] = tuple((i, v * s) for i, v in c.nums.items())
+    table = grown, cols, staged
+    if grown != L or U._table is None:
+        object.__setattr__(U, "_table", table)
+    return table
 
 
 def compose(U: OperatorName, V: OperatorName) -> OperatorName:

@@ -8,8 +8,8 @@ kept as its integer form) and fraction-free (Bareiss) eliminations run on
 integers.  Its symmetric mode without pivoting decides (semi)definiteness:
 the end of each side of the enclosure search (which is also ExactFrame's
 span test, and bounds a Riesz block's M M^T), and checks of declared frame
-bounds; its Gauss-Jordan mode with row pivoting gives determinants and
-adjugates.  The kernel is validated against this module, so every value it
+bounds that the enclosure does not settle; its Gauss-Jordan mode with row
+pivoting gives determinants and adjugates.  The kernel is validated against this module, so every value it
 returns is decided exactly; floating point only picks the witness vectors
 whose exact Rayleigh quotients settle the rest of the enclosure search (a
 bad witness costs tests, not correctness).
@@ -90,6 +90,16 @@ class ExactFrame(Immutable):
             object.__setattr__(self, "_projection", cross_gram_columns(self, self))
         return self._projection
 
+    def bounds_hold(self, A: Fraction, B: Fraction) -> bool:
+        """A I <= S <= B I, decided exactly: by the enclosure for a bound
+        outside it (A <= A- holds and A > A+ fails, B >= B+ holds and B <
+        B- fails), else by one elimination for that side."""
+        a_lo, a_hi, b_lo, b_hi = self.bounds_enclosure
+        if A > a_hi or B < b_lo:
+            return False
+        return ((A <= a_lo or _bound_holds(self.G, self.E, A, 1))
+                and (B >= b_hi or _bound_holds(self.G, self.E, B, -1)))
+
     @property
     def lower(self) -> Fraction:
         return self.bounds_enclosure[0]
@@ -167,11 +177,15 @@ def frame_bounds_hold(M: Matrix, A: Fraction, B: Fraction) -> bool:
     """
     N, D = _cleared(M)
     G = [[sum(map(mul, u, v)) for v in N] for u in N]
-    return all(
-        _bareiss([[s * (q.denominator * g - q.numerator * D * D * (i == j)) for j, g in enumerate(row)]
-                  for i, row in enumerate(G)], strict=False) > 0
-        for q, s in ((A, 1), (B, -1)) if s < 0 or q > 0
-    )
+    return all(_bound_holds(G, D * D, q, s) for q, s in ((A, 1), (B, -1)) if s < 0 or q > 0)
+
+
+def _bound_holds(G: Sequence[Sequence[int]], E: int, q: Fraction, s: int) -> bool:
+    """q I <= G / E (s = 1) or G / E <= q I (s = -1) for symmetric integer G
+    and E > 0: s (q.den G - q.num E I) >= 0, by one elimination."""
+    a, c = q.numerator * E, q.denominator
+    return _bareiss([[s * (c * g - a * (i == j)) for j, g in enumerate(row)]
+                     for i, row in enumerate(G)], strict=False) > 0
 
 
 # -- the oracle ------------------------------------------------------

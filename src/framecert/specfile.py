@@ -159,9 +159,10 @@ def _load_finite(vectors) -> LoadedSpec:
 
 
 def _load_operator(doc) -> LoadedSpec:
-    """The frame of the matrix's columns, its declared bounds checked exactly:
-    embedded as a finite spec is when ``adjoint_rows`` is true (or absent),
-    else with the false rows as T*, the declared bounds and no section."""
+    """The frame of the matrix's columns, its declared bounds checked exactly
+    by its :class:`ExactFrame` (:meth:`ExactFrame.bounds_hold`): embedded as
+    a finite spec is when ``adjoint_rows`` is true (or absent), else with
+    the false rows as T*, the declared bounds and no section."""
     matrix = parse_matrix(doc.get("matrix"), "matrix")
     bounds = doc.get("bounds")
     if not isinstance(bounds, list) or len(bounds) != 2:
@@ -169,13 +170,17 @@ def _load_operator(doc) -> LoadedSpec:
     A, B = (parse_rational(q, f"bounds[{i}]") for i, q in enumerate(bounds))
     if not 0 < A <= B:
         raise InvalidFrameError("declared bounds must satisfy 0 < A <= B")
-    if not frame_bounds_hold(matrix, A, B):
+    try:
+        F = ExactFrame(list(zip(*matrix)))
+    except NonSpanningError:
+        F = None  # S is singular, so no A > 0 is a lower bound
+    if F is None or not F.bounds_hold(A, B):
         raise InvalidFrameError(f"declared bounds [{A}, {B}] do not enclose the spectrum of S = M M^T")
 
     # adjoint_rows[n] is T* e_n, which is row n of the matrix: the only
     # true value is the matrix itself, compared exactly (shape included)
     adj = parse_matrix(doc["adjoint_rows"], "adjoint_rows") if "adjoint_rows" in doc else matrix
-    CF = embed(ExactFrame(list(zip(*matrix))))
+    CF = embed(F)
     if adj == matrix:
         return LoadedSpec("operator", CF, CF, None, (A, B))
     rows = finite_columns([FiniteVector(enumerate(r)) for r in adj])

@@ -371,6 +371,47 @@ class TestCliCommands:
                 load_bessel(str(h))
         assert calls == [False]
 
+    @pytest.mark.parametrize("bounds, tests, holds", [
+        # operator_spanning.json: M M^T has spectrum {1, 3}, enclosed as
+        # A- < 1 <= A+ and B- <= 3 < B+, and declares [1, 3], inside on both sides
+        (None, 2, True),
+        (["1", "4"], 1, True),
+        (["1/2", "3"], 1, True),
+        (["1/2", "4"], 0, True),
+        (["2", "3"], 0, False),
+        (["1", "2"], 0, False),
+    ])
+    def test_operator_load_tests_only_bounds_inside_the_enclosure(self, tmp_path, monkeypatch, bounds, tests, holds):
+        doc = json.loads((FIXTURES / "operator_spanning.json").read_text())
+        doc["bounds"] = bounds or doc["bounds"]
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(doc))
+        calls = []
+        bareiss = oracle._bareiss
+
+        def counted(m, strict=None):
+            calls.append(strict)
+            return bareiss(m, strict)
+
+        monkeypatch.setattr(oracle, "_bareiss", counted)
+        oracle.ExactFrame(list(zip(*parse_matrix(doc["matrix"], "matrix"))))
+        own = len(calls)
+        calls.clear()
+        if holds:
+            assert load_spec(str(spec)).declared_bounds == tuple(map(Fraction, doc["bounds"]))
+        else:
+            with pytest.raises(InvalidFrameError, match="do not enclose the spectrum"):
+                load_spec(str(spec))
+        # the frame's own search, plus one elimination per side whose bound it does not settle
+        assert len(calls) == own + tests and calls.count(False) == tests
+
+    def test_non_spanning_operator_fails_its_declared_bounds(self, tmp_path):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "operator", "matrix": [["1", "2"], ["0", "0"]], "bounds": ["1", "5"]}))
+        with pytest.raises(InvalidFrameError, match=r"declared bounds \[1, 5\] do not enclose the spectrum"):
+            load_spec(str(spec))
+        assert run_cli("bounds", str(spec))[0] == 3
+
     @pytest.mark.parametrize("doc", [
         {"bound": "-1", "elements": ["0:1"]},
         {"bound": "1", "elements": [3]},
